@@ -32,9 +32,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .dist import (
     FLOAT,
@@ -42,12 +44,12 @@ from .dist import (
     RATIONAL,
     ConstructionError,
     Joint,
+    NullEvidenceError,
     Prob,
     Variable,
     condition,
     make_joint,
     marginalize,
-    tv_distance,
 )
 from .quantum import OUTCOMES, bell_prob
 from .reports import CheckReport, WitnessReport
@@ -196,6 +198,14 @@ class BackwardModel:
             )
         return tuple(w.check_setting(s) for w, s in zip(self.wings, settings))
 
+    def _cells(self) -> list[tuple]:
+        """Outcome combos in canonical order."""
+        return list(itertools.product(OUTCOMES, repeat=len(self.wings)))
+
+    def _outcome_weights(self) -> list[Prob]:
+        """P(cell) per canonical cell: the product of the wing marginals."""
+        return [math.prod(w.marginal(o) for w, o in zip(self.wings, c)) for c in self._cells()]
+
     # -- assembly and conditioning ------------------------------------------
 
     def assemble_joint(self, settings: Sequence) -> Joint:
@@ -207,10 +217,7 @@ class BackwardModel:
         settings = self.check_settings(settings)
         variables = self.outcome_variables() + (self.lambda_variable(),)
         weights: dict[tuple, Prob] = {}
-        for combo in itertools.product(OUTCOMES, repeat=len(self.wings)):
-            base: Prob = 1
-            for wing, outcome in zip(self.wings, combo):
-                base = base * wing.marginal(outcome)
+        for combo, base in zip(self._cells(), self._outcome_weights()):
             if not base:
                 continue
             for label in self.lam.labels:
@@ -235,6 +242,59 @@ class BackwardModel:
         return condition(self.assemble_joint(settings), {LAMBDA: label})
 
     # -- checked properties --------------------------------------------------
+    # Each check tabulates the kernel once over its grid and reduces the
+    # tensor.  Sums run left to right in canonical order, as in ``make_joint``,
+    # ``condition`` and ``marginalize``, so floats match the single-point path.
+
+    def _tabulate(self, settings_grid: Iterable[Sequence]) -> tuple[list[tuple], np.ndarray]:
+        """Checked grid points and the kernel tensor ``K[point, cell, label]``.
+
+        Cells are the outcome combos in canonical order.  The dtype is float64,
+        or ``object`` holding the kernel's own values on the rational backend.
+        """
+        points = [self.check_settings(s) for s in settings_grid]
+        if not points:
+            raise ConstructionError("empty settings grid")
+        cells, labels, prob = self._cells(), self.lam.labels, self.kernel.probability
+        dtype = object if self.backend == RATIONAL else float
+        K = np.empty((len(points), len(cells), len(labels)), dtype=dtype)
+        for g, settings in enumerate(points):
+            for c, combo in enumerate(cells):
+                K[g, c] = [prob(combo, settings, label) for label in labels]
+        return points, K
+
+    def _joint(self, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The joint ``T[point, cell, label]`` of :meth:`assemble_joint` at
+        every point, and its label marginal ``M[point, label]``."""
+        base = np.array(self._outcome_weights(), dtype=K.dtype)[:, None]
+        W = K * base
+        # assemble_joint drops zero weights and zero-marginal cells unchecked.
+        T = _normalized(np.where((base != 0) & (W != 0), W, 0), self.backend)
+        return T, _running_sum(T, axis=1)
+
+    def _conditioned(self, T: np.ndarray, M: np.ndarray, label: str) -> np.ndarray:
+        """P(cell | settings, label) at every point, as :meth:`condition_on_lambda`."""
+        if label not in self.lam.labels:
+            raise ConstructionError(f"unknown lambda label {label!r}")
+        at = self.lam.labels.index(label)
+        if (M[:, at] == 0).any():
+            raise NullEvidenceError(f"label {label!r} has probability zero on the grid")
+        return T[:, :, at] / M[:, at, None]
+
+    def _sweep(self, check: str, devs, describe: Callable[[int], dict]) -> CheckReport:
+        """Report the first strict maximum of ``devs``, flattened in sweep order.
+
+        ``describe(i)`` gives the worst case at deviation ``i``; there is none
+        when no deviation exceeds zero.  A NaN deviation never wins.
+        """
+        max_dev: Prob = Fraction(0) if self.backend == RATIONAL else 0.0
+        worst = None
+        for i, dev in enumerate(np.ravel(devs).tolist()):
+            if dev > max_dev:
+                max_dev, worst = dev, i
+        tol = self.tolerance
+        worst_case = None if worst is None else describe(worst)
+        return CheckReport(check, max_dev <= tol, max_dev, tol, self.backend, worst_case)
 
     def verify_si(self, settings_grid: Iterable[Sequence]) -> CheckReport:
         """Statistical independence: P(lambda | settings) equals the prior.
@@ -242,21 +302,13 @@ class BackwardModel:
         The deviation is measured per label at every grid point; the check
         passes when the worst deviation is within the backend tolerance.
         """
-        tol = self.tolerance
-        max_dev: Prob = Fraction(0) if self.backend == RATIONAL else 0.0
-        worst = None
-        count = 0
-        for settings in settings_grid:
-            count += 1
-            marg = self.lambda_marginal(settings)
-            for label, prior in zip(self.lam.labels, self.lam.priors):
-                dev = abs(marg.prob((label,)) - prior)
-                if dev > max_dev:
-                    max_dev = dev
-                    worst = {"settings": tuple(settings), "label": label}
-        if count == 0:
-            raise ConstructionError("empty settings grid")
-        return CheckReport("si", max_dev <= tol, max_dev, tol, self.backend, worst)
+        raw = [tuple(s) for s in settings_grid]
+        _, K = self._tabulate(raw)
+        _, M = self._joint(K)
+        labels = self.lam.labels
+        devs = abs(M - np.array(self.lam.priors, dtype=K.dtype))
+        return self._sweep("si", devs, lambda i: {
+            "settings": raw[i // len(labels)], "label": labels[i % len(labels)]})
 
     def verify_no_signalling(
         self, label: str, settings_grid: Iterable[Sequence]
@@ -268,71 +320,57 @@ class BackwardModel:
         remote-setting variations; the deviation is the spread (max minus
         min) of each such collection.
         """
-        tol = self.tolerance
-        seen: dict[tuple, dict] = {}
-        for settings in settings_grid:
-            settings = self.check_settings(settings)
-            cond = self.condition_on_lambda(label, settings)
-            for i, wing in enumerate(self.wings):
-                wing_marg = marginalize(cond, [wing.outcome_name])
+        return self._no_signalling([label], settings_grid)[0]
+
+    def _no_signalling(
+        self, labels: Sequence[str], settings_grid: Iterable[Sequence]
+    ) -> list[CheckReport]:
+        """One no-signalling report per label, from one tabulation."""
+        points, K = self._tabulate(settings_grid)
+        T, M = self._joint(K)
+        cells = self._cells()
+        # Grid points per (wing, local setting value, outcome), in the order
+        # the grid first reaches each; equal setting values share one entry.
+        slots: dict[tuple, list[int]] = {}
+        for g, settings in enumerate(points):
+            for i, local in enumerate(settings):
                 for outcome in OUTCOMES:
-                    p = wing_marg.prob((outcome,))
-                    key = (i, settings[i], outcome)
-                    slot = seen.setdefault(
-                        key, {"min": p, "max": p, "at_min": settings, "at_max": settings}
-                    )
-                    if p < slot["min"]:
-                        slot["min"], slot["at_min"] = p, settings
-                    if p > slot["max"]:
-                        slot["max"], slot["at_max"] = p, settings
-        if not seen:
-            raise ConstructionError("empty settings grid")
-        max_dev: Prob = Fraction(0) if self.backend == RATIONAL else 0.0
-        worst = None
-        for (i, local, outcome), slot in seen.items():
-            spread = slot["max"] - slot["min"]
-            if spread > max_dev:
-                max_dev = spread
-                worst = {
+                    slots.setdefault((i, local, outcome), []).append(g)
+        reports = []
+        for label in labels:
+            cond = self._conditioned(T, M, label)
+            wing_marginals = {
+                (i, outcome): _running_sum(cond[:, [c[i] == outcome for c in cells]], axis=1).tolist()
+                for i in range(len(self.wings)) for outcome in OUTCOMES
+            }
+            devs, cases = [], []
+            for (i, local, outcome), at in slots.items():
+                p = wing_marginals[i, outcome]
+                lo, hi = min(at, key=p.__getitem__), max(at, key=p.__getitem__)
+                devs.append(p[hi] - p[lo])
+                cases.append({
                     "wing": self.wings[i].outcome_name,
                     "local_setting": local,
                     "outcome": outcome,
                     "label": label,
-                    "min_probability": slot["min"],
-                    "max_probability": slot["max"],
-                    "min_at_settings": slot["at_min"],
-                    "max_at_settings": slot["at_max"],
-                }
-        return CheckReport(
-            "no_signalling", max_dev <= tol, max_dev, tol, self.backend, worst
-        )
+                    "min_probability": p[lo],
+                    "max_probability": p[hi],
+                    "min_at_settings": points[lo],
+                    "max_at_settings": points[hi],
+                })
+            reports.append(self._sweep("no_signalling", devs, cases.__getitem__))
+        return reports
 
     def verify_kernel_normalization(
         self, settings_grid: Iterable[Sequence]
     ) -> CheckReport:
         """Kernel rows sum to one over labels, with every value in [0, 1]."""
-        tol = self.tolerance
-        max_dev: Prob = Fraction(0) if self.backend == RATIONAL else 0.0
-        worst = None
-        count = 0
-        for settings in settings_grid:
-            count += 1
-            settings = self.check_settings(settings)
-            for combo in itertools.product(OUTCOMES, repeat=len(self.wings)):
-                values = [
-                    self.kernel.probability(combo, settings, label)
-                    for label in self.lam.labels
-                ]
-                range_excess = max(max(-k, k - 1) for k in values)
-                dev = max(abs(sum(values) - 1), range_excess)
-                if dev > max_dev:
-                    max_dev = dev
-                    worst = {"settings": settings, "outcomes": combo}
-        if count == 0:
-            raise ConstructionError("empty settings grid")
-        return CheckReport(
-            "kernel_norm", max_dev <= tol, max_dev, tol, self.backend, worst
-        )
+        points, K = self._tabulate(settings_grid)
+        range_excess = np.maximum(-K, K - 1).max(axis=2)
+        devs = np.maximum(abs(_running_sum(K, axis=2) - 1), range_excess)
+        cells = self._cells()
+        return self._sweep("kernel_norm", devs, lambda i: {
+            "settings": points[i // len(cells)], "outcomes": cells[i % len(cells)]})
 
     def verify_recovery(self, settings_grid: Iterable[Sequence]) -> CheckReport:
         """Label-conditioned model equals its closed-form target distribution.
@@ -344,30 +382,18 @@ class BackwardModel:
             raise ConstructionError(
                 f"{self.name} has no quantum targets to recover"
             )
-        tol = self.tolerance
-        variables = self.outcome_variables()
-        max_dev: Prob = Fraction(0) if self.backend == RATIONAL else 0.0
-        worst = None
-        count = 0
-        for settings in settings_grid:
-            count += 1
-            settings = self.check_settings(settings)
-            for label, target in self.quantum_targets.items():
-                conditioned = self.condition_on_lambda(label, settings)
-                weights = {
-                    combo: target(combo, settings)
-                    for combo in itertools.product(OUTCOMES, repeat=len(self.wings))
-                }
-                target_joint = make_joint(variables, weights, backend=self.backend)
-                dev = tv_distance(conditioned, target_joint)
-                if dev > max_dev:
-                    max_dev = dev
-                    worst = {"settings": settings, "label": label}
-        if count == 0:
-            raise ConstructionError("empty settings grid")
-        return CheckReport(
-            "recovery", max_dev <= tol, max_dev, tol, self.backend, worst
-        )
+        points, K = self._tabulate(settings_grid)
+        T, M = self._joint(K)
+        cells, labels = self._cells(), list(self.quantum_targets)
+        devs = np.empty((len(points), len(labels)), dtype=K.dtype)
+        for t, (label, target) in enumerate(self.quantum_targets.items()):
+            W = np.empty((len(points), len(cells)), dtype=K.dtype)
+            for g, settings in enumerate(points):
+                W[g] = [target(combo, settings) for combo in cells]
+            P = self._conditioned(T, M, label)
+            devs[:, t] = _running_sum(abs(P - _normalized(W, self.backend)), axis=1) / 2
+        return self._sweep("recovery", devs, lambda i: {
+            "settings": points[i // len(labels)], "label": labels[i % len(labels)]})
 
     def lc_violation_witness(
         self, label: str, settings: Sequence, outcomes: Sequence
@@ -403,22 +429,29 @@ def verify_no_signalling_all(
     model: BackwardModel, settings_grid: Sequence[Sequence]
 ) -> CheckReport:
     """No-signalling aggregated over every label of the model."""
-    grid = [tuple(s) for s in settings_grid]
-    worst = None
-    all_passed = True
-    for label in model.lam.labels:
-        rep = model.verify_no_signalling(label, grid)
-        all_passed = all_passed and rep.passed
-        if worst is None or rep.max_deviation > worst.max_deviation:
-            worst = rep
-    return CheckReport(
-        "no_signalling",
-        all_passed,
-        worst.max_deviation,
-        worst.tolerance,
-        worst.backend,
-        worst.worst_case,
-    )
+    reports = model._no_signalling(model.lam.labels, settings_grid)
+    worst = max(reports, key=lambda r: r.max_deviation)
+    return replace(worst, passed=all(r.passed for r in reports))
+
+
+def _running_sum(x: np.ndarray, axis: int):
+    """Sum along ``axis`` left to right from 0 (``np.sum`` adds pairwise)."""
+    return sum(np.moveaxis(x, axis, 0))
+
+
+def _normalized(W: np.ndarray, backend: str) -> np.ndarray:
+    """``make_joint`` on each ``W[point]``: the same weight checks, the same
+    left-to-right total, exact Fractions on the rational backend."""
+    if backend == RATIONAL:
+        if any(isinstance(w, float) or w < 0 for w in W.flat):
+            raise ConstructionError("rational weights must be non-negative and exact")
+        W = np.frompyfunc(Fraction, 1, 1)(W)
+    elif not (np.isfinite(W) & (W >= 0)).all():
+        raise ConstructionError("weights must be finite and non-negative")
+    total = _running_sum(W.reshape(len(W), -1), axis=1)
+    if (total <= 0).any():
+        raise ConstructionError("weights sum to zero; nothing to normalize")
+    return W / total.reshape((-1,) + (1,) * (W.ndim - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,10 @@ from .sampling import AcceptanceCapError, sample_postselected
 
 ENV_SEED = "RETROBELL_SEED"
 
+#: Largest ``verify --grid``: bell's float kernel tensor grows as grid**2 and
+#: stays within 8 MiB (65,536 points x 4 cells x 4 labels x 8 bytes).
+MAX_GRID = 256
+
 MODEL_BUILDERS = {
     "bell": bell_backward_model,
     "ghz": ghz_backward_model,
@@ -213,7 +217,7 @@ def _csv_text(rows: list[list]) -> str:
 def _emit(args, envelope: dict, csv_rows: list[list] | None = None) -> None:
     fmt = getattr(args, "format", "json")
     if fmt == "json":
-        text = json.dumps(envelope, indent=2) + "\n"
+        text = json.dumps(envelope, indent=2, allow_nan=False) + "\n"
     elif fmt == "human":
         text = "\n".join(_render_human(envelope)) + "\n"
     elif fmt == "csv":
@@ -237,6 +241,8 @@ def _emit(args, envelope: dict, csv_rows: list[list] | None = None) -> None:
 
 
 def cmd_verify(args) -> int:
+    if not 1 <= args.grid <= MAX_GRID:
+        raise UsageError(f"--grid must be between 1 and {MAX_GRID}, got {args.grid}")
     model = _build_model(args.model)
     _check_backend_flag(model, args.backend)
     grid = default_grid(model, args.grid)
@@ -278,7 +284,6 @@ def cmd_verify(args) -> int:
             "checks": requested,
             "grid": args.grid,
             "grid_points": len(grid),
-            "threads": args.threads,
         },
         results,
         backend=model.backend,
@@ -511,9 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of si,nosignal,recovery,kernel-norm "
                         "(default: all applicable)")
     p.add_argument("--grid", type=int, default=16,
-                   help="angles per wing for angle models (default 16)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap (verification is sequential)")
+                   help=f"angles per wing for angle models, 1 to {MAX_GRID} "
+                        "(default 16)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

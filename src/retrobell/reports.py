@@ -7,6 +7,7 @@ falsified claim is diagnosable rather than just red.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -28,7 +29,10 @@ def as_number(x):
 
 
 def jsonable(obj):
-    """Recursively convert report payloads to plain JSON-ready values."""
+    """Recursively convert report payloads to plain JSON-ready values.
+
+    Non-finite floats become the strings "inf", "-inf" and "nan".
+    """
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, Mapping):
@@ -36,7 +40,8 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, (Fraction, float, int)):
-        return as_number(obj)
+        x = as_number(obj)
+        return x if not isinstance(x, float) or math.isfinite(x) else str(x)
     return obj
 
 

@@ -19,7 +19,6 @@ execution indistinguishable; ``shards=1`` is the single-stream baseline.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -31,7 +30,6 @@ import numpy as np
 from .backward import BackwardModel
 from .chsh import ChshConfig
 from .dist import FLOAT, make_joint, tv_distance
-from .quantum import OUTCOMES
 from .reports import jsonable
 
 RNG_ALGORITHM = "philox4x64"
@@ -102,17 +100,10 @@ def _sampling_tables(model: BackwardModel, settings: tuple):
     uniform draw always lands on a label).
     """
     p_plus = np.array([float(w.p_plus) for w in model.wings], dtype=float)
-    combos = list(itertools.product(OUTCOMES, repeat=len(model.wings)))
-    labels = model.lam.labels
-    cum = np.empty((len(combos), len(labels)), dtype=float)
-    for row, combo in enumerate(combos):
-        probs = [
-            float(model.kernel.probability(combo, settings, label))
-            for label in labels
-        ]
-        cum[row] = np.cumsum(probs)
+    _, K = model._tabulate([settings])
+    cum = np.cumsum(K[0].astype(float), axis=1)
     cum[:, -1] = 1.0
-    return p_plus, combos, cum
+    return p_plus, model._cells(), cum
 
 
 def sample_run(
@@ -233,9 +224,7 @@ class SampleReport:
             "backend": self.backend,
             "cells": jsonable(list(self.cells)),
             "tv_distance": float(self.tv_distance),
-            "max_abs_z": float(self.max_abs_z)
-            if math.isfinite(self.max_abs_z)
-            else "inf",
+            "max_abs_z": jsonable(float(self.max_abs_z)),
             "z_gate": float(self.z_gate),
             "acceptance": jsonable(self.acceptance),
             "unconditional": jsonable(self.unconditional),
@@ -244,7 +233,7 @@ class SampleReport:
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n"
 
     def csv_rows(self) -> list[list]:
         """One row per outcome cell: assignment, exact_p, empirical_p, count, z."""
@@ -320,7 +309,7 @@ def sample_postselected(
             ]
             shard_results = [f.result() for f in futures]
 
-    combos = list(itertools.product(OUTCOMES, repeat=len(model.wings)))
+    combos = model._cells()
     counts = np.zeros(len(combos), dtype=np.int64)
     total = 0
     uncond_sum = 0

@@ -67,6 +67,7 @@ class TestVerifyCommand:
         assert doc["command"] == "verify"
         assert doc["config"]["model"] == "bell"
         assert doc["config"]["grid"] == 16
+        assert "threads" not in doc["config"]
         assert doc["tolerance"] == 1e-12
 
     def test_unknown_check_is_usage_error(self, capsys):
@@ -86,6 +87,24 @@ class TestVerifyCommand:
             capsys, "verify", "--model", "counterexample", "--checks", "recovery"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["0", "-1", "257"])
+    def test_grid_out_of_bounds_is_usage_error(self, capsys, grid):
+        code, out, err = run(capsys, "verify", "--model", "bell", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert "--grid must be between 1 and 256" in err
+
+    @pytest.mark.parametrize("model, grid, points", [("bell", "1", 1), ("ghz", "256", 8)])
+    def test_grid_bounds_are_inclusive(self, capsys, model, grid, points):
+        code, doc = run_json(capsys, "verify", "--model", model, "--grid", grid)
+        assert code == 0
+        assert doc["config"]["grid_points"] == points
+
+    def test_verify_has_no_threads_flag(self, capsys):
+        code, _, err = run(capsys, "verify", "--model", "ghz", "--threads", "2")
+        assert code == 2
+        assert "--threads" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(

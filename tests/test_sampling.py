@@ -1,5 +1,7 @@
 """Monte Carlo harness: determinism, postselection semantics, gates."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -218,3 +220,26 @@ class TestRng:
     def test_seed_sequence_accepted(self):
         ss = np.random.SeedSequence(77)
         assert make_rng(ss).random() == make_rng(77).random()
+
+
+class TestStrictJson:
+    def test_non_finite_z_scores_serialize_as_strings(self, bell_model):
+        rep = sample_postselected(bell_model, "lambda1", SETTINGS, 1000, 0)
+        broken = dataclasses.replace(
+            rep,
+            cells=(dict(rep.cells[0], z=math.inf),) + rep.cells[1:],
+            max_abs_z=math.inf,
+            acceptance=dict(rep.acceptance, z=-math.inf),
+            unconditional=dict(rep.unconditional, z=math.nan),
+            passed=False,
+        )
+
+        def reject(token):
+            raise AssertionError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(broken.to_json_text(), parse_constant=reject)
+        assert doc["cells"][0]["z"] == "inf"
+        assert doc["max_abs_z"] == "inf"
+        assert doc["acceptance"]["z"] == "-inf"
+        assert doc["unconditional"]["z"] == "nan"
+        assert doc["cells"][1] == json.loads(rep.to_json_text())["cells"][1]

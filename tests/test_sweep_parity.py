@@ -1,0 +1,365 @@
+"""Dense verification sweeps against a per-point reference.
+
+The reference walks the grid one settings point at a time through the public
+single-point API (``assemble_joint``, ``lambda_marginal``,
+``condition_on_lambda``, ``make_joint``, ``tv_distance``).  The dense checks
+must report the same JSON, bit for bit: same deviations, same pass/fail and
+the same first-in-grid-order worst case.
+"""
+
+import itertools
+import json
+import math
+from fractions import Fraction
+
+import pytest
+
+from retrobell import (
+    ANGLE,
+    BINARY,
+    OUTCOMES,
+    BackwardModel,
+    CheckReport,
+    ColliderKernel,
+    ConstructionError,
+    LambdaSpace,
+    NullEvidenceError,
+    Wing,
+    default_grid,
+    make_joint,
+    marginalize,
+    sign_of,
+    tv_distance,
+    verify_no_signalling_all,
+)
+
+PI = math.pi
+
+
+# ---------------------------------------------------------------------------
+# Per-point reference sweeps
+# ---------------------------------------------------------------------------
+
+
+def _zero(model):
+    return Fraction(0) if model.backend == "rational" else 0.0
+
+
+def oracle_si(model, grid):
+    max_dev, worst, count = _zero(model), None, 0
+    for settings in grid:
+        count += 1
+        marg = model.lambda_marginal(settings)
+        for label, prior in zip(model.lam.labels, model.lam.priors):
+            dev = abs(marg.prob((label,)) - prior)
+            if dev > max_dev:
+                max_dev, worst = dev, {"settings": tuple(settings), "label": label}
+    if count == 0:
+        raise ConstructionError("empty settings grid")
+    tol = model.tolerance
+    return CheckReport("si", max_dev <= tol, max_dev, tol, model.backend, worst)
+
+
+def oracle_no_signalling(model, label, grid):
+    seen = {}
+    for settings in grid:
+        settings = model.check_settings(settings)
+        cond = model.condition_on_lambda(label, settings)
+        for i, wing in enumerate(model.wings):
+            wing_marg = marginalize(cond, [wing.outcome_name])
+            for outcome in OUTCOMES:
+                p = wing_marg.prob((outcome,))
+                slot = seen.setdefault(
+                    (i, settings[i], outcome),
+                    {"min": p, "max": p, "at_min": settings, "at_max": settings},
+                )
+                if p < slot["min"]:
+                    slot["min"], slot["at_min"] = p, settings
+                if p > slot["max"]:
+                    slot["max"], slot["at_max"] = p, settings
+    if not seen:
+        raise ConstructionError("empty settings grid")
+    max_dev, worst = _zero(model), None
+    for (i, local, outcome), slot in seen.items():
+        spread = slot["max"] - slot["min"]
+        if spread > max_dev:
+            max_dev = spread
+            worst = {
+                "wing": model.wings[i].outcome_name,
+                "local_setting": local,
+                "outcome": outcome,
+                "label": label,
+                "min_probability": slot["min"],
+                "max_probability": slot["max"],
+                "min_at_settings": slot["at_min"],
+                "max_at_settings": slot["at_max"],
+            }
+    tol = model.tolerance
+    return CheckReport("no_signalling", max_dev <= tol, max_dev, tol, model.backend, worst)
+
+
+def oracle_no_signalling_all(model, grid):
+    worst, all_passed = None, True
+    for label in model.lam.labels:
+        rep = oracle_no_signalling(model, label, grid)
+        all_passed = all_passed and rep.passed
+        if worst is None or rep.max_deviation > worst.max_deviation:
+            worst = rep
+    return CheckReport(
+        "no_signalling", all_passed, worst.max_deviation, worst.tolerance,
+        worst.backend, worst.worst_case,
+    )
+
+
+def oracle_kernel_normalization(model, grid):
+    max_dev, worst, count = _zero(model), None, 0
+    for settings in grid:
+        count += 1
+        settings = model.check_settings(settings)
+        for combo in itertools.product(OUTCOMES, repeat=len(model.wings)):
+            values = [
+                model.kernel.probability(combo, settings, label)
+                for label in model.lam.labels
+            ]
+            range_excess = max(max(-k, k - 1) for k in values)
+            dev = max(abs(sum(values) - 1), range_excess)
+            if dev > max_dev:
+                max_dev, worst = dev, {"settings": settings, "outcomes": combo}
+    if count == 0:
+        raise ConstructionError("empty settings grid")
+    tol = model.tolerance
+    return CheckReport("kernel_norm", max_dev <= tol, max_dev, tol, model.backend, worst)
+
+
+def oracle_recovery(model, grid):
+    if not model.quantum_targets:
+        raise ConstructionError(f"{model.name} has no quantum targets to recover")
+    variables = model.outcome_variables()
+    max_dev, worst, count = _zero(model), None, 0
+    for settings in grid:
+        count += 1
+        settings = model.check_settings(settings)
+        for label, target in model.quantum_targets.items():
+            conditioned = model.condition_on_lambda(label, settings)
+            weights = {
+                combo: target(combo, settings)
+                for combo in itertools.product(OUTCOMES, repeat=len(model.wings))
+            }
+            target_joint = make_joint(variables, weights, backend=model.backend)
+            dev = tv_distance(conditioned, target_joint)
+            if dev > max_dev:
+                max_dev, worst = dev, {"settings": settings, "label": label}
+    if count == 0:
+        raise ConstructionError("empty settings grid")
+    tol = model.tolerance
+    return CheckReport("recovery", max_dev <= tol, max_dev, tol, model.backend, worst)
+
+
+def check_pairs(model):
+    """(name, dense check, reference check) for every check the model takes."""
+    pairs = [
+        ("si", model.verify_si, lambda g: oracle_si(model, g)),
+        ("no_signalling_all", lambda g: verify_no_signalling_all(model, g),
+         lambda g: oracle_no_signalling_all(model, g)),
+        ("kernel_norm", model.verify_kernel_normalization,
+         lambda g: oracle_kernel_normalization(model, g)),
+    ]
+    for label in model.lam.labels:
+        pairs.append((
+            f"no_signalling[{label}]",
+            lambda g, label=label: model.verify_no_signalling(label, g),
+            lambda g, label=label: oracle_no_signalling(model, label, g),
+        ))
+    if model.quantum_targets:
+        pairs.append(("recovery", model.verify_recovery,
+                      lambda g: oracle_recovery(model, g)))
+    return pairs
+
+
+def _text(report):
+    return json.dumps(report.to_json_dict())
+
+
+def _two_label_model(kernel, backend="float", p_plus=0.5, kind=ANGLE):
+    wings = (Wing("a1", "s1", kind, p_plus), Wing("a2", "s2", kind, p_plus))
+    half = Fraction(1, 2) if backend == "rational" else 0.5
+    return BackwardModel(
+        name="custom",
+        wings=wings,
+        lam=LambdaSpace(("L1", "L2"), (half, half)),
+        kernel=ColliderKernel(("L1", "L2"), kernel),
+        backend=backend,
+        quantum_targets={"L1": lambda outcomes, settings: 0.25},
+    )
+
+
+# ---------------------------------------------------------------------------
+# Parity
+# ---------------------------------------------------------------------------
+
+#: Hand-written non-Cartesian grids.  Local settings repeat across points,
+#: integer and signed-zero angles must group with 0.0, the raw settings
+#: survive in the SI worst case, and the last point flips the sign the
+#: counterexample's kernel reads.
+CUSTOM_ANGLE_GRID = [(0, 0), (0, PI / 4), (0, PI / 2), (PI / 4, -0.0), (-0.0, PI / 4),
+                     (-0.0, -PI / 3)]
+CUSTOM_BINARY_GRID = {2: [(0, 0), (1, 0), (0, 1)], 3: [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0)]}
+
+MODELS = ("bell_model", "counterexample_model", "ghz_model", "pr_model")
+
+
+def _grid(model, grid):
+    if grid != "custom":
+        return default_grid(model, grid)
+    if model.wings[0].setting_kind == ANGLE:
+        return CUSTOM_ANGLE_GRID
+    return CUSTOM_BINARY_GRID[len(model.wings)]
+
+
+@pytest.mark.parametrize("grid", [4, 16, "custom"])
+@pytest.mark.parametrize("model_name", MODELS)
+def test_dense_checks_match_per_point_reference(request, model_name, grid):
+    model = request.getfixturevalue(model_name)
+    points = _grid(model, grid)
+    for name, dense, oracle in check_pairs(model):
+        assert _text(dense(points)) == _text(oracle(points)), name
+
+
+def _mutual_model():
+    """Conditioning on L1 pins each wing to the sign of the other's setting."""
+
+    def kernel(o, s, label):
+        k = float(o[0] == sign_of(s[1]) and o[1] == sign_of(s[0]))
+        return k if label == "L1" else 1.0 - k
+
+    wings = (Wing("a1", "s1", ANGLE, 0.5), Wing("a2", "s2", ANGLE, 0.5))
+    return BackwardModel("mutual", wings, LambdaSpace(("L1", "L2"), (0.25, 0.75)),
+                         ColliderKernel(("L1", "L2"), kernel), "float")
+
+
+def test_no_signalling_worst_case_is_first_in_grid_order():
+    # wing a2's entry at local setting 1 is reached before wing a1's
+    model, grid = _mutual_model(), [(5, 1), (1, 1), (-1, 1), (1, -1)]
+    for name, dense, oracle in check_pairs(model):
+        assert _text(dense(grid)) == _text(oracle(grid)), name
+    rep = model.verify_no_signalling("L1", grid)
+    assert rep.max_deviation == 1.0
+    assert rep.worst_case["wing"] == "a2"
+    assert rep.worst_case["max_at_settings"] == (5.0, 1.0)
+
+
+def _skewed_model():
+    """Recovery fails by ~0.1, so each deviation's last bit depends on the
+    order ``tv_distance`` sums in."""
+
+    def kernel(o, s, label):
+        k = (1 + 0.3 * math.sin(s[0]) * o[0] + 0.2 * math.cos(s[1]) * o[1]
+             + 0.1 * o[0] * o[1] * math.sin(s[0] + s[1])) / 2
+        return k if label == "L1" else 1.0 - k
+
+    def target(o, s):
+        return 0.25 * (1 + 0.5 * o[0] * o[1] * math.cos(s[0] - s[1]))
+
+    model = _two_label_model(kernel)
+    return BackwardModel(model.name, model.wings, model.lam, model.kernel,
+                         model.backend, {"L1": target})
+
+
+def test_failing_recovery_matches_reference_to_rounding():
+    # The dense recovery sums |P - Q| in canonical cell order; tv_distance
+    # sums in the iteration order of a set of keys.  When recovery fails by
+    # more than rounding the two can differ in the last bit, and a tie
+    # between two grid points can then resolve to either point.
+    model = _skewed_model()
+    grid = default_grid(model, 16)
+    dense, ref = model.verify_recovery(grid), oracle_recovery(model, grid)
+    assert dense.passed is ref.passed is False
+    assert abs(dense.max_deviation - ref.max_deviation) <= 1e-15
+    at_worst = oracle_recovery(model, [dense.worst_case["settings"]])
+    assert abs(at_worst.max_deviation - ref.max_deviation) <= 1e-15
+    for name, dense_check, oracle in check_pairs(model):
+        if name != "recovery":
+            assert _text(dense_check(grid)) == _text(oracle(grid)), name
+
+
+def test_dense_checks_accept_a_one_shot_iterator(bell_model):
+    points = [(0.0, 0.3), (1.0, 0.3), (0.0, 2.0)]
+    for name, dense, oracle in check_pairs(bell_model):
+        assert _text(dense(iter(points))) == _text(oracle(points)), name
+
+
+# ---------------------------------------------------------------------------
+# Error contract: the dense checks raise what the per-point path raises
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_error(error, dense, oracle, grid):
+    with pytest.raises(error):
+        dense(grid)
+    with pytest.raises(error):
+        oracle(grid)
+
+
+@pytest.mark.parametrize("bad", [-0.25, math.inf, math.nan])
+def test_invalid_kernel_weight_raises_but_kernel_norm_reports(bad):
+    model = _two_label_model(lambda o, s, label: bad if label == "L1" else 0.5)
+    grid = [(0.0, 0.0), (0.5, 1.0)]
+    for name, dense, oracle in check_pairs(model):
+        if name == "kernel_norm":
+            assert _text(dense(grid)) == _text(oracle(grid))
+        else:
+            _assert_same_error(ConstructionError, dense, oracle, grid)
+    if not math.isnan(bad):
+        assert not model.verify_kernel_normalization(grid).passed
+
+
+def test_zero_mass_label_raises_null_evidence():
+    # L1 carries no mass once s1 >= 1
+    model = _two_label_model(lambda o, s, label: float((s[0] < 1) == (label == "L1")))
+    grid = [(0.0, 0.0), (2.0, 0.0)]
+    _assert_same_error(
+        NullEvidenceError,
+        lambda g: model.verify_no_signalling("L1", g),
+        lambda g: oracle_no_signalling(model, "L1", g),
+        grid,
+    )
+    _assert_same_error(
+        NullEvidenceError,
+        lambda g: verify_no_signalling_all(model, g),
+        lambda g: oracle_no_signalling_all(model, g),
+        grid,
+    )
+
+
+@pytest.mark.parametrize(
+    "grid", [[], [(0.0,)], [(0.0, 0.0, 0.0)], [(0.0, math.nan)], [(0.0, math.inf)]]
+)
+def test_empty_grid_and_bad_settings_raise(bell_model, grid):
+    for name, dense, oracle in check_pairs(bell_model):
+        _assert_same_error(ConstructionError, dense, oracle, grid)
+
+
+def test_bad_binary_setting_raises(pr_model):
+    for name, dense, oracle in check_pairs(pr_model):
+        _assert_same_error(ConstructionError, dense, oracle, [(0, 2)])
+
+
+def test_float_weight_on_rational_backend_raises():
+    def kernel(outcomes, settings, label):
+        return 0.5 if label == "L1" else Fraction(1, 2)
+
+    model = _two_label_model(kernel, backend="rational", p_plus=Fraction(1, 2), kind=BINARY)
+    for name, dense, oracle in check_pairs(model):
+        if name == "kernel_norm":
+            assert _text(dense([(0, 1)])) == _text(oracle([(0, 1)]))
+        else:
+            _assert_same_error(ConstructionError, dense, oracle, [(0, 1)])
+
+
+def test_unknown_label_raises(bell_model):
+    _assert_same_error(
+        ConstructionError,
+        lambda g: bell_model.verify_no_signalling("lambda9", g),
+        lambda g: oracle_no_signalling(bell_model, "lambda9", g),
+        [(0.0, 0.0)],
+    )
