@@ -285,11 +285,15 @@ class BackwardModel:
         """Report the first strict maximum of ``devs``, flattened in sweep order.
 
         ``describe(i)`` gives the worst case at deviation ``i``; there is none
-        when no deviation exceeds zero.  A NaN deviation never wins.
+        when no deviation exceeds zero.  The first NaN deviation is the worst
+        case, and it fails the check.
         """
         max_dev: Prob = Fraction(0) if self.backend == RATIONAL else 0.0
         worst = None
         for i, dev in enumerate(np.ravel(devs).tolist()):
+            if dev != dev:
+                max_dev, worst = dev, i
+                break
             if dev > max_dev:
                 max_dev, worst = dev, i
         tol = self.tolerance

@@ -112,10 +112,15 @@ def _check_backend_flag(model: BackwardModel, requested: str | None) -> None:
 
 
 def _default_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get(ENV_SEED)
-    return int(env) if env else 0
+    if value is None:
+        env = os.environ.get(ENV_SEED)
+        try:
+            value = int(env) if env else 0
+        except ValueError:
+            raise UsageError(f"${ENV_SEED} must be an integer, got {env!r}") from None
+    if value < 0:
+        raise UsageError(f"the seed (--seed or ${ENV_SEED}) must be non-negative, got {value}")
+    return value
 
 
 def _resolve_label(model: BackwardModel, token: str) -> str:
@@ -163,6 +168,8 @@ def _model_settings_from_args(model: BackwardModel, args) -> tuple:
             )
         if args.alpha1 is None or args.alpha2 is None:
             raise UsageError(f"{model.name} needs --alpha1 and --alpha2 (radians)")
+        if not (math.isfinite(args.alpha1) and math.isfinite(args.alpha2)):
+            raise UsageError("--alpha1 and --alpha2 must be finite")
         return (args.alpha1, args.alpha2)
     if args.alpha1 is not None or args.alpha2 is not None:
         raise UsageError(
@@ -428,6 +435,10 @@ def cmd_ghz_exhaust(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    for flag, value in (("--n", args.n), ("--threads", args.threads),
+                        ("--cap-factor", args.cap_factor)):
+        if value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
     model = _build_model(args.model)
     _check_backend_flag(model, args.backend)
     label = _resolve_label(model, args.label)
@@ -557,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap-factor", type=int, default=100,
                    help="total-draw cap as a multiple of n (default 100)")
     p.add_argument("--threads", type=int, default=1,
-                   help="sampling shards; 1 is the bit-exact baseline")
+                   help="sampling shards, run on at most one thread per usable "
+                        "CPU; 1 is the bit-exact baseline")
     _add_common(p)
     p.set_defaults(func=cmd_sample)
 

@@ -15,12 +15,23 @@ loop would, so results are bit-identical for a given (model, settings, n,
 seed, shards).  Sharded sampling derives one child seed per shard from the
 root seed and merges counts in shard order, making parallel and serial
 execution indistinguishable; ``shards=1`` is the single-stream baseline.
+Shards run on at most one thread per usable CPU.
+
+A batch of runs is one ``(runs, wings + 1)`` block of uniforms.  Each run's
+outcome cell index is built from bits: wing ``i`` sets its bit when its
+uniform is not below P(+1), wing 1 most significant, which is the canonical
+cell order.  The label is never computed; a run is a hit when its last
+uniform lies in the target label's interval ``[lo[cell], hi[cell])``, read
+once per call from the sorted cumulative kernel rows.  One ``bincount`` over
+``2 * cell + hit`` then gives each cell's hits and draws, and the
+pre-postselection product sum follows from the draws per cell.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -106,6 +117,13 @@ def _sampling_tables(model: BackwardModel, settings: tuple):
     return p_plus, model._cells(), cum
 
 
+#: ``sample_run``'s tables for the last (model, settings) it saw.  Holding the
+#: model keeps ``is`` from matching a new model at a reused address; the repr
+#: key tells 0.0 from -0.0.  The tuple is replaced whole, so a thread never
+#: reads tables paired with another key.
+_run_tables: tuple = (None, None, None)
+
+
 def sample_run(
     model: BackwardModel,
     settings: Sequence,
@@ -118,8 +136,14 @@ def sample_run(
     order then label, so repeated calls define the reference stream that the
     batched sampler reproduces.
     """
+    global _run_tables
     settings = model.check_settings(settings)
-    p_plus, combos, cum = _sampling_tables(model, settings)
+    key = repr(settings)
+    held_model, held_key, tables = _run_tables
+    if held_model is not model or held_key != key:
+        tables = _sampling_tables(model, settings)
+        _run_tables = (model, key, tables)
+    p_plus, combos, cum = tables
     outcomes = tuple(
         1 if rng.random() < p_plus[i] else -1 for i in range(len(model.wings))
     )
@@ -128,6 +152,20 @@ def sample_run(
     label_idx = int(np.searchsorted(row, u, side="right"))
     label_idx = min(label_idx, len(model.lam.labels) - 1)
     return RunRecord(settings, outcomes, model.lam.labels[label_idx], index)
+
+
+def _label_bounds(cum: np.ndarray, target_idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell interval ``[lo, hi)`` of label uniforms that draw ``target_idx``.
+
+    The batched label index at cell ``c`` is ``#{j : u >= cum[c, j]}``, the
+    number of row entries at or below ``u``.  On the sorted row ``s`` that
+    count is ``searchsorted(s, u, "right")`` whatever the row's order, so it
+    equals ``t`` exactly when ``s[t-1] <= u < s[t]``, with ``s`` padded by
+    -inf and +inf.  A NaN entry never counts, so it sorts as +inf.
+    """
+    rows = np.sort(np.where(np.isnan(cum), np.inf, cum), axis=1)
+    padded = np.pad(rows, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf))
+    return padded[:, target_idx].copy(), padded[:, target_idx + 1].copy()
 
 
 def _shard_postselect(model, settings, target_idx, quota, cap, rng):
@@ -140,12 +178,13 @@ def _shard_postselect(model, settings, target_idx, quota, cap, rng):
     """
     n_wings = len(model.wings)
     p_plus, combos, cum = _sampling_tables(model, settings)
-    pow2 = np.array([2 ** (n_wings - 1 - i) for i in range(n_wings)], dtype=int)
+    lo, hi = _label_bounds(cum, target_idx)
+    n_cells = len(combos)
 
-    counts = np.zeros(len(combos), dtype=np.int64)
+    # tallies[2c] counts the rejected draws in cell c, tallies[2c + 1] the hits
+    tallies = np.zeros(2 * n_cells, dtype=np.int64)
     accepted = 0
     total = 0
-    uncond_product_sum = 0
     while accepted < quota:
         room = cap - total
         if room <= 0:
@@ -154,27 +193,38 @@ def _shard_postselect(model, settings, target_idx, quota, cap, rng):
             )
         b = min(BATCH_RUNS, room)
         u = rng.random((b, n_wings + 1))
-        outcomes = np.where(u[:, :n_wings] < p_plus, 1, -1)
-        combo_idx = (outcomes == -1) @ pow2
-        label_idx = (u[:, n_wings][:, None] >= cum[combo_idx]).sum(axis=1)
-        hits = label_idx == target_idx
-        new = int(hits.sum())
+        # wing i's bit is set when its outcome is -1; wing 1 is the top bit
+        cell = (u[:, 0] >= p_plus[0]).astype(np.intp)
+        for i in range(1, n_wings):
+            cell <<= 1
+            cell |= u[:, i] >= p_plus[i]
+        v = u[:, n_wings]
+        hit = (lo.take(cell) <= v) & (v < hi.take(cell))
+        tally = np.bincount(2 * cell + hit, minlength=2 * n_cells)
+        new = int(tally[1::2].sum())
         if accepted + new >= quota:
-            need = quota - accepted
-            stop = int(np.nonzero(hits)[0][need - 1])
-            outcomes = outcomes[: stop + 1]
-            combo_idx = combo_idx[: stop + 1]
-            hits = hits[: stop + 1]
-            counts += np.bincount(combo_idx[hits], minlength=len(combos))
-            accepted = quota
-            total += stop + 1
-            uncond_product_sum += int((outcomes[:, 0] * outcomes[:, 1]).sum())
-            break
-        counts += np.bincount(combo_idx[hits], minlength=len(combos))
+            b = int(np.flatnonzero(hit)[quota - accepted - 1]) + 1
+            tally = np.bincount(2 * cell[:b] + hit[:b], minlength=2 * n_cells)
+            new = quota - accepted
+        tallies += tally
         accepted += new
         total += b
-        uncond_product_sum += int((outcomes[:, 0] * outcomes[:, 1]).sum())
-    return counts, accepted, total, uncond_product_sum
+    counts = tallies[1::2]
+    sign = np.array([c[0] * c[1] for c in combos], dtype=np.int64)
+    return counts, accepted, total, int(sign @ (tallies[0::2] + counts))
+
+
+def _worker_count(shards: int) -> int:
+    """Threads for ``shards`` sampling shards: at most one per usable CPU.
+
+    Shards beyond the worker count queue for a free thread; each keeps its
+    own substream, so the count changes timing only, never a report.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(shards, cpus)
 
 
 def _cell_z(count: int, n: int, p: float) -> float:
@@ -288,26 +338,19 @@ def sample_postselected(
     caps = [max(1, cap_factor) * q for q in quotas]
 
     if len(quotas) == 1:
-        shard_results = [
-            _shard_postselect(
-                model, settings, target_idx, quotas[0], caps[0], make_rng(seed)
-            )
-        ]
+        rngs = [make_rng(seed)]
     else:
-        with ThreadPoolExecutor(max_workers=len(quotas)) as pool:
-            futures = [
-                pool.submit(
-                    _shard_postselect,
-                    model,
-                    settings,
-                    target_idx,
-                    quotas[i],
-                    caps[i],
-                    make_rng(seed, shard=i),
-                )
-                for i in range(len(quotas))
-            ]
-            shard_results = [f.result() for f in futures]
+        rngs = [make_rng(seed, shard=i) for i in range(len(quotas))]
+
+    def shard(i):
+        return _shard_postselect(model, settings, target_idx, quotas[i], caps[i], rngs[i])
+
+    workers = _worker_count(len(quotas))
+    if workers == 1:
+        shard_results = [shard(i) for i in range(len(quotas))]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            shard_results = list(pool.map(shard, range(len(quotas))))
 
     combos = model._cells()
     counts = np.zeros(len(combos), dtype=np.int64)

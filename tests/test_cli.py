@@ -259,6 +259,29 @@ class TestSampleCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--threads", "0"), ("--threads", "-2"), ("--seed", "-1"), ("--n", "0"),
+        ("--n", "-5"), ("--alpha1", "nan"), ("--alpha2", "inf"),
+        ("--cap-factor", "0"), ("--cap-factor", "-1"),
+    ])
+    def test_bad_sample_values_are_usage_errors(self, capsys, flag, value):
+        argv = {"--model": "bell", "--label": "1", "--alpha1": "0",
+                "--alpha2": "1", "--n": "10", "--seed": "1", flag: value}
+        code, out, err = run(capsys, "sample", *(t for kv in argv.items() for t in kv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and flag in err
+
+    @pytest.mark.parametrize("env", ["-3", "seven"])
+    def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("RETROBELL_SEED", env)
+        code, _, err = run(
+            capsys, "sample", "--model", "bell", "--label", "1",
+            "--alpha1", "0", "--alpha2", "1", "--n", "10",
+        )
+        assert code == 2
+        assert "seed" in err.lower()
+
     def test_settings_with_bell_is_usage_error(self, capsys):
         code, _, _ = run(
             capsys, "sample", "--model", "bell", "--label", "1",

@@ -3,10 +3,13 @@
 import dataclasses
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import retrobell.sampling as sampling
 from retrobell import (
     ANGLE,
     AcceptanceCapError,
@@ -149,6 +152,108 @@ class TestPostselection:
             sample_postselected(bell_model, "nosuch", SETTINGS, 10, 1)
         with pytest.raises(ValueError):
             sample_postselected(bell_model, "lambda1", SETTINGS, 10, 1, shards=0)
+
+
+class TestShardWorkers:
+    def test_worker_count_is_bounded_by_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert [sampling._worker_count(s) for s in (1, 2, 3, 10**9)] == [1, 2, 2, 2]
+
+    def test_worker_count_without_affinity_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(sampling.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sampling.os, "cpu_count", lambda: 4)
+        assert [sampling._worker_count(s) for s in (3, 10**9)] == [3, 4]
+        monkeypatch.setattr(sampling.os, "cpu_count", lambda: None)
+        assert sampling._worker_count(10**9) == 1
+
+    @pytest.mark.parametrize("cpus, pool_workers", [(1, []), (3, [3])])
+    def test_many_shards_share_few_workers(self, bell_model, monkeypatch, cpus, pool_workers):
+        # a serial stand-in records the pool size without starting threads
+        expected = sample_postselected(bell_model, "lambda1", SETTINGS, 9_000, 2, shards=6)
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(sampling, "_worker_count", lambda shards: min(shards, cpus))
+        rep = sample_postselected(bell_model, "lambda1", SETTINGS, 9_000, 2, shards=6)
+        assert started == pool_workers
+        assert rep.shards == 6
+        assert rep.to_json_text() == expected.to_json_text()
+
+
+class TestSampleRunTables:
+    def test_cached_tables_follow_model_and_settings(self, bell_model):
+        # each pair is drawn twice (a miss, then a hit) and must draw what
+        # freshly built tables draw
+        other = BackwardModel(
+            name="flipped",
+            wings=bell_model.wings,
+            lam=bell_model.lam,
+            kernel=ColliderKernel(
+                bell_model.lam.labels,
+                lambda o, s, label: bell_model.kernel.probability(
+                    o, (s[0], s[1] + PI), label),
+            ),
+            backend="float",
+        )
+        calls = [(bell_model, SETTINGS), (other, SETTINGS), (bell_model, (0.0, 2.0)),
+                 (bell_model, SETTINGS), (other, (0.0, 2.0))] * 40
+        rng_cached, rng_fresh = make_rng(3), make_rng(3)
+        for model, settings in calls:
+            got = [sample_run(model, settings, rng_cached) for _ in range(2)]
+            want = []
+            for _ in range(2):
+                sampling._run_tables = (None, None, None)
+                want.append(sample_run(model, settings, rng_fresh))
+            assert got == want
+
+    def test_threads_sharing_the_cache_draw_from_their_own_tables(self, bell_model):
+        # more threads than cores, switching often, each on its own settings
+        jobs = [(0.0, a) for a in (0.5, 1.5, 2.5, 3.5)]
+
+        def draws(i):
+            rng = make_rng(i)
+            return [sample_run(bell_model, jobs[i], rng) for _ in range(300)]
+
+        expected = [draws(i) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                futures = [pool.submit(draws, i) for i in range(len(jobs))]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+
+    def test_signed_zero_settings_do_not_share_tables(self):
+        wings = (Wing("a1", "s1", ANGLE, 0.5), Wing("a2", "s2", ANGLE, 0.5))
+
+        def kernel(outcomes, settings, label):
+            return float((math.copysign(1.0, settings[0]) > 0) == (label == "L1"))
+
+        model = BackwardModel(
+            name="signed",
+            wings=wings,
+            lam=LambdaSpace(("L1", "L2"), (0.5, 0.5)),
+            kernel=ColliderKernel(("L1", "L2"), kernel),
+            backend="float",
+        )
+        rng = make_rng(0)
+        assert sample_run(model, (0.0, 0.0), rng).label == "L1"
+        assert sample_run(model, (-0.0, 0.0), rng).label == "L2"
 
 
 class TestAcceptanceCap:

@@ -32,6 +32,7 @@ from retrobell import (
     tv_distance,
     verify_no_signalling_all,
 )
+from retrobell.reports import jsonable
 
 PI = math.pi
 
@@ -123,7 +124,8 @@ def oracle_kernel_normalization(model, grid):
             ]
             range_excess = max(max(-k, k - 1) for k in values)
             dev = max(abs(sum(values) - 1), range_excess)
-            if dev > max_dev:
+            # the first NaN deviation wins and is never displaced
+            if dev > max_dev or (dev != dev and max_dev == max_dev):
                 max_dev, worst = dev, {"settings": settings, "outcomes": combo}
     if count == 0:
         raise ConstructionError("empty settings grid")
@@ -309,8 +311,28 @@ def test_invalid_kernel_weight_raises_but_kernel_norm_reports(bad):
             assert _text(dense(grid)) == _text(oracle(grid))
         else:
             _assert_same_error(ConstructionError, dense, oracle, grid)
-    if not math.isnan(bad):
-        assert not model.verify_kernel_normalization(grid).passed
+    assert not model.verify_kernel_normalization(grid).passed
+
+
+def test_first_nan_kernel_value_is_the_kernel_norm_worst_case():
+    # a finite excess of 2 comes first in the grid; NaN still wins, at the
+    # first point and cell where it appears
+    def kernel(outcomes, settings, label):
+        if settings[0] == 0.0:
+            return 3.0
+        if settings[0] > 0.4 and outcomes == (-1, 1) and label == "L2":
+            return math.nan
+        return 0.5
+
+    model = _two_label_model(kernel)
+    grid = [(0.0, 0.0), (0.2, 0.0), (0.5, 1.0), (0.7, 1.0)]
+    rep = model.verify_kernel_normalization(grid)
+    assert _text(rep) == _text(oracle_kernel_normalization(model, grid))
+    assert not rep.passed
+    assert math.isnan(rep.max_deviation)
+    assert rep.worst_case == {"settings": (0.5, 1.0), "outcomes": (-1, 1)}
+    doc = json.loads(json.dumps(jsonable(rep.to_json_dict()), allow_nan=False))
+    assert doc["max_deviation"] == "nan" and doc["pass"] is False
 
 
 def test_zero_mass_label_raises_null_evidence():
