@@ -47,8 +47,10 @@ from .dist import (
     NullEvidenceError,
     Prob,
     Variable,
+    _normalized,
+    _running_sum,
     condition,
-    make_joint,
+    make_joint,  # bench/tracing.py counts make_joint calls through this name
     marginalize,
 )
 from .quantum import OUTCOMES, bell_prob
@@ -212,20 +214,13 @@ class BackwardModel:
         """The full joint over (outcomes..., lambda) at fixed settings.
 
         Entry weights are the product of the wing marginals and the collider
-        kernel, per the model factorization.
+        kernel, per the model factorization: the one-point case of the
+        checks' :meth:`_tabulate` and :meth:`_joint`.
         """
-        settings = self.check_settings(settings)
+        _, K = self._tabulate([settings])
+        T, _ = self._joint(K)
         variables = self.outcome_variables() + (self.lambda_variable(),)
-        weights: dict[tuple, Prob] = {}
-        for combo, base in zip(self._cells(), self._outcome_weights()):
-            if not base:
-                continue
-            for label in self.lam.labels:
-                k = self.kernel.probability(combo, settings, label)
-                w = base * k
-                if w:
-                    weights[combo + (label,)] = w
-        return make_joint(variables, weights, backend=self.backend)
+        return Joint(variables, T[0].reshape([len(v.domain) for v in variables]), self.backend)
 
     def lambda_marginal(self, settings: Sequence) -> Joint:
         """P(lambda | settings): outcomes summed out of the assembled joint."""
@@ -243,8 +238,8 @@ class BackwardModel:
 
     # -- checked properties --------------------------------------------------
     # Each check tabulates the kernel once over its grid and reduces the
-    # tensor.  Sums run left to right in canonical order, as in ``make_joint``,
-    # ``condition`` and ``marginalize``, so floats match the single-point path.
+    # tensor with the normalizer and the left-to-right sums of ``dist``, so
+    # floats match the single-point tables at every point.
 
     def _tabulate(self, settings_grid: Iterable[Sequence]) -> tuple[list[tuple], np.ndarray]:
         """Checked grid points and the kernel tensor ``K[point, cell, label]``.
@@ -264,11 +259,11 @@ class BackwardModel:
         return points, K
 
     def _joint(self, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The joint ``T[point, cell, label]`` of :meth:`assemble_joint` at
-        every point, and its label marginal ``M[point, label]``."""
+        """The joint ``T[point, cell, label]`` at every point, and its label
+        marginal ``M[point, label]``."""
         base = np.array(self._outcome_weights(), dtype=K.dtype)[:, None]
         W = K * base
-        # assemble_joint drops zero weights and zero-marginal cells unchecked.
+        # zero weights and zero-marginal cells are dropped unchecked
         T = _normalized(np.where((base != 0) & (W != 0), W, 0), self.backend)
         return T, _running_sum(T, axis=1)
 
@@ -436,26 +431,6 @@ def verify_no_signalling_all(
     reports = model._no_signalling(model.lam.labels, settings_grid)
     worst = max(reports, key=lambda r: r.max_deviation)
     return replace(worst, passed=all(r.passed for r in reports))
-
-
-def _running_sum(x: np.ndarray, axis: int):
-    """Sum along ``axis`` left to right from 0 (``np.sum`` adds pairwise)."""
-    return sum(np.moveaxis(x, axis, 0))
-
-
-def _normalized(W: np.ndarray, backend: str) -> np.ndarray:
-    """``make_joint`` on each ``W[point]``: the same weight checks, the same
-    left-to-right total, exact Fractions on the rational backend."""
-    if backend == RATIONAL:
-        if any(isinstance(w, float) or w < 0 for w in W.flat):
-            raise ConstructionError("rational weights must be non-negative and exact")
-        W = np.frompyfunc(Fraction, 1, 1)(W)
-    elif not (np.isfinite(W) & (W >= 0)).all():
-        raise ConstructionError("weights must be finite and non-negative")
-    total = _running_sum(W.reshape(len(W), -1), axis=1)
-    if (total <= 0).any():
-        raise ConstructionError("weights sum to zero; nothing to normalize")
-    return W / total.reshape((-1,) + (1,) * (W.ndim - 1))
 
 
 # ---------------------------------------------------------------------------

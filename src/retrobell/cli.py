@@ -61,6 +61,10 @@ ENV_SEED = "RETROBELL_SEED"
 #: stays within 8 MiB (65,536 points x 4 cells x 4 labels x 8 bytes).
 MAX_GRID = 256
 
+#: Largest ``sample --threads``.  Each shard holds its own generator and
+#: tallies, so the bound keeps that memory small whatever ``--n`` is.
+MAX_THREADS = 256
+
 MODEL_BUILDERS = {
     "bell": bell_backward_model,
     "ghz": ghz_backward_model,
@@ -141,9 +145,12 @@ def _parse_float_list(text: str, count: int, what: str) -> list[float]:
     if len(parts) != count:
         raise UsageError(f"{what} needs {count} comma-separated values")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as e:
         raise UsageError(f"bad {what}: {e}") from None
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{what} values must be finite")
+    return values
 
 
 def _parse_binary_list(text: str, count: int, what: str) -> list[int]:
@@ -439,6 +446,8 @@ def cmd_sample(args) -> int:
                         ("--cap-factor", args.cap_factor)):
         if value < 1:
             raise UsageError(f"{flag} must be at least 1, got {value}")
+    if args.threads > MAX_THREADS:
+        raise UsageError(f"--threads must be at most {MAX_THREADS}, got {args.threads}")
     model = _build_model(args.model)
     _check_backend_flag(model, args.backend)
     label = _resolve_label(model, args.label)
@@ -568,8 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap-factor", type=int, default=100,
                    help="total-draw cap as a multiple of n (default 100)")
     p.add_argument("--threads", type=int, default=1,
-                   help="sampling shards, run on at most one thread per usable "
-                        "CPU; 1 is the bit-exact baseline")
+                   help=f"sampling shards, 1 to {MAX_THREADS}, run on at most one "
+                        "thread per usable CPU; 1 is the bit-exact baseline")
     _add_common(p)
     p.set_defaults(func=cmd_sample)
 

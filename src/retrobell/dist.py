@@ -1,26 +1,32 @@
 """Exact finite discrete probability tables.
 
-Joint distributions over named variables with small finite domains.  Tables
-are stored sparsely: an assignment absent from the table carries probability
-zero, which keeps three-wing tables compact.  Two numeric backends share one
-code path: exact rational arithmetic (``fractions.Fraction``) for models
-whose probabilities are rational, and double-precision floats for models
-parameterized by continuous measurement angles.  A single table never mixes
-backends.
+Joint distributions over named variables with small finite domains.  A
+table is dense: an array with one axis per variable, indexed by domain
+position, so every assignment of the Cartesian product has an entry and a
+zero entry means probability zero.  Two numeric backends share one code
+path: exact rational arithmetic (an ``object`` array of
+``fractions.Fraction``) for models whose probabilities are rational, and
+float64 for models parameterized by continuous measurement angles.  A
+single table never mixes backends.
+
+Every total -- a normalization, a marginal, the mass of a condition, a
+total-variation distance -- is a left-to-right sum in canonical assignment
+order, so the float results do not depend on how a table was built.  The
+model checks in :mod:`retrobell.backward` normalize and sum through the same
+two helpers, over a leading axis of settings points.
 
 Everything here is immutable after construction and every operation returns
-a fresh table, so values may be shared freely across threads.  Tables are
-small enough that all operations enumerate assignments directly; there is no
-variable-elimination machinery.
+a fresh table, so values may be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
+
+import numpy as np
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -74,15 +80,16 @@ class Variable:
 class Joint:
     """Normalized joint distribution over an ordered tuple of variables.
 
-    Do not call the constructor directly; use :func:`make_joint`, which
-    validates and normalizes raw weights.  The internal table maps full
-    assignment tuples (ordered like ``variables``) to probabilities and
-    stores only nonzero entries.
+    Build tables with :func:`make_joint`, which validates and normalizes raw
+    weights; the constructor takes an already normalized array.  The array
+    has one axis per variable, in the order of ``variables``, indexed by
+    domain position: float64, or ``object`` holding Fractions on the
+    rational backend.
     """
 
     __slots__ = ("variables", "backend", "_table")
 
-    def __init__(self, variables: tuple[Variable, ...], table: dict, backend: str):
+    def __init__(self, variables: tuple[Variable, ...], table: np.ndarray, backend: str):
         self.variables = variables
         self.backend = backend
         self._table = table
@@ -96,24 +103,29 @@ class Joint:
         return itertools.product(*(v.domain for v in self.variables))
 
     def prob(self, assignment: tuple) -> Prob:
-        """Probability of a full assignment (zero if absent from the table)."""
-        zero = Fraction(0) if self.backend == RATIONAL else 0.0
-        return self._table.get(tuple(assignment), zero)
+        """Probability of a full assignment (zero outside the domains)."""
+        try:
+            at = tuple(v.domain.index(x) for v, x in zip(self.variables, assignment, strict=True))
+        except ValueError:
+            return Fraction(0) if self.backend == RATIONAL else 0.0
+        return self._table.item(at)
 
     def items(self) -> Iterator[tuple[tuple, Prob]]:
-        """Stored (assignment, probability) pairs in canonical order."""
-        return iter(self._table.items())
+        """Nonzero (assignment, probability) pairs in canonical order."""
+        entries = zip(self.assignments(), self._table.ravel().tolist())
+        return ((a, p) for a, p in entries if p)
 
     def total(self) -> Prob:
-        return sum(self._table.values())
+        return _running_sum(self._table)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Joint):
             return NotImplemented
-        return self.variables == other.variables and self._table == other._table
+        return self.variables == other.variables and bool((self._table == other._table).all())
 
     def __repr__(self) -> str:
-        return f"Joint({[v.name for v in self.variables]}, {len(self._table)} entries, {self.backend})"
+        entries = np.count_nonzero(self._table)
+        return f"Joint({[v.name for v in self.variables]}, {entries} entries, {self.backend})"
 
 
 def _check_variables(variables: Iterable[Variable]) -> tuple[Variable, ...]:
@@ -127,10 +139,34 @@ def _check_variables(variables: Iterable[Variable]) -> tuple[Variable, ...]:
 
 
 def _infer_backend(values) -> str:
-    for v in values:
-        if isinstance(v, float):
-            return FLOAT
-    return RATIONAL
+    return FLOAT if any(isinstance(v, float) for v in values) else RATIONAL
+
+
+def _running_sum(x: np.ndarray, axis: int | None = None):
+    """Sum left to right from 0 in canonical order (``np.sum`` adds pairwise):
+    along ``axis``, or over every entry when ``axis`` is None."""
+    if axis is None:
+        return sum(x.ravel().tolist())
+    return sum(np.moveaxis(x, axis, 0))
+
+
+def _normalized(W: np.ndarray, backend: str) -> np.ndarray:
+    """Each ``W[point]`` divided by its total: the one normalizer.
+
+    Weights must be finite and non-negative, and exact (never float) on the
+    rational backend, where the result holds Fractions.  A point whose
+    weights sum to zero cannot be normalized.
+    """
+    if backend == RATIONAL:
+        if any(isinstance(w, float) or w < 0 for w in W.flat):
+            raise ConstructionError("rational weights must be non-negative and exact")
+        W = np.frompyfunc(Fraction, 1, 1)(W)
+    elif not (np.isfinite(W) & (W >= 0)).all():
+        raise ConstructionError("weights must be finite and non-negative")
+    total = _running_sum(W.reshape(len(W), -1), axis=1)
+    if (total <= 0).any():
+        raise ConstructionError("weights sum to zero; nothing to normalize")
+    return W / total.reshape((-1,) + (1,) * (W.ndim - 1))
 
 
 def make_joint(
@@ -140,10 +176,10 @@ def make_joint(
 ) -> Joint:
     """Build a normalized joint table from non-negative weights.
 
-    Weights are divided by their sum; entries that are exactly zero are
-    dropped (absent means probability zero).  The backend is inferred from
-    the weight types when not given: any float weight selects the float
-    backend, otherwise exact rationals are used.
+    Weights are scattered into a dense table (absent assignments weigh zero)
+    and divided by their total, taken in canonical order.  The backend is
+    inferred from the weight types when not given: any float weight selects
+    the float backend, otherwise exact rationals are used.
 
     Raises :class:`ConstructionError` for negative, non-finite, or all-zero
     weights, and for assignments outside the variables' domains.
@@ -154,37 +190,17 @@ def make_joint(
     if backend not in (RATIONAL, FLOAT):
         raise ConstructionError(f"unknown backend {backend!r}")
 
-    domains = [set(v.domain) for v in vs]
-    checked: dict[tuple, Prob] = {}
+    shape = tuple(len(v.domain) for v in vs)
+    W = np.zeros(shape) if backend == FLOAT else np.full(shape, 0, dtype=object)
     for key, w in weights.items():
         key = tuple(key)
         if len(key) != len(vs):
             raise ConstructionError(f"assignment {key} has wrong arity (want {len(vs)})")
-        for value, dom, v in zip(key, domains, vs):
-            if value not in dom:
+        for value, v in zip(key, vs):
+            if value not in v.domain:
                 raise ConstructionError(f"value {value!r} not in domain of {v.name!r}")
-        if isinstance(w, float) and not math.isfinite(w):
-            raise ConstructionError(f"non-finite weight {w!r} at {key}")
-        if w < 0:
-            raise ConstructionError(f"negative weight {w!r} at {key}")
-        if backend == RATIONAL:
-            if isinstance(w, float):
-                raise ConstructionError("float weight in rational backend")
-            checked[key] = Fraction(w)
-        else:
-            checked[key] = float(w)
-
-    total = sum(checked.values())
-    if total <= 0:
-        raise ConstructionError("weights sum to zero; nothing to normalize")
-
-    # Canonical iteration order: walk the full product, keep nonzero entries.
-    table: dict[tuple, Prob] = {}
-    for assignment in itertools.product(*(v.domain for v in vs)):
-        w = checked.get(assignment)
-        if w:
-            table[assignment] = w / total
-    return Joint(vs, table, backend)
+        W[tuple(v.domain.index(value) for value, v in zip(key, vs))] = w
+    return Joint(vs, _normalized(W[None], backend)[0], backend)
 
 
 def marginalize(j: Joint, keep: Iterable[str]) -> Joint:
@@ -201,67 +217,45 @@ def marginalize(j: Joint, keep: Iterable[str]) -> Joint:
     idx = [i for i, v in enumerate(j.variables) if v.name in keep_set]
     if not idx:
         raise VariableMismatchError("cannot marginalize away every variable")
-    new_vars = tuple(j.variables[i] for i in idx)
-
-    acc: dict[tuple, Prob] = {}
-    for assignment, p in j.items():
-        short = tuple(assignment[i] for i in idx)
-        acc[short] = acc.get(short, 0) + p
-    table = {}
-    for assignment in itertools.product(*(v.domain for v in new_vars)):
-        p = acc.get(assignment)
-        if p:
-            table[assignment] = p
-    return Joint(new_vars, table, j.backend)
+    kept = np.moveaxis(j._table, idx, range(len(idx)))
+    table = _running_sum(kept.reshape(kept.shape[:len(idx)] + (-1,)), axis=-1)
+    return Joint(tuple(j.variables[i] for i in idx), table, j.backend)
 
 
 def condition(j: Joint, evidence: Mapping[str, object]) -> Joint:
     """Condition on a partial assignment and renormalize.
 
-    Returns a joint over the variables not mentioned in ``evidence``.  If the
-    evidence slice has probability zero the operation raises
-    :class:`NullEvidenceError`, a distinct catchable error (never a silent
-    NaN).
+    Returns a joint over the variables not mentioned in ``evidence``; when
+    the evidence pins every variable that is the point mass over no
+    variables.  If the evidence slice has probability zero the operation
+    raises :class:`NullEvidenceError`, a distinct catchable error (never a
+    silent NaN).
     """
     name_to_pos = {v.name: i for i, v in enumerate(j.variables)}
+    at = [slice(None)] * len(j.variables)
     for name, value in evidence.items():
         if name not in name_to_pos:
             raise VariableMismatchError(f"unknown evidence variable {name!r}")
         var = j.variables[name_to_pos[name]]
         if value not in var.domain:
             raise VariableMismatchError(f"value {value!r} not in domain of {name!r}")
+        at[name_to_pos[name]] = var.domain.index(value)
 
-    fixed = {name_to_pos[name]: value for name, value in evidence.items()}
-    rest = [i for i in range(len(j.variables)) if i not in fixed]
-    new_vars = tuple(j.variables[i] for i in rest)
-
-    sliced: dict[tuple, Prob] = {}
-    mass: Prob = 0
-    for assignment, p in j.items():
-        if all(assignment[i] == v for i, v in fixed.items()):
-            short = tuple(assignment[i] for i in rest)
-            sliced[short] = sliced.get(short, 0) + p
-            mass = mass + p
+    sliced = j._table[tuple(at) + (...,)]
+    mass = _running_sum(sliced)
     if mass == 0:
         raise NullEvidenceError(f"evidence {dict(evidence)} has probability zero")
-
-    if not new_vars:
-        # Evidence pinned every variable: degenerate point over no variables.
-        one = Fraction(1) if j.backend == RATIONAL else 1.0
-        return Joint((), {(): one}, j.backend)
-    table = {}
-    for assignment in itertools.product(*(v.domain for v in new_vars)):
-        p = sliced.get(assignment)
-        if p:
-            table[assignment] = p / mass
-    return Joint(new_vars, table, j.backend)
+    rest = tuple(v for v in j.variables if v.name not in evidence)
+    # a 0-d quotient is a scalar; the table stays an array
+    return Joint(rest, np.asarray(sliced / mass), j.backend)
 
 
 def expectation(j: Joint, f: Callable[[Mapping[str, object]], int | Fraction | float]):
     """Expected value of ``f`` under the joint.
 
-    ``f`` receives a name-to-value mapping for each assignment.  The result
-    stays exact when the backend is rational and ``f`` returns rationals.
+    ``f`` receives a name-to-value mapping for each assignment of nonzero
+    probability.  The result stays exact when the backend is rational and
+    ``f`` returns rationals.
     """
     names = j.names
     total = 0
@@ -280,11 +274,7 @@ def tv_distance(j1: Joint, j2: Joint) -> Prob:
         raise VariableMismatchError(
             f"variable spaces differ: {j1.names} vs {j2.names}"
         )
-    keys = set(dict(j1.items())) | set(dict(j2.items()))
-    acc = 0
-    for k in keys:
-        acc = acc + abs(j1.prob(k) - j2.prob(k))
-    return acc / 2
+    return _running_sum(abs(j1._table - j2._table)) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -147,10 +147,9 @@ def sample_run(
     outcomes = tuple(
         1 if rng.random() < p_plus[i] else -1 for i in range(len(model.wings))
     )
-    row = cum[combos.index(outcomes)]
-    u = rng.random()
-    label_idx = int(np.searchsorted(row, u, side="right"))
-    label_idx = min(label_idx, len(model.lam.labels) - 1)
+    # the label index is the number of row entries at or below u, as in the
+    # batched sampler; the last entry is 1.0, so it stays below len(labels)
+    label_idx = int(np.count_nonzero(cum[combos.index(outcomes)] <= rng.random()))
     return RunRecord(settings, outcomes, model.lam.labels[label_idx], index)
 
 
@@ -331,10 +330,8 @@ def sample_postselected(
         raise ValueError(f"unknown label {label!r}")
     target_idx = model.lam.labels.index(label)
 
-    quotas = [n // shards] * shards
-    for i in range(n % shards):
-        quotas[i] += 1
-    quotas = [q for q in quotas if q > 0]
+    # shards beyond n would get no runs, so only min(shards, n) quotas exist
+    quotas = [n // shards + (i < n % shards) for i in range(min(shards, n))]
     caps = [max(1, cap_factor) * q for q in quotas]
 
     if len(quotas) == 1:

@@ -4,10 +4,14 @@ import csv
 import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from retrobell.cli import main
+import retrobell.sampling as sampling
+from retrobell.cli import MAX_THREADS, main
 
 
 def run(capsys, *argv):
@@ -169,6 +173,13 @@ class TestChshCommand:
         code, _, _ = run(capsys, "chsh", "--model", "bell")
         assert code == 2
 
+    @pytest.mark.parametrize("angles", ["nan,0,0,0", "inf,0,0,0", "0,0,-inf,0", "0,0,0,1e999"])
+    def test_non_finite_angles_are_usage_errors(self, capsys, angles):
+        code, out, err = run(capsys, "chsh", "--model", "bell", "--angles", angles)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--angles" in err
+
 
 class TestGhzExhaustCommand:
     def test_default_run(self, capsys):
@@ -262,7 +273,7 @@ class TestSampleCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--threads", "0"), ("--threads", "-2"), ("--seed", "-1"), ("--n", "0"),
         ("--n", "-5"), ("--alpha1", "nan"), ("--alpha2", "inf"),
-        ("--cap-factor", "0"), ("--cap-factor", "-1"),
+        ("--cap-factor", "0"), ("--cap-factor", "-1"), ("--threads", str(MAX_THREADS + 1)),
     ])
     def test_bad_sample_values_are_usage_errors(self, capsys, flag, value):
         argv = {"--model": "bell", "--label": "1", "--alpha1": "0",
@@ -318,6 +329,17 @@ class TestSampleCommand:
         )
         assert code == 0
         assert doc["results"]["shards"] == 3
+
+    def test_threads_at_the_maximum_runs(self, capsys, monkeypatch):
+        # shards run inline, so no thread is started
+        monkeypatch.setattr(sampling, "_worker_count", lambda shards: 1)
+        code, doc = run_json(
+            capsys, "sample", "--model", "bell", "--label", "1", "--alpha1", "0",
+            "--alpha2", "1", "--n", "10", "--threads", str(MAX_THREADS),
+        )
+        assert code in (0, 1)
+        assert doc["config"]["threads"] == MAX_THREADS
+        assert doc["results"]["shards"] == 10
 
 
 class TestFormatsAndConfig:
@@ -385,3 +407,88 @@ class TestEmitCurve:
         code, out, _ = run(capsys, "emit-curve", "--points", "4")
         assert code == 0
         assert out.splitlines()[0] == "alpha1,alpha2,alpha_diff,expectation"
+
+
+# ---------------------------------------------------------------------------
+# Every argv: a documented exit code, strict JSON or an error message
+# ---------------------------------------------------------------------------
+
+
+def _opt(flag, values):
+    """Either no flag or ``flag`` with one of ``values``."""
+    return st.one_of(st.just([]), _pick(flag, values))
+
+
+def _pick(flag, values):
+    """``flag`` with one of ``values``."""
+    return st.sampled_from(values).map(lambda v: [flag, v])
+
+
+def _opt_list(flag, values, lo, hi):
+    """Either no flag or ``flag`` with a comma list of ``lo`` to ``hi`` values."""
+    lists = st.lists(st.sampled_from(values), min_size=lo, max_size=hi)
+    return st.one_of(st.just([]), lists.map(lambda v: [flag, ",".join(v)]))
+
+
+def _rarely(flags):
+    """``flags`` in about one argv of four: an override that may break it."""
+    return st.one_of(st.just([]), st.just([]), st.just([]), flags)
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [t for p in ps for t in p])
+
+
+REALS = ["0", "1.0471975511965976", "-2.5", "nan", "inf", "-inf", "1e999", "x"]
+BITS = ["0", "1", "2"]
+MODELS = ["bell", "ghz", "prbox", "counterexample", "nosuch"]
+FORMATS = _opt("--format", ["json", "human", "csv", "xml"])
+BACKENDS = _rarely(_opt("--backend", ["rational", "float", "exact"]))
+
+#: Valid starts; the flags drawn after them may override any of their values.
+SAMPLE_BASES = [
+    ["sample", "--model", "bell", "--label", "1", "--alpha1", "0", "--alpha2", "1"],
+    ["sample", "--model", "counterexample", "--label", "bar", "--alpha1", "-1", "--alpha2", "2"],
+    ["sample", "--model", "ghz", "--label", "0", "--settings", "0,1,1"],
+    ["sample", "--model", "prbox", "--label", "pr", "--settings", "1,1"],
+]
+CHSH_BASES = [["chsh", "--lhv"], ["chsh", "--model", "prbox"], ["chsh", "--model", "bell"],
+              ["chsh", "--model", "bell", "--scan"], ["chsh"]]
+
+ARGVS = st.one_of(
+    _argv(st.just(["verify"]), _pick("--model", MODELS),
+          _opt("--checks", ["si", "nosignal,recovery", "kernel-norm", "bogus"]),
+          _opt("--grid", ["1", "2", "3", "0", "-1", "257", "two"]), BACKENDS, FORMATS),
+    _argv(st.sampled_from(CHSH_BASES), _opt("--state", ["1", "4", "5"]),
+          _opt_list("--angles", REALS, 3, 5), _rarely(_opt_list("--settings", BITS, 3, 5)),
+          _opt("--resolution", ["8", "9", "4", "65"]), BACKENDS, FORMATS),
+    _argv(st.just(["ghz-exhaust"]), st.sampled_from([[], ["--list-near-misses"]]), FORMATS),
+    _argv(st.just(["emit-curve"]), _opt("--model", ["bell", "ghz"]),
+          _opt("--state", ["1", "3", "0"]), _opt("--points", ["2", "5", "1", "-4", "x"])),
+    _argv(st.sampled_from(SAMPLE_BASES), _pick("--n", ["1", "7", "40", "0"]),
+          _opt("--seed", ["0", "5", "-1", str(2**64)]), _opt("--cap-factor", ["1", "3", "0"]),
+          _opt("--threads", ["1", "2", "3", str(MAX_THREADS + 1)]),
+          _rarely(_opt("--model", MODELS)), _rarely(_opt("--label", ["2", "pr", "9"])),
+          _rarely(_opt("--alpha1", REALS)), _rarely(_opt_list("--settings", BITS, 2, 4)),
+          BACKENDS, FORMATS),
+)
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(ARGVS)
+def test_every_argv_exits_documented_code_with_json_or_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert err.getvalue()
+        return
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "json"
+    if argv[0] != "emit-curve" and fmt == "json":
+        doc = json.loads(out.getvalue(), parse_constant=_no_constant)
+        assert doc["tool"] == "retrobell" and doc["command"] == argv[0]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sparse_reference as ref
 from retrobell import (
     FLOAT,
     FLOAT_TOL,
@@ -260,3 +261,69 @@ def test_backends_agree_within_tolerance(table, data):
     er = expectation(jr, lambda x: sum(hash(v) % 5 for v in x.values()))
     ef = expectation(jf, lambda x: sum(hash(v) % 5 for v in x.values()))
     assert abs(float(er) - ef) <= FLOAT_TOL * 10
+
+
+class TestDenseTable:
+    def test_prob_is_zero_outside_the_domains(self):
+        j = uniform2()
+        assert j.prob((1, 2)) == 0 and isinstance(j.prob((1, 2)), Fraction)
+        assert j.prob((1,)) == 0 and j.prob((1, -1, 1)) == 0
+        jf = make_joint((A,), {(1,): 0.5, (-1,): 0.5})
+        assert jf.prob((0,)) == 0.0 and isinstance(jf.prob((0,)), float)
+
+    def test_values_are_python_numbers(self):
+        jf = make_joint((A, B), {(1, 1): 0.3, (-1, 1): 0.7})
+        assert all(type(p) is float for _, p in jf.items())
+        assert type(jf.prob((1, 1))) is float and type(jf.total()) is float
+        assert type(tv_distance(jf, jf)) is float
+
+
+# ---------------------------------------------------------------------------
+# Dense tables against the frozen sparse reference
+# ---------------------------------------------------------------------------
+
+
+def _same_table(dense, sparse):
+    assert dense.variables == sparse.variables and dense.backend == sparse.backend
+    assert list(dense.items()) == list(sparse.items())
+    for assignment in dense.assignments():
+        p, q = dense.prob(assignment), sparse.prob(assignment)
+        assert p == q and type(p) is type(q)
+    assert dense.total() == sparse.total()
+
+
+@given(weight_tables(), st.sampled_from([RATIONAL, FLOAT]), st.data())
+@settings(max_examples=80)
+def test_dense_ops_equal_sparse_reference(table, backend, data):
+    variables, weights = table
+    if backend == FLOAT:
+        # non-dyadic weights, so a different summation order shows
+        scale = data.draw(st.floats(0.01, 100.0))
+        weights = {k: w * scale / 7 for k, w in weights.items()}
+    dense = make_joint(variables, weights, backend)
+    sparse = ref.make_joint(variables, weights, backend)
+    _same_table(dense, sparse)
+
+    names = list(dense.names)
+    keep = data.draw(st.sets(st.sampled_from(names), min_size=1))
+    _same_table(marginalize(dense, keep), ref.marginalize(sparse, keep))
+
+    anchor = data.draw(st.sampled_from([a for a, _ in sparse.items()]))
+    pinned = data.draw(st.sets(st.sampled_from(range(len(names))), min_size=1))
+    evidence = {names[i]: anchor[i] for i in sorted(pinned)}
+    _same_table(condition(dense, evidence), ref.condition(sparse, evidence))
+
+    # tv_distance is the left-to-right sum over the canonical assignments
+    other_weights = {a: data.draw(st.integers(0, 9)) for a in dense.assignments()}
+    assume(any(other_weights.values()))
+    if backend == FLOAT:
+        other_weights = {k: w / 3 for k, w in other_weights.items()}
+    dense2 = make_joint(variables, other_weights, backend)
+    sparse2 = ref.make_joint(variables, other_weights, backend)
+    expected = sum(
+        abs(sparse.prob(a) - sparse2.prob(a)) for a in sparse.assignments()
+    ) / 2
+    got = tv_distance(dense, dense2)
+    assert got == expected and type(got) is type(expected)
+    if backend == RATIONAL:
+        assert got == ref.tv_distance(sparse, sparse2)

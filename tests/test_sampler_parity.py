@@ -259,3 +259,23 @@ def test_odd_kernels(p_plus, settings, label):
     assert np.isnan(cum).any() and (np.diff(cum, axis=1) < 0).any() and (cum > 1).any()
     for seed in (3, 4):
         assert_parity(model, settings, label, 20_000, 200_000, lambda: make_rng(seed))
+
+
+@pytest.mark.parametrize("p_plus", [(0.5, 0.5, 0.5), (0.3, 0.8, 0.6)])
+def test_sample_run_loop_matches_batched_sampler_on_odd_kernels(p_plus):
+    # both read a run's label uniform against the same non-monotone row, so a
+    # run-by-run loop stops on the same draw with the same statistics
+    model, settings, quota = odd_model(p_plus), (0, 0, 0), 2_000
+    cells = model._cells()
+    rng = make_rng(3)
+    counts, hits, total, product_sum = [0] * len(cells), 0, 0, 0
+    while hits < quota:
+        run = sampling.sample_run(model, settings, rng)
+        total += 1
+        product_sum += run.outcomes[0] * run.outcomes[1]
+        if run.label == "L1":
+            hits += 1
+            counts[cells.index(run.outcomes)] += 1
+    expected = (counts, quota, total, product_sum)
+    assert outcome(sampling._shard_postselect, model, settings, 1, quota,
+                   100 * quota, make_rng(3)) == expected

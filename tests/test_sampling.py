@@ -192,6 +192,15 @@ class TestShardWorkers:
         assert rep.shards == 6
         assert rep.to_json_text() == expected.to_json_text()
 
+    def test_shards_beyond_n_allocate_nothing(self, bell_model, monkeypatch):
+        # only min(shards, n) quotas are built, so a huge shard count costs
+        # what n shards cost; run inline, without starting threads
+        monkeypatch.setattr(sampling, "_worker_count", lambda shards: 1)
+        rep = sample_postselected(bell_model, "lambda1", SETTINGS, 3, 2, shards=10**15)
+        assert rep.shards == 3
+        expected = sample_postselected(bell_model, "lambda1", SETTINGS, 3, 2, shards=3)
+        assert rep.to_json_text() == expected.to_json_text()
+
 
 class TestSampleRunTables:
     def test_cached_tables_follow_model_and_settings(self, bell_model):

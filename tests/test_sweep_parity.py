@@ -1,10 +1,11 @@
 """Dense verification sweeps against a per-point reference.
 
-The reference walks the grid one settings point at a time through the public
-single-point API (``assemble_joint``, ``lambda_marginal``,
-``condition_on_lambda``, ``make_joint``, ``tv_distance``).  The dense checks
-must report the same JSON, bit for bit: same deviations, same pass/fail and
-the same first-in-grid-order worst case.
+The reference walks the grid one settings point at a time through the frozen
+sparse tables of ``sparse_reference`` (the per-cell ``assemble_joint`` loop,
+``lambda_marginal``, ``condition_on_lambda``, ``make_joint``,
+``tv_distance``), which share no code with the dense tables.  The dense
+checks must report the same JSON, bit for bit: same deviations, same
+pass/fail and the same first-in-grid-order worst case.
 """
 
 import itertools
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+import sparse_reference as ref
 from retrobell import (
     ANGLE,
     BINARY,
@@ -27,7 +29,6 @@ from retrobell import (
     Wing,
     default_grid,
     make_joint,
-    marginalize,
     sign_of,
     tv_distance,
     verify_no_signalling_all,
@@ -50,7 +51,7 @@ def oracle_si(model, grid):
     max_dev, worst, count = _zero(model), None, 0
     for settings in grid:
         count += 1
-        marg = model.lambda_marginal(settings)
+        marg = ref.lambda_marginal(model, settings)
         for label, prior in zip(model.lam.labels, model.lam.priors):
             dev = abs(marg.prob((label,)) - prior)
             if dev > max_dev:
@@ -65,9 +66,9 @@ def oracle_no_signalling(model, label, grid):
     seen = {}
     for settings in grid:
         settings = model.check_settings(settings)
-        cond = model.condition_on_lambda(label, settings)
+        cond = ref.condition_on_lambda(model, label, settings)
         for i, wing in enumerate(model.wings):
-            wing_marg = marginalize(cond, [wing.outcome_name])
+            wing_marg = ref.marginalize(cond, [wing.outcome_name])
             for outcome in OUTCOMES:
                 p = wing_marg.prob((outcome,))
                 slot = seen.setdefault(
@@ -142,13 +143,13 @@ def oracle_recovery(model, grid):
         count += 1
         settings = model.check_settings(settings)
         for label, target in model.quantum_targets.items():
-            conditioned = model.condition_on_lambda(label, settings)
+            conditioned = ref.condition_on_lambda(model, label, settings)
             weights = {
                 combo: target(combo, settings)
                 for combo in itertools.product(OUTCOMES, repeat=len(model.wings))
             }
-            target_joint = make_joint(variables, weights, backend=model.backend)
-            dev = tv_distance(conditioned, target_joint)
+            target_joint = ref.make_joint(variables, weights, backend=model.backend)
+            dev = ref.tv_distance(conditioned, target_joint)
             if dev > max_dev:
                 max_dev, worst = dev, {"settings": settings, "label": label}
     if count == 0:
@@ -282,6 +283,35 @@ def test_failing_recovery_matches_reference_to_rounding():
     for name, dense_check, oracle in check_pairs(model):
         if name != "recovery":
             assert _text(dense_check(grid)) == _text(oracle(grid)), name
+
+
+def test_recovery_deviation_is_the_public_tv_distance():
+    # every total runs in canonical order, so each point's dense recovery
+    # deviation is exactly tv_distance of the single-point tables
+    model = _skewed_model()
+    variables = model.outcome_variables()
+    cells = list(itertools.product(OUTCOMES, repeat=2))
+    target = model.quantum_targets["L1"]
+    for settings in default_grid(model, 8):
+        target_joint = make_joint(
+            variables, {c: target(c, settings) for c in cells}, backend=model.backend)
+        dev = tv_distance(model.condition_on_lambda("L1", settings), target_joint)
+        assert model.verify_recovery([settings]).max_deviation == dev
+
+
+@pytest.mark.parametrize("model_name", MODELS)
+def test_single_point_tables_match_reference(request, model_name):
+    model = request.getfixturevalue(model_name)
+    for settings in _grid(model, 4)[:6] + _grid(model, "custom"):
+        assert (list(model.assemble_joint(settings).items())
+                == list(ref.assemble_joint(model, settings).items()))
+        assert (list(model.lambda_marginal(settings).items())
+                == list(ref.lambda_marginal(model, settings).items()))
+        for label in model.lam.labels:
+            dense = model.condition_on_lambda(label, settings)
+            sparse = ref.condition_on_lambda(model, label, settings)
+            assert dense.variables == sparse.variables
+            assert list(dense.items()) == list(sparse.items())
 
 
 def test_dense_checks_accept_a_one_shot_iterator(bell_model):
