@@ -74,6 +74,7 @@ from .quantum import (
     OUTCOMES,
     bell_expectation,
     bell_prob,
+    bell_table,
     ghz_prob,
     pr_prob,
     wing_marginal,

@@ -53,7 +53,7 @@ from .dist import (
     make_joint,  # bench/tracing.py counts make_joint calls through this name
     marginalize,
 )
-from .quantum import OUTCOMES, bell_prob
+from .quantum import OUTCOMES, bell_prob, bell_table
 from .reports import CheckReport, WitnessReport
 
 ANGLE = "angle"
@@ -141,12 +141,16 @@ class ColliderKernel:
 
     ``func(outcomes, settings, label)`` returns one kernel probability.  For
     labels constructed as a normalization constant times a target outcome
-    distribution, ``normalization`` records that constant.
+    distribution, ``normalization`` records that constant.  ``table``, when
+    given, is ``func`` over a batch: ``table(points)[point, cell, label]``
+    for checked setting tuples, cells in canonical order; the checks use it
+    in place of one ``func`` call per entry.
     """
 
     labels: tuple[str, ...]
     func: Callable[[tuple, tuple, str], Prob]
     normalization: Mapping[str, Prob] = field(default_factory=dict)
+    table: Callable[[list[tuple]], np.ndarray] | None = None
 
     def probability(self, outcomes: tuple, settings: tuple, label: str) -> Prob:
         if label not in self.labels:
@@ -160,7 +164,10 @@ class BackwardModel:
 
     ``quantum_targets`` maps labels to the closed-form outcome distribution
     the kernel was built from, where one exists; the recovery check compares
-    the label-conditioned model against these targets.
+    the label-conditioned model against these targets.  ``target_table``,
+    when given, is the targets over a batch, as ``ColliderKernel.table``:
+    ``target_table(points)[point, cell, target]``, targets in
+    ``quantum_targets`` order.
     """
 
     name: str
@@ -171,6 +178,7 @@ class BackwardModel:
     quantum_targets: Mapping[str, Callable[[tuple, tuple], Prob]] = field(
         default_factory=dict
     )
+    target_table: Callable[[list[tuple]], np.ndarray] | None = None
 
     def __post_init__(self):
         if not 2 <= len(self.wings) <= 3:
@@ -246,17 +254,33 @@ class BackwardModel:
 
         Cells are the outcome combos in canonical order.  The dtype is float64,
         or ``object`` holding the kernel's own values on the rational backend.
+        The kernel's ``table`` fills it when there is one, else one
+        ``probability`` call per entry.
         """
         points = [self.check_settings(s) for s in settings_grid]
         if not points:
             raise ConstructionError("empty settings grid")
-        cells, labels, prob = self._cells(), self.lam.labels, self.kernel.probability
+        labels, prob = self.lam.labels, self.kernel.probability
+        K = self._fill(points, self.kernel.table, len(labels), lambda combo, settings: [
+            prob(combo, settings, label) for label in labels])
+        return points, K
+
+    def _fill(self, points: list[tuple], table, width: int, row: Callable) -> np.ndarray:
+        """``X[point, cell]``: ``table(points)`` when there is a table, else
+        ``row(cell, settings)`` (``width`` values) at every point and cell."""
         dtype = object if self.backend == RATIONAL else float
-        K = np.empty((len(points), len(cells), len(labels)), dtype=dtype)
+        shape = (len(points), 2 ** len(self.wings), width)
+        if table is not None:
+            X = np.asarray(table(points), dtype=dtype)
+            if X.shape != shape:
+                raise ConstructionError(f"batched table has shape {X.shape}, not {shape}")
+            return X
+        cells = self._cells()
+        X = np.empty(shape, dtype=dtype)
         for g, settings in enumerate(points):
             for c, combo in enumerate(cells):
-                K[g, c] = [prob(combo, settings, label) for label in labels]
-        return points, K
+                X[g, c] = row(combo, settings)
+        return X
 
     def _joint(self, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The joint ``T[point, cell, label]`` at every point, and its label
@@ -383,14 +407,14 @@ class BackwardModel:
             )
         points, K = self._tabulate(settings_grid)
         T, M = self._joint(K)
-        cells, labels = self._cells(), list(self.quantum_targets)
+        labels = list(self.quantum_targets)
+        targets = self.quantum_targets.values()
+        W = self._fill(points, self.target_table, len(labels), lambda combo, settings: [
+            target(combo, settings) for target in targets])
         devs = np.empty((len(points), len(labels)), dtype=K.dtype)
-        for t, (label, target) in enumerate(self.quantum_targets.items()):
-            W = np.empty((len(points), len(cells)), dtype=K.dtype)
-            for g, settings in enumerate(points):
-                W[g] = [target(combo, settings) for combo in cells]
+        for t, label in enumerate(labels):
             P = self._conditioned(T, M, label)
-            devs[:, t] = _running_sum(abs(P - _normalized(W, self.backend)), axis=1) / 2
+            devs[:, t] = _running_sum(abs(P - _normalized(W[:, :, t], self.backend)), axis=1) / 2
         return self._sweep("recovery", devs, lambda i: {
             "settings": points[i // len(labels)], "label": labels[i % len(labels)]})
 
@@ -514,12 +538,13 @@ def bell_backward_model() -> BackwardModel:
         wings=wings,
         lam=lam,
         kernel=ColliderKernel(
-            BELL_LABELS, kernel_func, {label: 1.0 for label in BELL_LABELS}
+            BELL_LABELS, kernel_func, {label: 1.0 for label in BELL_LABELS}, bell_table
         ),
         backend=FLOAT,
         quantum_targets={
             label: make_target(i + 1) for i, label in enumerate(BELL_LABELS)
         },
+        target_table=bell_table,  # label i is state i + 1, for kernel and target
     )
 
 
@@ -549,11 +574,18 @@ def signalling_counterexample_model() -> BackwardModel:
         pinned = 1.0 if outcomes[0] == sign_of(settings[1]) else 0.0
         return pinned if label == "lambda1" else 1.0 - pinned
 
+    def kernel_table(points):
+        # wing 1's outcome per canonical cell against sign_of(alpha2);
+        # -0.0 >= 0 holds, as sign(0) = +1 needs
+        sign2 = np.where(np.array([s[1] for s in points], dtype=float) >= 0, 1, -1)
+        pinned = (np.repeat(OUTCOMES, 2) == sign2[:, None]).astype(float)
+        return np.stack([pinned, 1.0 - pinned], axis=2)
+
     return BackwardModel(
         name="counterexample",
         wings=wings,
         lam=lam,
-        kernel=ColliderKernel(COUNTEREXAMPLE_LABELS, kernel_func),
+        kernel=ColliderKernel(COUNTEREXAMPLE_LABELS, kernel_func, table=kernel_table),
         backend=FLOAT,
         quantum_targets={},
     )

@@ -46,6 +46,11 @@ LHV_BOUND = 2
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 PR_BOUND = 4
 
+#: Allowed ``quantum_chsh_scan`` resolutions (angles per wing).  The scan's
+#: time grows as resolution**4; its memory as resolution**3.
+MIN_SCAN_RESOLUTION = 8
+MAX_SCAN_RESOLUTION = 64
+
 #: Float headroom on the scan assertion, absorbing accumulated cosine
 #: rounding across grid configurations (looser than the 1e-12 used for
 #: single identities).
@@ -155,22 +160,28 @@ def quantum_chsh_scan(state: int, resolution: int = 16) -> ScanReport:
     Raises if the scan ever exceeds the quantum ceiling plus float headroom,
     which would indicate a broken correlation function.
     """
-    if resolution < 8:
-        raise ValueError("scan resolution must be at least 8")
-    if resolution > 64:
-        raise ValueError("scan memory grows as resolution**4; 64 is the cap")
+    if resolution < MIN_SCAN_RESOLUTION:
+        raise ValueError(f"scan resolution must be at least {MIN_SCAN_RESOLUTION}")
+    if resolution > MAX_SCAN_RESOLUTION:
+        raise ValueError(
+            f"scan time grows as resolution**4; {MAX_SCAN_RESOLUTION} is the cap")
     grid = angle_grid(resolution)
     e = np.empty((resolution, resolution), dtype=float)
     for i, a in enumerate(grid):
         for j, b in enumerate(grid):
             e[i, j] = bell_expectation(state, a, b)
-    # S[i1, i1p, i2, i2p] = |E[i1,i2] - E[i1,i2p]| + |E[i1p,i2] + E[i1p,i2p]|
-    term1 = np.abs(e[:, None, :, None] - e[:, None, None, :])
-    term2 = np.abs(e[None, :, :, None] + e[None, :, None, :])
-    s = term1 + term2
-    flat_index = int(np.argmax(s))  # first maximum in C order = lexicographic
-    max_value = float(s.flat[flat_index])
-    idx = np.unravel_index(flat_index, s.shape)
+    # S[i1, i1p, i2, i2p] = |E[i1,i2] - E[i1,i2p]| + |E[i1p,i2] + E[i1p,i2p]|,
+    # reduced one i1 at a time in O(resolution**3) memory.  A later slice
+    # wins only when strictly larger, so the first maximum in C order
+    # (the lexicographically smallest configuration) is kept.
+    term2 = np.abs(e[:, :, None] + e[:, None, :])
+    max_value, idx = -math.inf, None
+    for i1 in range(resolution):
+        s = np.abs(e[i1, :, None] - e[i1, None, :]) + term2
+        flat_index = int(np.argmax(s))
+        if s.flat[flat_index] > max_value:
+            max_value = float(s.flat[flat_index])
+            idx = (i1, *np.unravel_index(flat_index, s.shape))
     if max_value > TSIRELSON_BOUND + TSIRELSON_TOL:
         raise RuntimeError(
             f"scan exceeded the quantum bound: {max_value} > {TSIRELSON_BOUND}"

@@ -41,6 +41,8 @@ from .backward import (
     verify_no_signalling_all,
 )
 from .chsh import (
+    MAX_SCAN_RESOLUTION,
+    MIN_SCAN_RESOLUTION,
     ChshConfig,
     PR_BOX_CONFIG,
     backward_model_chsh,
@@ -368,6 +370,10 @@ def cmd_chsh(args) -> int:
                          "backend only")
 
     if args.scan:
+        if not MIN_SCAN_RESOLUTION <= args.resolution <= MAX_SCAN_RESOLUTION:
+            raise UsageError(
+                f"--resolution must be between {MIN_SCAN_RESOLUTION} and "
+                f"{MAX_SCAN_RESOLUTION}, got {args.resolution}")
         report = quantum_chsh_scan(args.state, args.resolution)
         result = report.to_json_dict()
         result["bounds"] = reference_bounds()
@@ -492,19 +498,23 @@ def cmd_emit_curve(args) -> int:
         raise UsageError("emit-curve supports --model bell")
     if args.points < 2:
         raise UsageError("--points must be at least 2")
-    rows = [["alpha1", "alpha2", "alpha_diff", "expectation"]]
-    for k in range(args.points):
-        diff = 2.0 * math.pi * k / args.points
-        e = bell_expectation(args.state, diff, 0.0)
-        rows.append([repr(diff), repr(0.0), repr(diff), repr(e)])
-    text = _csv_text(rows)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            _write_curve(fh, args.state, args.points)
         print(f"curve written to {args.output}")
     else:
-        sys.stdout.write(text)
+        _write_curve(sys.stdout, args.state, args.points)
     return 0
+
+
+def _write_curve(fh, state: int, points: int) -> None:
+    """Stream the curve's CSV rows to ``fh``, one row at a time."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["alpha1", "alpha2", "alpha_diff", "expectation"])
+    for k in range(points):
+        diff = 2.0 * math.pi * k / points
+        e = bell_expectation(state, diff, 0.0)
+        writer.writerow([repr(diff), repr(0.0), repr(diff), repr(e)])
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--settings", help="binary CHSH slots for prbox, e.g. 1,0,0,1")
     p.add_argument("--scan", action="store_true",
                    help="dense quantum angle scan instead of one evaluation")
-    p.add_argument("--resolution", type=int, default=16)
+    p.add_argument("--resolution", type=int, default=16,
+                   help=f"angles per wing for --scan, {MIN_SCAN_RESOLUTION} to "
+                        f"{MAX_SCAN_RESOLUTION} (default 16)")
     p.add_argument("--lhv", action="store_true",
                    help="maximum over the 16 deterministic strategies")
     _add_common(p)

@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable, Sequence
+
+import numpy as np
 
 #: Valid Bell-pair labels.  Pairs 1 and 2 are the (|1,1> +/- |-1,-1>)/sqrt(2)
 #: states, pairs 3 and 4 the (|1,-1> +/- |-1,1>)/sqrt(2) states.
@@ -68,6 +71,29 @@ def bell_prob(state: int, a1: int, a2: int, alpha1: float, alpha2: float) -> flo
         c = math.cos(alpha1 + alpha2)
         sign = -1 if state == 3 else 1
     return 0.25 * (1.0 + sign * a1 * a2 * c)
+
+
+#: ``sign * a1 * a2`` of :func:`bell_prob` per (outcome pair, state): rows are
+#: the pairs (1, 1), (1, -1), (-1, 1), (-1, -1), columns the states 1 to 4.
+_BELL_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
+
+
+def bell_table(points: Iterable[Sequence[float]]) -> np.ndarray:
+    """:func:`bell_prob` over many angle pairs: ``P[point, pair, state - 1]``.
+
+    Outcome pairs run (1, 1), (1, -1), (-1, 1), (-1, -1).  Every entry equals
+    the scalar call bit for bit: the two cosines of a point come from
+    ``math.cos`` (``np.cos`` may differ from libm in the last ulp), and the
+    arithmetic after them is the scalar formula's, with ``sign * a1 * a2``
+    exactly +/-1.
+    """
+    cosines = []
+    for alpha1, alpha2 in points:
+        alpha1, alpha2 = _check_angle(alpha1), _check_angle(alpha2)
+        c_diff, c_sum = math.cos(alpha1 - alpha2), math.cos(alpha1 + alpha2)
+        cosines.append((c_diff, c_diff, c_sum, c_sum))
+    c = np.array(cosines, dtype=float).reshape(-1, 1, 4)
+    return 0.25 * (1.0 + _BELL_SIGNS * c)
 
 
 def bell_expectation(state: int, alpha1: float, alpha2: float) -> float:

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from retrobell import (
@@ -20,6 +21,7 @@ from retrobell import (
     enumerate_strategies,
     lhv_max_chsh,
     quantum_chsh_scan,
+    angle_grid,
     settings_grid,
     verify_no_signalling_all,
 )
@@ -84,7 +86,30 @@ class TestLhvMax:
         assert all(strategy_chsh_value(s) <= 2 for s in enumerate_strategies())
 
 
+def reference_chsh_scan(state, resolution):
+    """The whole resolution**4 array of S and one argmax over it, as the scan
+    was first written: (max_S, argmax angles)."""
+    grid = angle_grid(resolution)
+    e = np.empty((resolution, resolution), dtype=float)
+    for i, a in enumerate(grid):
+        for j, b in enumerate(grid):
+            e[i, j] = bell_expectation(state, a, b)
+    term1 = np.abs(e[:, None, :, None] - e[:, None, None, :])
+    term2 = np.abs(e[None, :, :, None] + e[None, :, None, :])
+    s = term1 + term2
+    flat_index = int(np.argmax(s))
+    idx = np.unravel_index(flat_index, s.shape)
+    return float(s.flat[flat_index]), tuple(grid[i] for i in idx)
+
+
 class TestQuantumScan:
+    @pytest.mark.parametrize("resolution", [8, 16])
+    @pytest.mark.parametrize("state", [1, 2, 3, 4])
+    def test_scan_equals_the_full_array_reference(self, state, resolution):
+        rep = quantum_chsh_scan(state, resolution)
+        assert (rep.max_value, rep.argmax) == reference_chsh_scan(state, resolution)
+        assert rep.configs_scanned == resolution**4
+
     def test_state1_reaches_tsirelson_on_16_grid(self):
         rep = quantum_chsh_scan(1, 16)
         assert rep.max_value == pytest.approx(TSIRELSON_BOUND, abs=1e-9)
@@ -116,6 +141,10 @@ class TestQuantumScan:
     def test_low_resolution_rejected(self):
         with pytest.raises(ValueError):
             quantum_chsh_scan(1, 4)
+
+    def test_resolution_above_the_cap_rejected(self):
+        with pytest.raises(ValueError, match="64 is the cap"):
+            quantum_chsh_scan(1, 65)
 
     def test_report_json_shape(self):
         d = quantum_chsh_scan(1, 16).to_json_dict()

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -162,6 +163,21 @@ class TestChshCommand:
             capsys, "chsh", "--model", "bell", "--scan", "--backend", "rational"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("resolution", ["4", "7", "65"])
+    def test_scan_resolution_outside_8_to_64_is_usage_error(self, capsys, resolution):
+        code, out, err = run(capsys, "chsh", "--model", "bell", "--scan",
+                             "--resolution", resolution)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--resolution" in err
+
+    @pytest.mark.parametrize("resolution", ["8", "64"])
+    def test_scan_resolution_bounds_are_inclusive(self, capsys, resolution):
+        code, doc = run_json(capsys, "chsh", "--model", "bell", "--scan",
+                             "--resolution", resolution)
+        assert code == 0
+        assert doc["results"]["resolution"] == int(resolution)
 
     def test_angles_with_prbox_is_usage_error(self, capsys):
         code, _, _ = run(
@@ -407,6 +423,29 @@ class TestEmitCurve:
         code, out, _ = run(capsys, "emit-curve", "--points", "4")
         assert code == 0
         assert out.splitlines()[0] == "alpha1,alpha2,alpha_diff,expectation"
+
+    def test_stdout_and_file_carry_the_same_bytes(self, capsys, tmp_path):
+        out_path = tmp_path / "curve.csv"
+        _, out, _ = run(capsys, "emit-curve", "--state", "3", "--points", "5")
+        run(capsys, "emit-curve", "--state", "3", "--points", "5", "--output", str(out_path))
+        expected = "alpha1,alpha2,alpha_diff,expectation\n" + "".join(
+            f"{d!r},0.0,{d!r},{-math.cos(d)!r}\n"
+            for d in (2.0 * math.pi * k / 5 for k in range(5)))
+        assert out == expected
+        assert out_path.read_bytes() == expected.encode()
+
+    def test_rows_stream_without_holding_the_curve(self):
+        # the whole 20,000-row text would take several MiB
+        sink = io.StringIO()
+        sink.write = len
+        tracemalloc.start()
+        try:
+            with redirect_stdout(sink):
+                assert main(["emit-curve", "--points", "20000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

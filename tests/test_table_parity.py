@@ -1,0 +1,138 @@
+"""Batched kernel and target tables against the scalar per-entry loop.
+
+A stock float model's ``kernel.table`` (and bell's ``target_table``) must
+give the tensor the scalar loop gives, bit for bit: ``tobytes()`` equality,
+so ``-0.0`` and ``0.0`` count as different.  The scalar reference is the
+same model with its tables removed, which sends ``_tabulate`` back to one
+``ColliderKernel.probability`` call per entry.
+"""
+
+import itertools
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from retrobell import (
+    ColliderKernel,
+    ConstructionError,
+    bell_backward_model,
+    bell_prob,
+    bell_table,
+    settings_grid,
+    signalling_counterexample_model,
+    verify_no_signalling_all,
+)
+
+MODELS = {"bell": bell_backward_model, "counterexample": signalling_counterexample_model}
+
+#: Signed zeros, the ends of the centered grid and large angles, every pair.
+EDGE_VALUES = (-0.0, 0.0, math.pi, -math.pi, 1e6, -1e6, 0.5)
+EDGE_GRID = list(itertools.product(EDGE_VALUES, repeat=2))
+
+
+def _scalar(model):
+    return replace(model, kernel=replace(model.kernel, table=None), target_table=None)
+
+
+def _grids():
+    for res in (1, 4, 16, 48, 64):
+        for centered in (False, True):
+            yield pytest.param(res, centered, id=f"{res}-{'centered' if centered else 'plain'}")
+
+
+def _same_bits(a, b):
+    assert a.dtype == b.dtype == np.float64
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def _reference_targets(model, points):
+    cells = model._cells()
+    return np.array(
+        [[[target(combo, settings) for target in model.quantum_targets.values()]
+          for combo in cells] for settings in points],
+        dtype=float,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("res, centered", _grids())
+def test_kernel_table_matches_scalar_loop(name, res, centered):
+    model = MODELS[name]()
+    grid = settings_grid(model, res, centered=centered)
+    points, K = model._tabulate(grid)
+    ref_points, ref = _scalar(model)._tabulate(grid)
+    assert points == ref_points
+    _same_bits(K, ref)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_kernel_table_matches_scalar_loop_on_edge_angles(name):
+    model = MODELS[name]()
+    _, K = model._tabulate(EDGE_GRID)
+    _same_bits(K, _scalar(model)._tabulate(EDGE_GRID)[1])
+
+
+@pytest.mark.parametrize("res, centered", _grids())
+def test_bell_target_table_matches_quantum_targets(res, centered):
+    model = bell_backward_model()
+    points = model._tabulate(settings_grid(model, res, centered=centered))[0]
+    _same_bits(model.target_table(points), _reference_targets(model, points))
+
+
+def test_bell_target_table_on_edge_angles():
+    model = bell_backward_model()
+    points = [model.check_settings(s) for s in EDGE_GRID]
+    _same_bits(model.target_table(points), _reference_targets(model, points))
+
+
+def test_bell_table_is_bell_prob_per_state():
+    cells = list(itertools.product((1, -1), repeat=2))
+    P = bell_table(EDGE_GRID)
+    for g, (a1, a2) in enumerate(EDGE_GRID):
+        for c, (o1, o2) in enumerate(cells):
+            for state in (1, 2, 3, 4):
+                assert P[g, c, state - 1].tobytes() == np.float64(
+                    bell_prob(state, o1, o2, a1, a2)).tobytes()
+
+
+def test_bell_table_rejects_non_finite_angles():
+    with pytest.raises(ValueError):
+        bell_table([(0.0, math.nan)])
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_checks_report_the_same_with_and_without_tables(name):
+    model = MODELS[name]()
+    scalar = _scalar(model)
+    grid = settings_grid(model, 7, centered=True)
+    checks = [lambda m: m.verify_si(grid), lambda m: verify_no_signalling_all(m, grid),
+              lambda m: m.verify_kernel_normalization(grid)]
+    if model.quantum_targets:
+        checks.append(lambda m: m.verify_recovery(grid))
+    for check in checks:
+        assert check(model).to_json_dict() == check(scalar).to_json_dict()
+
+
+def test_batched_table_of_the_wrong_shape_is_rejected():
+    model = bell_backward_model()
+    short = replace(model, kernel=replace(
+        model.kernel, table=lambda points: bell_table(points)[:, :3]))
+    with pytest.raises(ConstructionError, match="shape"):
+        short.verify_si([(0.0, 0.0)])
+    wide = replace(model, target_table=lambda points: np.zeros((len(points), 4, 5)))
+    with pytest.raises(ConstructionError, match="shape"):
+        wide.verify_recovery([(0.0, 0.0)])
+
+
+def test_custom_kernel_table_is_used_in_place_of_func():
+    model = bell_backward_model()
+
+    def refuse(outcomes, settings, label):
+        raise AssertionError("the scalar kernel must not be called")
+
+    batched = replace(model, kernel=ColliderKernel(model.lam.labels, refuse, table=bell_table))
+    grid = settings_grid(model, 4)
+    assert batched.verify_si(grid).to_json_dict() == model.verify_si(grid).to_json_dict()
