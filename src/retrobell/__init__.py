@@ -19,7 +19,9 @@ from .backward import (
     Wing,
     angle_grid,
     bell_backward_model,
+    collider_model,
     default_grid,
+    entry_table,
     settings_grid,
     sign_of,
     signalling_counterexample_model,

@@ -53,7 +53,8 @@ from .dist import (
     make_joint,  # bench/tracing.py counts make_joint calls through this name
     marginalize,
 )
-from .quantum import OUTCOMES, bell_prob, bell_table
+from .quantum import OUTCOMES, bell_table
+from .quantum import bell_prob  # bench/tracing.py counts bell_prob calls through this name
 from .reports import CheckReport, WitnessReport
 
 ANGLE = "angle"
@@ -139,35 +140,47 @@ class LambdaSpace:
 class ColliderKernel:
     """The conditional distribution of the label given outcomes and settings.
 
-    ``func(outcomes, settings, label)`` returns one kernel probability.  For
+    ``table(points)[point, cell, label]`` is the kernel at checked setting
+    tuples, cells in canonical order and labels in ``labels`` order.  For
     labels constructed as a normalization constant times a target outcome
-    distribution, ``normalization`` records that constant.  ``table``, when
-    given, is ``func`` over a batch: ``table(points)[point, cell, label]``
-    for checked setting tuples, cells in canonical order; the checks use it
-    in place of one ``func`` call per entry.
+    distribution, ``normalization`` records that constant.
     """
 
     labels: tuple[str, ...]
-    func: Callable[[tuple, tuple, str], Prob]
+    table: Callable[[list[tuple]], np.ndarray]
     normalization: Mapping[str, Prob] = field(default_factory=dict)
-    table: Callable[[list[tuple]], np.ndarray] | None = None
 
     def probability(self, outcomes: tuple, settings: tuple, label: str) -> Prob:
+        """One entry of the one-point table, as a Python float or Fraction."""
         if label not in self.labels:
             raise ConstructionError(f"unknown lambda label {label!r}")
-        return self.func(outcomes, settings, label)
+        cell = list(itertools.product(OUTCOMES, repeat=len(outcomes))).index(tuple(outcomes))
+        value = self.table([tuple(settings)])[0][cell][self.labels.index(label)]
+        return value.item() if isinstance(value, np.generic) else value
+
+
+def entry_table(
+    func: Callable[[tuple, tuple, str], Prob], columns: Sequence[str]
+) -> Callable[[list[tuple]], np.ndarray]:
+    """A table from a per-entry function, called once per entry:
+    ``table(points)[point, cell, column]`` is ``func(cell, settings, column)``."""
+
+    def table(points: list[tuple]) -> np.ndarray:
+        cells = list(itertools.product(OUTCOMES, repeat=len(points[0])))
+        return np.array([[[func(cell, settings, column) for column in columns]
+                          for cell in cells] for settings in points], dtype=object)
+
+    return table
 
 
 @dataclass(frozen=True)
 class BackwardModel:
     """An immutable backward-conditional model over two or three wings.
 
-    ``quantum_targets`` maps labels to the closed-form outcome distribution
-    the kernel was built from, where one exists; the recovery check compares
-    the label-conditioned model against these targets.  ``target_table``,
-    when given, is the targets over a batch, as ``ColliderKernel.table``:
-    ``target_table(points)[point, cell, target]``, targets in
-    ``quantum_targets`` order.
+    ``quantum_targets`` names the labels that have a closed-form outcome
+    distribution, and ``target_table(points)[point, cell, target]`` gives
+    those distributions in that order, as ``ColliderKernel.table``; the
+    recovery check compares the label-conditioned model against them.
     """
 
     name: str
@@ -175,9 +188,7 @@ class BackwardModel:
     lam: LambdaSpace
     kernel: ColliderKernel
     backend: str
-    quantum_targets: Mapping[str, Callable[[tuple, tuple], Prob]] = field(
-        default_factory=dict
-    )
+    quantum_targets: tuple[str, ...] = ()
     target_table: Callable[[list[tuple]], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -187,6 +198,8 @@ class BackwardModel:
             raise ConstructionError("kernel and lambda space disagree on labels")
         if self.backend not in (RATIONAL, FLOAT):
             raise ConstructionError(f"unknown backend {self.backend!r}")
+        if self.quantum_targets and self.target_table is None:
+            raise ConstructionError("quantum targets need a target table")
 
     # -- structure ---------------------------------------------------------
 
@@ -254,32 +267,20 @@ class BackwardModel:
 
         Cells are the outcome combos in canonical order.  The dtype is float64,
         or ``object`` holding the kernel's own values on the rational backend.
-        The kernel's ``table`` fills it when there is one, else one
-        ``probability`` call per entry.
         """
         points = [self.check_settings(s) for s in settings_grid]
         if not points:
             raise ConstructionError("empty settings grid")
-        labels, prob = self.lam.labels, self.kernel.probability
-        K = self._fill(points, self.kernel.table, len(labels), lambda combo, settings: [
-            prob(combo, settings, label) for label in labels])
-        return points, K
+        return points, self._fill(points, self.kernel.table, len(self.lam.labels))
 
-    def _fill(self, points: list[tuple], table, width: int, row: Callable) -> np.ndarray:
-        """``X[point, cell]``: ``table(points)`` when there is a table, else
-        ``row(cell, settings)`` (``width`` values) at every point and cell."""
+    def _fill(self, points: list[tuple], table, width: int) -> np.ndarray:
+        """``table(points)`` as ``X[point, cell]`` of ``width`` values, in the
+        backend's dtype."""
         dtype = object if self.backend == RATIONAL else float
         shape = (len(points), 2 ** len(self.wings), width)
-        if table is not None:
-            X = np.asarray(table(points), dtype=dtype)
-            if X.shape != shape:
-                raise ConstructionError(f"batched table has shape {X.shape}, not {shape}")
-            return X
-        cells = self._cells()
-        X = np.empty(shape, dtype=dtype)
-        for g, settings in enumerate(points):
-            for c, combo in enumerate(cells):
-                X[g, c] = row(combo, settings)
+        X = np.asarray(table(points), dtype=dtype)
+        if X.shape != shape:
+            raise ConstructionError(f"batched table has shape {X.shape}, not {shape}")
         return X
 
     def _joint(self, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -407,10 +408,8 @@ class BackwardModel:
             )
         points, K = self._tabulate(settings_grid)
         T, M = self._joint(K)
-        labels = list(self.quantum_targets)
-        targets = self.quantum_targets.values()
-        W = self._fill(points, self.target_table, len(labels), lambda combo, settings: [
-            target(combo, settings) for target in targets])
+        labels = self.quantum_targets
+        W = self._fill(points, self.target_table, len(labels))
         devs = np.empty((len(points), len(labels)), dtype=K.dtype)
         for t, label in enumerate(labels):
             P = self._conditioned(T, M, label)
@@ -508,6 +507,40 @@ def default_grid(model: BackwardModel, resolution: int = 16) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 
+def collider_model(name: str, wings: tuple[Wing, ...], lam: LambdaSpace, targets: Sequence[str],
+                   target_table: Callable[[list[tuple]], np.ndarray], backend: str) -> BackwardModel:
+    """A model whose kernel is built from target outcome distributions.
+
+    ``targets`` are the leading labels of ``lam``, and
+    ``target_table(points)[point, cell, target]`` their distributions.  Each
+    target label's kernel column is its prior over P(cell) times its target,
+    so the label marginal is the prior at every setting and conditioning on
+    the label recovers the target.  That scale is the label's
+    ``normalization``; it needs P(cell) equal for every cell.  One leftover
+    label, if any, takes the rest of each kernel row, 1 - sum.
+    """
+    targets = tuple(targets)
+    if lam.labels[: len(targets)] != targets or len(lam.labels) - len(targets) > 1:
+        raise ConstructionError("targets must be the leading labels, with at most one left over")
+    cells = itertools.product(OUTCOMES, repeat=len(wings))
+    weights = {math.prod(w.marginal(o) for w, o in zip(wings, c)) for c in cells}
+    if len(weights) != 1:
+        raise ConstructionError("a collider of targets needs P(cell) equal for every cell")
+    (weight,) = weights
+    normalization = {t: lam.prior(t) / weight for t in targets}
+    dtype = object if backend == RATIONAL else float
+    scale = np.array(list(normalization.values()), dtype=dtype)
+
+    def table(points):
+        K = np.asarray(target_table(points), dtype=dtype) * scale
+        if len(targets) == len(lam.labels):
+            return K
+        return np.concatenate([K, 1 - _running_sum(K, axis=2)[:, :, None]], axis=2)
+
+    kernel = ColliderKernel(lam.labels, table, normalization)
+    return BackwardModel(name, wings, lam, kernel, backend, targets, target_table)
+
+
 def bell_backward_model() -> BackwardModel:
     """The Bell-pair backward model.
 
@@ -522,30 +555,8 @@ def bell_backward_model() -> BackwardModel:
         Wing("a2", "alpha2", ANGLE, 0.5),
     )
     lam = LambdaSpace(BELL_LABELS, (0.25, 0.25, 0.25, 0.25))
-
-    def kernel_func(outcomes, settings, label):
-        state = BELL_LABELS.index(label) + 1
-        return bell_prob(state, outcomes[0], outcomes[1], settings[0], settings[1])
-
-    def make_target(state):
-        def target(outcomes, settings):
-            return bell_prob(state, outcomes[0], outcomes[1], settings[0], settings[1])
-
-        return target
-
-    return BackwardModel(
-        name="bell",
-        wings=wings,
-        lam=lam,
-        kernel=ColliderKernel(
-            BELL_LABELS, kernel_func, {label: 1.0 for label in BELL_LABELS}, bell_table
-        ),
-        backend=FLOAT,
-        quantum_targets={
-            label: make_target(i + 1) for i, label in enumerate(BELL_LABELS)
-        },
-        target_table=bell_table,  # label i is state i + 1, for kernel and target
-    )
+    # label i is state i + 1, for kernel and target
+    return collider_model("bell", wings, lam, BELL_LABELS, bell_table, FLOAT)
 
 
 COUNTEREXAMPLE_LABELS = ("lambda1", "lambda_bar")
@@ -570,10 +581,6 @@ def signalling_counterexample_model() -> BackwardModel:
     )
     lam = LambdaSpace(COUNTEREXAMPLE_LABELS, (0.5, 0.5))
 
-    def kernel_func(outcomes, settings, label):
-        pinned = 1.0 if outcomes[0] == sign_of(settings[1]) else 0.0
-        return pinned if label == "lambda1" else 1.0 - pinned
-
     def kernel_table(points):
         # wing 1's outcome per canonical cell against sign_of(alpha2);
         # -0.0 >= 0 holds, as sign(0) = +1 needs
@@ -585,7 +592,6 @@ def signalling_counterexample_model() -> BackwardModel:
         name="counterexample",
         wings=wings,
         lam=lam,
-        kernel=ColliderKernel(COUNTEREXAMPLE_LABELS, kernel_func, table=kernel_table),
+        kernel=ColliderKernel(COUNTEREXAMPLE_LABELS, kernel_table),
         backend=FLOAT,
-        quantum_targets={},
     )

@@ -33,10 +33,11 @@ import numpy as np
 from .backward import (
     BINARY,
     BackwardModel,
-    ColliderKernel,
     LambdaSpace,
     Wing,
     angle_grid,
+    collider_model,
+    entry_table,
 )
 from .dist import RATIONAL, Prob, expectation
 from .quantum import bell_expectation, pr_prob
@@ -230,23 +231,8 @@ def pr_backward_model() -> BackwardModel:
         Wing("a2", "alpha2", BINARY, Fraction(1, 2)),
     )
     lam = LambdaSpace(PR_LABELS, (Fraction(1, 2), Fraction(1, 2)))
-    norm = Fraction(2)
-
-    def kernel_func(outcomes, settings, label):
-        k = norm * pr_prob(outcomes[0], outcomes[1], settings[0], settings[1])
-        return k if label == "lambda_pr" else 1 - k
-
-    def target(outcomes, settings):
-        return pr_prob(outcomes[0], outcomes[1], settings[0], settings[1])
-
-    return BackwardModel(
-        name="prbox",
-        wings=wings,
-        lam=lam,
-        kernel=ColliderKernel(PR_LABELS, kernel_func, {"lambda_pr": norm}),
-        backend=RATIONAL,
-        quantum_targets={"lambda_pr": target},
-    )
+    target = entry_table(lambda cell, settings, _: pr_prob(*cell, *settings), ("lambda_pr",))
+    return collider_model("prbox", wings, lam, ("lambda_pr",), target, RATIONAL)
 
 
 def reference_bounds() -> dict:

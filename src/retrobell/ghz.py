@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backward import BINARY, BackwardModel, ColliderKernel, LambdaSpace, Wing
+from .backward import BINARY, BackwardModel, LambdaSpace, Wing, collider_model, entry_table
 from .dist import RATIONAL
 from .quantum import AXES, OUTCOMES, ghz_prob
 from .reports import CheckReport
@@ -74,23 +74,9 @@ def ghz_backward_model() -> BackwardModel:
         Wing("a3", "alpha3", BINARY, Fraction(1, 2)),
     )
     lam = LambdaSpace(GHZ_LABELS, (Fraction(1, 2), Fraction(1, 2)))
-    norm = Fraction(4)  # prior (1/2) over the product of wing marginals (1/8)
-
-    def kernel_func(outcomes, settings, label):
-        k = norm * ghz_prob(*outcomes, *settings)
-        return k if label == "lambda0" else 1 - k
-
-    def target(outcomes, settings):
-        return ghz_prob(*outcomes, *settings)
-
-    return BackwardModel(
-        name="ghz",
-        wings=wings,
-        lam=lam,
-        kernel=ColliderKernel(GHZ_LABELS, kernel_func, {"lambda0": norm}),
-        backend=RATIONAL,
-        quantum_targets={"lambda0": target},
-    )
+    # normalization 4: prior (1/2) over the product of wing marginals (1/8)
+    target = entry_table(lambda cell, settings, _: ghz_prob(*cell, *settings), ("lambda0",))
+    return collider_model("ghz", wings, lam, ("lambda0",), target, RATIONAL)
 
 
 def ghz_settings_grid() -> list[tuple]:

@@ -2,11 +2,14 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
 from retrobell import (
     ANGLE,
+    BINARY,
+    PR_BOX_CONFIG,
     BackwardModel,
     ColliderKernel,
     ConstructionError,
@@ -14,12 +17,16 @@ from retrobell import (
     NullEvidenceError,
     Wing,
     angle_grid,
+    backward_model_chsh,
     bell_prob,
+    collider_model,
     condition,
     default_grid,
+    entry_table,
     expectation,
     make_joint,
     marginalize,
+    pr_prob,
     sign_of,
     settings_grid,
     tv_distance,
@@ -146,7 +153,7 @@ class TestVerifySi:
             name="flat",
             wings=wings,
             lam=LambdaSpace(("L1", "L2"), (0.375, 0.625)),
-            kernel=ColliderKernel(("L1", "L2"), kernel),
+            kernel=ColliderKernel(("L1", "L2"), entry_table(kernel, ("L1", "L2"))),
             backend="float",
         )
         grid = settings_grid(model, 6)
@@ -219,7 +226,7 @@ class TestLcViolationWitness:
             name="factorized",
             wings=wings,
             lam=LambdaSpace(labels, (0.25, 0.25, 0.25, 0.25)),
-            kernel=ColliderKernel(labels, kernel),
+            kernel=ColliderKernel(labels, entry_table(kernel, labels)),
             backend="float",
         )
         assert model.verify_kernel_normalization([(0.1, 0.2)]).passed
@@ -272,7 +279,7 @@ class TestRecoveryAndKernelNorm:
             name="broken",
             wings=wings,
             lam=LambdaSpace(("L1", "L2"), (0.5, 0.5)),
-            kernel=ColliderKernel(("L1", "L2"), kernel),
+            kernel=ColliderKernel(("L1", "L2"), entry_table(kernel, ("L1", "L2"))),
             backend="float",
         )
         rep = model.verify_kernel_normalization([(0.0, 0.0)])
@@ -381,3 +388,51 @@ class TestLambdaSpaceInvariantsAndReports:
             "check", "pass", "max_deviation", "worst_case", "tolerance", "backend",
         }
         assert d["check"] == "si"
+
+
+class TestColliderModel:
+    @staticmethod
+    def _noisy_pr():
+        # the README's custom model: the PR box mixed half and half with noise
+        def noisy_pr(cell, settings, _):
+            return pr_prob(*cell, *settings) / 2 + Fraction(1, 8)
+
+        half = Fraction(1, 2)
+        wings = tuple(Wing(f"a{i}", f"s{i}", BINARY, half) for i in (1, 2))
+        lam = LambdaSpace(("lambda_box", "lambda_bar"), (half, half))
+        return collider_model("noisy-pr", wings, lam, ("lambda_box",),
+                              entry_table(noisy_pr, ("lambda_box",)), "rational")
+
+    def test_custom_collider_recovers_its_target_exactly(self):
+        model = self._noisy_pr()
+        grid = settings_grid(model)
+        assert model.kernel.normalization == {"lambda_box": 2}
+        for report in (model.verify_si(grid), model.verify_recovery(grid),
+                       model.verify_kernel_normalization(grid),
+                       verify_no_signalling_all(model, grid)):
+            assert report.passed and report.max_deviation == 0
+        assert backward_model_chsh(model, "lambda_box", PR_BOX_CONFIG) == 2
+        assert model.kernel.probability((1, 1), (0, 0), "lambda_box") == Fraction(3, 4)
+        assert model.kernel.probability((1, 1), (0, 0), "lambda_bar") == Fraction(1, 4)
+
+    def test_targets_must_be_the_leading_labels(self):
+        model = self._noisy_pr()
+        with pytest.raises(ConstructionError, match="leading"):
+            collider_model("x", model.wings, model.lam, ("lambda_bar",),
+                           model.target_table, "rational")
+        three = LambdaSpace(("a", "b", "c"), (Fraction(1, 3),) * 3)
+        with pytest.raises(ConstructionError, match="leading"):
+            collider_model("x", model.wings, three, ("a",), model.target_table, "rational")
+
+    def test_unequal_cell_weights_are_rejected(self):
+        model = self._noisy_pr()
+        wings = (Wing("a1", "s1", BINARY, Fraction(3, 4)), model.wings[1])
+        with pytest.raises(ConstructionError, match="P\\(cell\\)"):
+            collider_model("x", wings, model.lam, ("lambda_box",),
+                           model.target_table, "rational")
+
+    def test_targets_need_a_target_table(self):
+        model = self._noisy_pr()
+        with pytest.raises(ConstructionError, match="target table"):
+            BackwardModel("x", model.wings, model.lam, model.kernel, "rational",
+                          ("lambda_box",))

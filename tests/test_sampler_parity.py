@@ -21,6 +21,7 @@ from retrobell import (
     ColliderKernel,
     LambdaSpace,
     Wing,
+    entry_table,
     make_rng,
 )
 
@@ -176,7 +177,8 @@ def test_label_uniform_equal_to_a_row_entry():
         name="tie",
         wings=(Wing("a1", "s1", ANGLE, 0.5), Wing("a2", "s2", ANGLE, 0.5)),
         lam=LambdaSpace(("L1", "L2"), (0.5, 0.5)),
-        kernel=ColliderKernel(("L1", "L2"), lambda o, s, lab: u0 if lab == "L1" else 1 - u0),
+        kernel=ColliderKernel(("L1", "L2"), entry_table(
+            lambda o, s, lab: u0 if lab == "L1" else 1 - u0, ("L1", "L2"))),
         backend="float",
     )
     got = assert_parity(model, (0.0, 0.0), "L2", 1, 10, lambda: make_rng(6))
@@ -205,7 +207,8 @@ def test_unreachable_label_hits_cap():
         name="stuck",
         wings=wings,
         lam=LambdaSpace(("L1", "never"), (0.5, 0.5)),
-        kernel=ColliderKernel(("L1", "never"), lambda o, s, lab: float(lab == "L1")),
+        kernel=ColliderKernel(("L1", "never"), entry_table(
+            lambda o, s, lab: float(lab == "L1"), ("L1", "never"))),
         backend="float",
     )
     got = assert_parity(model, (0.0, 0.0), "never", 10, 50, lambda: make_rng(1))
@@ -245,7 +248,7 @@ def odd_model(p_plus):
         name="odd",
         wings=wings,
         lam=LambdaSpace(labels, (0.25, 0.25, 0.25, 0.25)),
-        kernel=ColliderKernel(labels, kernel),
+        kernel=ColliderKernel(labels, entry_table(kernel, labels)),
         backend="float",
     )
 

@@ -20,6 +20,7 @@ from retrobell import (
     Wing,
     Z_GATE,
     empirical_chsh,
+    entry_table,
     ghz_allowed,
     make_rng,
     sample_postselected,
@@ -212,8 +213,7 @@ class TestSampleRunTables:
             lam=bell_model.lam,
             kernel=ColliderKernel(
                 bell_model.lam.labels,
-                lambda o, s, label: bell_model.kernel.probability(
-                    o, (s[0], s[1] + PI), label),
+                lambda points: bell_model.kernel.table([(a1, a2 + PI) for a1, a2 in points]),
             ),
             backend="float",
         )
@@ -257,7 +257,7 @@ class TestSampleRunTables:
             name="signed",
             wings=wings,
             lam=LambdaSpace(("L1", "L2"), (0.5, 0.5)),
-            kernel=ColliderKernel(("L1", "L2"), kernel),
+            kernel=ColliderKernel(("L1", "L2"), entry_table(kernel, ("L1", "L2"))),
             backend="float",
         )
         rng = make_rng(0)
@@ -285,7 +285,7 @@ class TestAcceptanceCap:
             name="stuck",
             wings=wings,
             lam=LambdaSpace(("L1", "never"), (0.5, 0.5)),
-            kernel=ColliderKernel(("L1", "never"), kernel),
+            kernel=ColliderKernel(("L1", "never"), entry_table(kernel, ("L1", "never"))),
             backend="float",
         )
         with pytest.raises(AcceptanceCapError):

@@ -28,6 +28,7 @@ from retrobell import (
     NullEvidenceError,
     Wing,
     default_grid,
+    entry_table,
     make_joint,
     sign_of,
     tv_distance,
@@ -142,11 +143,12 @@ def oracle_recovery(model, grid):
     for settings in grid:
         count += 1
         settings = model.check_settings(settings)
-        for label, target in model.quantum_targets.items():
+        targets = model.target_table([settings]).tolist()[0]
+        for t, label in enumerate(model.quantum_targets):
             conditioned = ref.condition_on_lambda(model, label, settings)
             weights = {
-                combo: target(combo, settings)
-                for combo in itertools.product(OUTCOMES, repeat=len(model.wings))
+                combo: targets[c][t]
+                for c, combo in enumerate(itertools.product(OUTCOMES, repeat=len(model.wings)))
             }
             target_joint = ref.make_joint(variables, weights, backend=model.backend)
             dev = ref.tv_distance(conditioned, target_joint)
@@ -190,9 +192,10 @@ def _two_label_model(kernel, backend="float", p_plus=0.5, kind=ANGLE):
         name="custom",
         wings=wings,
         lam=LambdaSpace(("L1", "L2"), (half, half)),
-        kernel=ColliderKernel(("L1", "L2"), kernel),
+        kernel=ColliderKernel(("L1", "L2"), entry_table(kernel, ("L1", "L2"))),
         backend=backend,
-        quantum_targets={"L1": lambda outcomes, settings: 0.25},
+        quantum_targets=("L1",),
+        target_table=entry_table(lambda outcomes, settings, _: 0.25, ("L1",)),
     )
 
 
@@ -237,7 +240,7 @@ def _mutual_model():
 
     wings = (Wing("a1", "s1", ANGLE, 0.5), Wing("a2", "s2", ANGLE, 0.5))
     return BackwardModel("mutual", wings, LambdaSpace(("L1", "L2"), (0.25, 0.75)),
-                         ColliderKernel(("L1", "L2"), kernel), "float")
+                         ColliderKernel(("L1", "L2"), entry_table(kernel, ("L1", "L2"))), "float")
 
 
 def test_no_signalling_worst_case_is_first_in_grid_order():
@@ -260,12 +263,12 @@ def _skewed_model():
              + 0.1 * o[0] * o[1] * math.sin(s[0] + s[1])) / 2
         return k if label == "L1" else 1.0 - k
 
-    def target(o, s):
+    def target(o, s, _):
         return 0.25 * (1 + 0.5 * o[0] * o[1] * math.cos(s[0] - s[1]))
 
     model = _two_label_model(kernel)
     return BackwardModel(model.name, model.wings, model.lam, model.kernel,
-                         model.backend, {"L1": target})
+                         model.backend, ("L1",), entry_table(target, ("L1",)))
 
 
 def test_failing_recovery_matches_reference_to_rounding():
@@ -291,10 +294,10 @@ def test_recovery_deviation_is_the_public_tv_distance():
     model = _skewed_model()
     variables = model.outcome_variables()
     cells = list(itertools.product(OUTCOMES, repeat=2))
-    target = model.quantum_targets["L1"]
     for settings in default_grid(model, 8):
+        target = model.target_table([settings]).tolist()[0]
         target_joint = make_joint(
-            variables, {c: target(c, settings) for c in cells}, backend=model.backend)
+            variables, {c: target[i][0] for i, c in enumerate(cells)}, backend=model.backend)
         dev = tv_distance(model.condition_on_lambda("L1", settings), target_joint)
         assert model.verify_recovery([settings]).max_deviation == dev
 

@@ -1,15 +1,18 @@
-"""Batched kernel and target tables against the scalar per-entry loop.
+"""Batched kernel and target tables against per-entry references.
 
 A stock float model's ``kernel.table`` (and bell's ``target_table``) must
-give the tensor the scalar loop gives, bit for bit: ``tobytes()`` equality,
-so ``-0.0`` and ``0.0`` count as different.  The scalar reference is the
-same model with its tables removed, which sends ``_tabulate`` back to one
-``ColliderKernel.probability`` call per entry.
+give the tensor a per-entry reference gives, bit for bit: ``tobytes()``
+equality, so ``-0.0`` and ``0.0`` count as different.  The reference is the
+same model with its tables built by ``entry_table`` from one scalar call per
+entry: ``bell_prob`` for bell, the sign rule for the counterexample.  The
+exact ghz and prbox kernels must equal their scalar collider rules, k times
+the target and 1 - k.
 """
 
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +23,14 @@ from retrobell import (
     bell_backward_model,
     bell_prob,
     bell_table,
+    entry_table,
+    ghz_backward_model,
+    ghz_prob,
+    ghz_settings_grid,
+    pr_backward_model,
+    pr_prob,
     settings_grid,
+    sign_of,
     signalling_counterexample_model,
     verify_no_signalling_all,
 )
@@ -32,8 +42,22 @@ EDGE_VALUES = (-0.0, 0.0, math.pi, -math.pi, 1e6, -1e6, 0.5)
 EDGE_GRID = list(itertools.product(EDGE_VALUES, repeat=2))
 
 
+def bell_entry(cell, settings, label):
+    return bell_prob(int(label[-1]), cell[0], cell[1], settings[0], settings[1])
+
+
+def sign_rule(cell, settings, label):
+    pinned = 1.0 if cell[0] == sign_of(settings[1]) else 0.0
+    return pinned if label == "lambda1" else 1.0 - pinned
+
+
+ENTRIES = {"bell": bell_entry, "counterexample": sign_rule}
+
+
 def _scalar(model):
-    return replace(model, kernel=replace(model.kernel, table=None), target_table=None)
+    entry, targets = ENTRIES[model.name], model.quantum_targets
+    return replace(model, kernel=replace(model.kernel, table=entry_table(entry, model.lam.labels)),
+                   target_table=entry_table(entry, targets) if targets else None)
 
 
 def _grids():
@@ -49,12 +73,7 @@ def _same_bits(a, b):
 
 
 def _reference_targets(model, points):
-    cells = model._cells()
-    return np.array(
-        [[[target(combo, settings) for target in model.quantum_targets.values()]
-          for combo in cells] for settings in points],
-        dtype=float,
-    )
+    return np.asarray(entry_table(bell_entry, model.quantum_targets)(points), dtype=float)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -127,12 +146,52 @@ def test_batched_table_of_the_wrong_shape_is_rejected():
         wide.verify_recovery([(0.0, 0.0)])
 
 
-def test_custom_kernel_table_is_used_in_place_of_func():
+def test_custom_kernel_table_is_used_in_place_of_func(monkeypatch):
+    # the checks read whole tables, never one kernel entry at a time
     model = bell_backward_model()
 
-    def refuse(outcomes, settings, label):
-        raise AssertionError("the scalar kernel must not be called")
+    def refuse(self, outcomes, settings, label):
+        raise AssertionError("a check read a single kernel entry")
 
-    batched = replace(model, kernel=ColliderKernel(model.lam.labels, refuse, table=bell_table))
+    monkeypatch.setattr(ColliderKernel, "probability", refuse)
+    batched = replace(model, kernel=ColliderKernel(model.lam.labels, bell_table))
     grid = settings_grid(model, 4)
     assert batched.verify_si(grid).to_json_dict() == model.verify_si(grid).to_json_dict()
+
+
+def _collider_rule(target, label, norm):
+    """The exact collider kernel entry by entry: k = norm * target, and the
+    complement label takes 1 - k."""
+
+    def kernel(cell, settings, column):
+        k = norm * target(*cell, *settings)
+        return k if column == label else 1 - k
+
+    return kernel
+
+
+@pytest.mark.parametrize("build, target, label, norm, grid", [
+    (ghz_backward_model, ghz_prob, "lambda0", Fraction(4), ghz_settings_grid()),
+    (pr_backward_model, pr_prob, "lambda_pr", Fraction(2), list(itertools.product((0, 1), repeat=2))),
+], ids=["ghz", "prbox"])
+def test_exact_collider_kernels_equal_their_scalar_rule(build, target, label, norm, grid):
+    model = build()
+    assert model.kernel.normalization == {label: norm}
+    _, K = model._tabulate(grid)
+    ref = entry_table(_collider_rule(target, label, norm), model.lam.labels)(grid)
+    assert K.dtype == ref.dtype == object and K.shape == ref.shape
+    assert all(type(k) is Fraction and k == r for k, r in zip(K.flat, ref.flat))
+
+
+def test_probability_is_one_entry_of_the_one_point_table():
+    bell, ghz = bell_backward_model(), ghz_backward_model()
+    for a1, a2 in EDGE_GRID:
+        for cell in itertools.product((1, -1), repeat=2):
+            for label in bell.lam.labels:
+                p = bell.kernel.probability(cell, (a1, a2), label)
+                assert type(p) is float
+                assert np.float64(p).tobytes() == np.float64(bell_entry(cell, (a1, a2), label)).tobytes()
+    for s in ghz_settings_grid():
+        for cell in itertools.product((1, -1), repeat=3):
+            p = ghz.kernel.probability(cell, s, "lambda0")
+            assert type(p) is Fraction and p == 4 * ghz_prob(*cell, *s)
