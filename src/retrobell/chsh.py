@@ -14,7 +14,7 @@ maximum 4 while still satisfying no-signalling.
 A backward model for the PR box is included: the same collider recipe as
 the Bell-pair model, applied to the box distribution.  With binary settings
 and a prior of 1/2 the normalization constant is (1/2) / (1/4) = 2 and the
-kernel is again deterministic 0/1.  That this model passes statistical
+kernel is deterministic 0/1.  That this model passes statistical
 independence and no-signalling yet yields S = 4 is the demonstration that
 the collider construction is flexible enough to cover superquantum
 correlations; nothing here explains why nature stops at 2*sqrt(2).

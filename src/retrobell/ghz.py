@@ -1,24 +1,17 @@
 """Three-wing GHZ extension of the backward model.
 
-The GHZ target is reproduced with a *deterministic* collider: the kernel
-sends the whole probability mass to the GHZ label exactly on parity-allowed
-outcome triples and to a complement label otherwise.  With wing marginals
-1/2 and a prior of 1/2 on the GHZ label, the normalization constant is
-(1/2) / (1/8) = 4, which turns the 1/4-or-0 target probabilities into a
-0/1 kernel.  The whole module runs on the rational backend; every
-probability involved lies in {0, 1/8, 1/4, 1/2, 1}.
+The GHZ target is reproduced with a collider of the GHZ state's outcome
+distribution: with wing marginals 1/2 and a prior of 1/2 on the GHZ label,
+the normalization constant is (1/2) / (1/8) = 4, which turns the target
+probabilities 0, 1/8 and 1/4 into kernel values 0, 1/2 and 1, and a
+complement label takes the rest.  The whole module runs on the rational
+backend; every probability involved lies in {0, 1/8, 1/4, 1/2, 1}.
 
 The module also carries the classical side of the story: the brute-force
 proof that no fixed assignment of per-axis values (x_i for axis 0, y_i for
-axis 1, each +/-1) satisfies all four GHZ product constraints at once.
-
-Sign conventions.  The parity rule used by the model assigns +1 to the
-mixed products (two settings equal to 1 means (-1)^2 = +1), whereas the
-classical contradiction is traditionally stated with the mixed products
-equal to -1 (the convention where y-axis outcomes absorb the state's
-phase).  Both conventions are implemented where each applies, and the
-exhaustion report says so explicitly rather than silently harmonizing them;
-the contradiction is insensitive to the choice.
+axis 1, each +/-1) satisfies all four GHZ product constraints at once.  The
+constraints are the GHZ state's perfect correlations: the outcome product is
++1 at xxx and -1 at each setting with two y axes.
 """
 
 from __future__ import annotations
@@ -46,15 +39,6 @@ GHZ_CONSTRAINTS = (
     ("y1y2x3=-1", ("y1", "y2", "x3"), -1),
 )
 
-SIGN_CONVENTION_NOTE = (
-    "The constraint set fixes the mixed products x1y2y3, y1x2y3, y1y2x3 to -1 "
-    "(the standard statement of the classical contradiction), while the parity "
-    "rule a1*a2*a3 = (-1)**(s1+s2+s3) used by the backward model gives +1 for "
-    "two y-axis settings. The conventions differ by which factor absorbs the "
-    "y-axis phase; the contradiction and the model are each stated in their "
-    "own convention."
-)
-
 
 def ghz_allowed(a1: int, a2: int, a3: int, s1: int, s2: int, s3: int) -> bool:
     """Whether an outcome triple is allowed at the given axis settings."""
@@ -62,11 +46,13 @@ def ghz_allowed(a1: int, a2: int, a3: int, s1: int, s2: int, s3: int) -> bool:
 
 
 def ghz_backward_model() -> BackwardModel:
-    """The GHZ backward model with a deterministic 0/1 collider kernel.
+    """The GHZ backward model.
 
-    The GHZ label occurs exactly on allowed triples; disallowed triples are
-    routed to the complement label, so under the GHZ label a disallowed
-    triple is simply never observed.
+    At an even number of y-axis settings the kernel is 0/1: the GHZ label
+    occurs exactly on allowed triples, and disallowed triples are routed to
+    the complement label, so under the GHZ label a disallowed triple is
+    simply never observed.  At an odd number the target is uniform and the
+    kernel is 1/2 on every triple.
     """
     wings = (
         Wing("a1", "alpha1", BINARY, Fraction(1, 2)),
@@ -112,7 +98,6 @@ class ExhaustionReport:
             "per_constraint": list(self.per_constraint),
             "constraints": [name for name, _, _ in GHZ_CONSTRAINTS],
             "satisfying_exactly_three": self.satisfying_exactly_three,
-            "sign_convention_note": SIGN_CONVENTION_NOTE,
         }
         if self.near_misses is not None:
             out["near_misses"] = [dict(m) for m in self.near_misses]

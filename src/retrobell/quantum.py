@@ -114,16 +114,21 @@ def bell_expectation(state: int, alpha1: float, alpha2: float) -> float:
 
 
 def ghz_prob(a1: int, a2: int, a3: int, s1: int, s2: int, s3: int) -> Fraction:
-    """GHZ outcome probability: 1/4 on parity-allowed triples, else 0.
+    """Outcome probability of the GHZ state (|000> + |111>)/sqrt(2).
 
-    A triple is allowed when a1*a2*a3 == (-1)**(s1 + s2 + s3).  Exactly four
-    of the eight outcome triples are allowed at every setting combination.
+    Setting 0 measures along x, 1 along y.  With #Y the number of y-axis
+    settings, an even #Y gives 1/4 on the four triples with
+    a1*a2*a3 == (-1)**(#Y/2) and 0 on the others; an odd #Y gives 1/8 on
+    every triple.
     """
     for a in (a1, a2, a3):
         _check_outcome(a)
     for s in (s1, s2, s3):
         _check_axis(s)
-    if a1 * a2 * a3 == (-1) ** (s1 + s2 + s3):
+    y = s1 + s2 + s3
+    if y % 2:
+        return Fraction(1, 8)
+    if a1 * a2 * a3 == (-1) ** (y // 2):
         return Fraction(1, 4)
     return Fraction(0)
 

@@ -25,13 +25,13 @@ class TestGhzAllowed:
     def test_all_minus_at_all_x(self):
         assert not ghz_allowed(-1, -1, -1, 0, 0, 0)
 
-    def test_exactly_four_of_eight_allowed_everywhere(self):
+    def test_four_of_eight_allowed_at_even_y_and_all_at_odd_y(self):
         for s in itertools.product(AXES, repeat=3):
             allowed = [
                 a for a in itertools.product(OUTCOMES, repeat=3)
                 if ghz_allowed(*a, *s)
             ]
-            assert len(allowed) == 4
+            assert len(allowed) == (8 if sum(s) % 2 else 4)
 
 
 class TestGhzBackwardModel:
@@ -44,11 +44,11 @@ class TestGhzBackwardModel:
         assert prior / marginals == 4
         assert ghz_model.kernel.normalization["lambda0"] == 4
 
-    def test_kernel_is_deterministic(self, ghz_model):
+    def test_kernel_is_zero_or_one_at_even_y_and_half_at_odd_y(self, ghz_model):
         for s in itertools.product(AXES, repeat=3):
             for a in itertools.product(OUTCOMES, repeat=3):
                 k = ghz_model.kernel.probability(a, s, "lambda0")
-                assert k in (Fraction(0), Fraction(1))
+                assert k in ((Fraction(1, 2),) if sum(s) % 2 else (Fraction(0), Fraction(1)))
                 assert k == 4 * ghz_prob(*a, *s)
                 kbar = ghz_model.kernel.probability(a, s, "lambda_bar")
                 assert k + kbar == 1
@@ -99,8 +99,34 @@ class TestGhzRecovery:
         support = {a for a, _ in c.items()}
         assert support == {
             a for a in itertools.product(OUTCOMES, repeat=3)
-            if a[0] * a[1] * a[2] == 1
+            if a[0] * a[1] * a[2] == -1
         }
+
+
+class TestLocalModel:
+    """Shared randomness r1, r2 uniform, r3 = r1*r2, outputs a_i = r_i*(-1)**s_i.
+
+    Its outcome product is (-1)**(#Y) at every setting, so it agrees with
+    the GHZ target at xxx and misses it at the three settings with two y axes.
+    """
+
+    @staticmethod
+    def local_distribution(s):
+        dist = dict.fromkeys(itertools.product(OUTCOMES, repeat=3), Fraction(0))
+        for r1, r2 in itertools.product(OUTCOMES, repeat=2):
+            r = (r1, r2, r1 * r2)
+            dist[tuple(ri * (-1) ** si for ri, si in zip(r, s))] += Fraction(1, 4)
+        return dist
+
+    def test_agrees_at_xxx(self):
+        local = self.local_distribution((0, 0, 0))
+        assert all(local[a] == ghz_prob(*a, 0, 0, 0) for a in local)
+
+    def test_misses_the_target_at_the_paradox_settings(self):
+        for s in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+            local = self.local_distribution(s)
+            tv = sum(abs(local[a] - ghz_prob(*a, *s)) for a in local) / 2
+            assert tv == 1, s
 
 
 class TestExhaustion:
@@ -170,5 +196,5 @@ class TestExhaustion:
         assert d["constraints"] == [
             "x1x2x3=+1", "x1y2y3=-1", "y1x2y3=-1", "y1y2x3=-1",
         ]
-        assert "sign_convention_note" in d
+        assert "sign_convention_note" not in d
         assert "near_misses" not in d

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +21,16 @@ from retrobell import (
 )
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
+
+# Pauli matrices for the test-only statevector checks.
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def _projector(outcome, observable):
+    """Projector onto the ``outcome`` (+1 or -1) eigenspace of a +/-1 observable."""
+    return (np.eye(len(observable)) + outcome * observable) / 2
 
 
 class TestBellProb:
@@ -96,14 +107,14 @@ class TestGhzProb:
         assert ghz_prob(1, 1, 1, 0, 0, 0) == Fraction(1, 4)
 
     def test_parity_condition_both_ways(self):
-        # setting sum 0: target +1, so the -1-product triple is excluded
+        # no y axis: product +1, so the -1-product triple is excluded
         assert ghz_prob(1, 1, -1, 0, 0, 0) == 0
-        # setting sum 2: target (-1)**2 = +1 still, so the same split holds
-        assert ghz_prob(1, 1, 1, 1, 1, 0) == Fraction(1, 4)
-        assert ghz_prob(1, 1, -1, 1, 1, 0) == 0
-        # setting sum 1: target -1 flips the support
-        assert ghz_prob(1, 1, -1, 1, 0, 0) == Fraction(1, 4)
-        assert ghz_prob(1, 1, 1, 1, 0, 0) == 0
+        # two y axes: product (-1)**(2/2) = -1 flips the support
+        assert ghz_prob(1, 1, 1, 1, 1, 0) == 0
+        assert ghz_prob(1, 1, -1, 1, 1, 0) == Fraction(1, 4)
+        # one y axis: uniform, whatever the product
+        assert ghz_prob(1, 1, -1, 1, 0, 0) == Fraction(1, 8)
+        assert ghz_prob(1, 1, 1, 1, 0, 0) == Fraction(1, 8)
 
     def test_normalization_at_every_setting(self):
         for s in itertools.product(AXES, repeat=3):
@@ -112,14 +123,29 @@ class TestGhzProb:
             )
             assert total == 1
 
-    def test_support_is_exactly_four_triples(self):
+    def test_support_is_four_triples_at_even_y_and_all_at_odd_y(self):
         for s in itertools.product(AXES, repeat=3):
             support = [
                 a
                 for a in itertools.product(OUTCOMES, repeat=3)
                 if ghz_prob(*a, *s) > 0
             ]
-            assert len(support) == 4
+            assert len(support) == (8 if sum(s) % 2 else 4)
+
+    def test_matches_the_ghz_statevector(self):
+        # <psi| P_a1 (x) P_a2 (x) P_a3 |psi> for (|000> + |111>)/sqrt(2), with
+        # setting 0 measuring X and 1 measuring Y: 8x8 matrices, all 64 entries
+        psi = np.zeros(8, dtype=complex)
+        psi[0] = psi[7] = 1 / math.sqrt(2)
+        for s in itertools.product(AXES, repeat=3):
+            for a in itertools.product(OUTCOMES, repeat=3):
+                P = np.eye(1)
+                for outcome, axis in zip(a, s):
+                    P = np.kron(P, _projector(outcome, PAULI_Y if axis else PAULI_X))
+                assert P.shape == (8, 8)
+                p = np.vdot(psi, P @ psi)
+                assert abs(p.imag) <= 1e-15
+                assert abs(p.real - float(ghz_prob(*a, *s))) <= 1e-15
 
     def test_values_are_exact_rationals(self):
         assert isinstance(ghz_prob(1, 1, 1, 0, 0, 0), Fraction)
