@@ -20,8 +20,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: Valid Bell-pair labels.  Pairs 1 and 2 are the (|1,1> +/- |-1,-1>)/sqrt(2)
-#: states, pairs 3 and 4 the (|1,-1> +/- |-1,1>)/sqrt(2) states.
+#: Valid Bell-pair labels.  Measured with A(alpha) = cos(alpha) Z + sin(alpha) X,
+#: outcome +1 on |0>: 1 is Phi+ = (|00> + |11>)/sqrt(2), 2 is Psi- =
+#: (|01> - |10>)/sqrt(2), 3 is Psi+ = (|01> + |10>)/sqrt(2) and 4 is Phi- =
+#: (|00> - |11>)/sqrt(2).
 BELL_STATES = (1, 2, 3, 4)
 
 #: Measurement outcomes on every wing.

@@ -102,6 +102,38 @@ class TestBellExpectation:
         assert abs(value) <= 1.0 + 1e-15
 
 
+#: The Bell pairs by label, as BELL_STATES names them, in the |0>, |1> basis.
+BELL_VECTORS = {
+    1: np.array([1, 0, 0, 1]) / math.sqrt(2),   # Phi+
+    2: np.array([0, 1, -1, 0]) / math.sqrt(2),  # Psi-
+    3: np.array([0, 1, 1, 0]) / math.sqrt(2),   # Psi+
+    4: np.array([1, 0, 0, -1]) / math.sqrt(2),  # Phi-
+}
+
+
+def _observable(alpha):
+    return math.cos(alpha) * PAULI_Z + math.sin(alpha) * PAULI_X
+
+
+class TestBellStatevector:
+    GRID = [k * math.pi / 8 for k in range(-8, 9)]
+
+    @pytest.mark.parametrize("state", BELL_STATES)
+    def test_expectation_matches_the_named_state(self, state):
+        psi = BELL_VECTORS[state]
+        for a1, a2 in itertools.product(self.GRID, repeat=2):
+            E = np.vdot(psi, np.kron(_observable(a1), _observable(a2)) @ psi)
+            assert abs(E - bell_expectation(state, a1, a2)) <= 1e-15
+
+    @pytest.mark.parametrize("state", BELL_STATES)
+    def test_outcome_probabilities_match_the_named_state(self, state):
+        psi = BELL_VECTORS[state]
+        for a1, a2 in itertools.product(self.GRID, repeat=2):
+            for o1, o2 in itertools.product(OUTCOMES, repeat=2):
+                P = np.kron(_projector(o1, _observable(a1)), _projector(o2, _observable(a2)))
+                assert abs(np.vdot(psi, P @ psi) - bell_prob(state, o1, o2, a1, a2)) <= 1e-15
+
+
 class TestGhzProb:
     def test_allowed_triple_at_all_x(self):
         assert ghz_prob(1, 1, 1, 0, 0, 0) == Fraction(1, 4)
