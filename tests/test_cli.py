@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import retrobell.sampling as sampling
-from retrobell.cli import MAX_THREADS, main
+from retrobell.cli import MAX_CURVE_POINTS, MAX_THREADS, main
 
 
 def run(capsys, *argv):
@@ -86,6 +86,18 @@ class TestVerifyCommand:
         )
         assert code == 2
         assert "rational" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--model", "ghz"),
+        ("sample", "--model", "bell", "--label", "1", "--alpha1", "0", "--alpha2", "0",
+         "--n", "10"),
+        ("chsh", "--model", "prbox"),
+    ], ids=["verify", "sample", "chsh"])
+    def test_backend_outside_the_choices_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--backend", "exact")
+        assert code == 2
+        assert out == ""
+        assert "invalid choice: 'exact'" in err
 
     def test_recovery_rejected_for_counterexample(self, capsys):
         code, _, err = run(
@@ -446,6 +458,22 @@ class TestEmitCurve:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("points", [2, MAX_CURVE_POINTS])
+    def test_points_bounds_are_inclusive(self, points):
+        sink = io.StringIO()
+        rows = []
+        sink.write = rows.append
+        with redirect_stdout(sink):
+            assert main(["emit-curve", "--points", str(points)]) == 0
+        assert "".join(rows).count("\n") == points + 1
+
+    @pytest.mark.parametrize("points", [1, MAX_CURVE_POINTS + 1])
+    def test_points_outside_the_bounds_are_usage_errors(self, capsys, points):
+        code, out, err = run(capsys, "emit-curve", "--points", str(points))
+        assert code == 2
+        assert out == ""
+        assert f"between 2 and {MAX_CURVE_POINTS}" in err
 
 
 # ---------------------------------------------------------------------------
