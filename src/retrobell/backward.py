@@ -151,7 +151,11 @@ class ColliderKernel:
     normalization: Mapping[str, Prob] = field(default_factory=dict)
 
     def probability(self, outcomes: tuple, settings: tuple, label: str) -> Prob:
-        """One entry of the one-point table, as a Python float or Fraction."""
+        """One entry of the one-point table, as a Python float or Fraction.
+
+        The checks read whole tables and never call this; bench/tracing.py
+        counts its calls as kernel evaluations.
+        """
         if label not in self.labels:
             raise ConstructionError(f"unknown lambda label {label!r}")
         cell = list(itertools.product(OUTCOMES, repeat=len(outcomes))).index(tuple(outcomes))
