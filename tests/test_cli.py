@@ -87,6 +87,12 @@ class TestVerifyCommand:
         assert code == 2
         assert "rational" in err
 
+    def test_float_backend_rejected_for_ghz(self, capsys):
+        code, out, err = run(capsys, "verify", "--model", "ghz", "--backend", "float")
+        assert code == 2
+        assert out == ""
+        assert err == "error: model 'ghz' runs on the rational backend\n"
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--model", "ghz"),
         ("sample", "--model", "bell", "--label", "1", "--alpha1", "0", "--alpha2", "0",
@@ -207,6 +213,35 @@ class TestChshCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "--angles" in err
+
+    def test_prbox_settings_choose_the_slots(self, capsys):
+        code, doc = run_json(capsys, "chsh", "--model", "prbox", "--settings", "0,1,1,0")
+        assert code == 0
+        assert doc["config"] == {"model": "prbox"}
+        assert doc["results"]["config"] == [0, 1, 1, 0]
+        assert doc["results"]["S"] == 0
+
+    @pytest.mark.parametrize("settings, message", [
+        ("0,1,1", "--settings needs 4 comma-separated values"),
+        ("0,1,2,0", "--settings values must be 0 or 1, got '2'"),
+    ])
+    def test_bad_prbox_settings_are_usage_errors(self, capsys, settings, message):
+        code, out, err = run(capsys, "chsh", "--model", "prbox", "--settings", settings)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_settings_with_bell_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "chsh", "--model", "bell", "--settings", "0,1,1,0")
+        assert (code, out) == (2, "")
+        assert err == "error: --settings is for prbox; bell takes --angles\n"
+
+    @pytest.mark.parametrize("angles, message", [
+        ("0,1,2", "--angles needs 4 comma-separated values"),
+        ("0,1,2,3,4", "--angles needs 4 comma-separated values"),
+        ("0,1,2,x", "bad --angles: could not convert string to float: 'x'"),
+    ])
+    def test_bad_angle_lists_are_usage_errors(self, capsys, angles, message):
+        code, out, err = run(capsys, "chsh", "--model", "bell", "--angles", angles)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestGhzExhaustCommand:
@@ -336,6 +371,26 @@ class TestSampleCommand:
         assert code == 2
         assert "unknown label" in err
 
+    def test_full_label_name_is_accepted(self, capsys):
+        code, doc = run_json(
+            capsys, "sample", "--model", "bell", "--label", "lambda1",
+            "--alpha1", "0", "--alpha2", "1", "--n", "50", "--seed", "1",
+        )
+        assert code == 0
+        assert doc["config"]["label"] == "lambda1"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--model", "bell", "--label", "1"), "bell needs --alpha1 and --alpha2 (radians)"),
+        (("--model", "bell", "--label", "1", "--alpha1", "0"),
+         "bell needs --alpha1 and --alpha2 (radians)"),
+        (("--model", "ghz", "--label", "0"), "ghz needs --settings, e.g. 0,1,1"),
+        (("--model", "ghz", "--label", "0", "--settings", "0,1"),
+         "--settings needs 3 comma-separated values"),
+    ])
+    def test_missing_settings_are_usage_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, "sample", *argv, "--n", "10", "--seed", "1")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_csv_cells_table(self, capsys):
         code, out, _ = run(
             capsys, "sample", "--model", "prbox", "--label", "pr",
@@ -410,6 +465,36 @@ class TestFormatsAndConfig:
             capsys, "verify", "--model", "bell", "--config", "/nosuch/file"
         )
         assert code == 2
+
+    def test_version_flag(self, capsys):
+        code, out, err = run(capsys, "verify", "--model", "bell", "--config=/nosuch/file")
+        assert (code, out, err) == (2, "", "error: config file not found: /nosuch/file\n")
+
+    def test_config_equals_form_comments_and_booleans(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("# defaults\n\nlist-near-misses = true\nformat=csv\n")
+        code, out, _ = run(capsys, "ghz-exhaust", f"--config={cfg}")
+        assert code == 0
+        assert out.splitlines()[0] == "constraint,satisfying_count"
+        cfg.write_text("list-near-misses=FALSE\n")
+        code, doc = run_json(capsys, "ghz-exhaust", "--config", str(cfg))
+        assert code == 0
+        assert doc["config"] == {"list_near_misses": False}
+
+    def test_bad_config_line_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grid 8\n")
+        code, out, err = run(capsys, "verify", "--model", "bell", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "error: bad config line (want key=value): 'grid 8'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--model", "ghz"), ("emit-curve", "--points", "3"),
+    ], ids=["report", "curve"])
+    def test_unwritable_output_is_runtime_failure(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--output", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err.startswith("runtime failure: ") and "Is a directory" in err
 
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")
