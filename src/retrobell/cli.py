@@ -98,16 +98,14 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _check_backend_flag(model: BackwardModel, requested: str | None) -> None:
-    if requested is not None and requested != model.backend:
-        if requested == "rational":
-            raise UsageError(
-                f"model {model.name!r} is angle-dependent; the rational "
-                "backend is only available for ghz and prbox"
-            )
-        raise UsageError(
-            f"model {model.name!r} runs on the {model.backend} backend"
-        )
+def _check_backend_flag(args, name: str, backend: str) -> None:
+    """``--backend`` must name the backend ``name`` runs on, if it is given."""
+    if args.backend in (None, backend):
+        return
+    if backend == "float":
+        raise UsageError(f"{name} is angle-dependent; the rational backend is "
+                         "only available for ghz and prbox")
+    raise UsageError(f"{name} runs on the {backend} backend")
 
 
 def _default_seed(value) -> int:
@@ -135,28 +133,22 @@ def _resolve_label(model: BackwardModel, token: str) -> str:
     )
 
 
-def _parse_float_list(text: str, count: int, what: str) -> list[float]:
-    parts = [p for p in text.replace(",", " ").split() if p]
+def _parse_list(text: str, count: int, what: str, binary: bool = False) -> list:
+    """``count`` comma-separated finite floats, or 0/1 ints when ``binary``."""
+    parts = text.replace(",", " ").split()
     if len(parts) != count:
         raise UsageError(f"{what} needs {count} comma-separated values")
+    if binary:
+        for p in parts:
+            if p not in ("0", "1"):
+                raise UsageError(f"{what} values must be 0 or 1, got {p!r}")
+        return [int(p) for p in parts]
     try:
         values = [float(p) for p in parts]
     except ValueError as e:
         raise UsageError(f"bad {what}: {e}") from None
     if not all(map(math.isfinite, values)):
         raise UsageError(f"{what} values must be finite")
-    return values
-
-
-def _parse_binary_list(text: str, count: int, what: str) -> list[int]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != count:
-        raise UsageError(f"{what} needs {count} comma-separated values")
-    values = []
-    for p in parts:
-        if p not in ("0", "1"):
-            raise UsageError(f"{what} values must be 0 or 1, got {p!r}")
-        values.append(int(p))
     return values
 
 
@@ -180,21 +172,7 @@ def _model_settings_from_args(model: BackwardModel, args) -> tuple:
         )
     if not getattr(args, "settings", None):
         raise UsageError(f"{model.name} needs --settings, e.g. 0,1,1")
-    return tuple(_parse_binary_list(args.settings, len(model.wings), "--settings"))
-
-
-def _envelope(command: str, args_config: dict, results, *, backend=None,
-              seed=None, tolerance=None) -> dict:
-    return {
-        "tool": "retrobell",
-        "version": __version__,
-        "command": command,
-        "backend": backend,
-        "seed": seed,
-        "tolerance": as_number(tolerance) if tolerance is not None else None,
-        "config": jsonable(args_config),
-        "results": jsonable(results),
-    }
+    return tuple(_parse_list(args.settings, len(model.wings), "--settings", binary=True))
 
 
 def _render_human(obj, prefix: str = "") -> list[str]:
@@ -223,7 +201,19 @@ def _csv_text(rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _emit(args, envelope: dict, csv_rows: list[list]) -> None:
+def _emit(args, command: str, config: dict, results, csv_rows: list[list], *,
+          backend: str, tolerance, seed: int | None = None) -> None:
+    """Write the command's report in ``--format`` to ``--output`` or stdout."""
+    envelope = {
+        "tool": "retrobell",
+        "version": __version__,
+        "command": command,
+        "backend": backend,
+        "seed": seed,
+        "tolerance": as_number(tolerance),
+        "config": jsonable(config),
+        "results": jsonable(results),
+    }
     if args.format == "json":
         text = json.dumps(envelope, indent=2, allow_nan=False) + "\n"
     elif args.format == "human":
@@ -247,7 +237,7 @@ def cmd_verify(args) -> int:
     if not 1 <= args.grid <= MAX_GRID:
         raise UsageError(f"--grid must be between 1 and {MAX_GRID}, got {args.grid}")
     model = MODEL_BUILDERS[args.model]()
-    _check_backend_flag(model, args.backend)
+    _check_backend_flag(args, f"model {model.name!r}", model.backend)
     grid = default_grid(model, args.grid)
 
     if args.checks:
@@ -280,24 +270,15 @@ def cmd_verify(args) -> int:
             reports.append(model.verify_recovery(grid))
 
     results = [r.to_json_dict() for r in reports]
-    env = _envelope(
-        "verify",
-        {
-            "model": args.model,
-            "checks": requested,
-            "grid": args.grid,
-            "grid_points": len(grid),
-        },
-        results,
-        backend=model.backend,
-        tolerance=model.tolerance,
-    )
     csv_rows = [["check", "pass", "max_deviation", "tolerance", "backend"]]
     for r in results:
         csv_rows.append(
             [r["check"], r["pass"], r["max_deviation"], r["tolerance"], r["backend"]]
         )
-    _emit(args, env, csv_rows)
+    _emit(args, "verify",
+          {"model": args.model, "checks": requested, "grid": args.grid,
+           "grid_points": len(grid)},
+          results, csv_rows, backend=model.backend, tolerance=model.tolerance)
     return 0 if all(r["pass"] for r in results) else 1
 
 
@@ -308,6 +289,7 @@ def cmd_verify(args) -> int:
 
 def cmd_chsh(args) -> int:
     if args.lhv:
+        _check_backend_flag(args, "chsh --lhv", "rational")
         value = lhv_max_chsh()
         result = {
             "mode": "lhv_max",
@@ -315,9 +297,8 @@ def cmd_chsh(args) -> int:
             "strategies": 16,
             "bounds": reference_bounds(),
         }
-        env = _envelope("chsh", {"lhv": True}, result, backend="rational",
-                        tolerance=0)
-        _emit(args, env, [["mode", "S_max"], ["lhv_max", value]])
+        _emit(args, "chsh", {"lhv": True}, result, [["mode", "S_max"], ["lhv_max", value]],
+              backend="rational", tolerance=0)
         return 0
 
     if args.model is None:
@@ -328,77 +309,58 @@ def cmd_chsh(args) -> int:
             raise UsageError("prbox takes binary settings; --angles/--scan do "
                              "not apply")
         model = pr_backward_model()
-        _check_backend_flag(model, args.backend)
+        _check_backend_flag(args, "model 'prbox'", model.backend)
         if args.settings:
-            vals = _parse_binary_list(args.settings, 4, "--settings")
-            config = ChshConfig(*vals)
+            config = ChshConfig(*_parse_list(args.settings, 4, "--settings", binary=True))
         else:
             config = PR_BOX_CONFIG
-        value = backward_model_chsh(model, "lambda_pr", config)
-        result = {
-            "mode": "backward_model",
-            "model": "prbox",
-            "label": "lambda_pr",
-            "config": list(config.as_tuple()),
-            "S": value,
-            "bounds": reference_bounds(),
-        }
-        env = _envelope("chsh", {"model": "prbox"}, result,
-                        backend=model.backend, tolerance=model.tolerance)
-        _emit(args, env, [["mode", "S"], ["backward_model", as_number(value)]])
-        return 0
+        label, args_config = "lambda_pr", {"model": "prbox"}
+    else:
+        if args.settings:
+            raise UsageError("--settings is for prbox; bell takes --angles")
+        _check_backend_flag(args, "model 'bell'", "float")
+        if args.scan:
+            return _chsh_scan(args)
+        if not args.angles:
+            raise UsageError("chsh --model bell needs --angles a1,a1p,a2,a2p or "
+                             "--scan")
+        vals = _parse_list(args.angles, 4, "--angles")
+        config = ChshConfig(*vals)
+        model = bell_backward_model()
+        label = f"lambda{args.state}"
+        args_config = {"model": "bell", "state": args.state, "angles": vals}
 
-    if args.settings:
-        raise UsageError("--settings is for prbox; bell takes --angles")
-    if args.backend == "rational":
-        raise UsageError("angle-dependent CHSH commands run on the float "
-                         "backend only")
-
-    if args.scan:
-        if not MIN_SCAN_RESOLUTION <= args.resolution <= MAX_SCAN_RESOLUTION:
-            raise UsageError(
-                f"--resolution must be between {MIN_SCAN_RESOLUTION} and "
-                f"{MAX_SCAN_RESOLUTION}, got {args.resolution}")
-        report = quantum_chsh_scan(args.state, args.resolution)
-        result = report.to_json_dict()
-        result["bounds"] = reference_bounds()
-        env = _envelope(
-            "chsh",
-            {"model": "bell", "state": args.state, "scan": True,
-             "resolution": args.resolution},
-            result,
-            backend="float",
-            tolerance=FLOAT_TOL,
-        )
-        _emit(args, env,
-              [["mode", "max_S", "argmax"],
-               ["scan", result["max_S"], " ".join(map(repr, result["argmax"]))]])
-        return 0
-
-    if not args.angles:
-        raise UsageError("chsh --model bell needs --angles a1,a1p,a2,a2p or "
-                         "--scan")
-    vals = _parse_float_list(args.angles, 4, "--angles")
-    config = ChshConfig(*vals)
-    model = bell_backward_model()
-    label = f"lambda{args.state}"
     value = backward_model_chsh(model, label, config)
     result = {
         "mode": "backward_model",
-        "model": "bell",
+        "model": args.model,
         "label": label,
         "config": list(config.as_tuple()),
         "S": value,
         "bounds": reference_bounds(),
     }
-    env = _envelope(
-        "chsh",
-        {"model": "bell", "state": args.state, "angles": vals},
-        result,
-        backend=model.backend,
-        tolerance=model.tolerance,
-    )
-    _emit(args, env, [["mode", "S"], ["backward_model", as_number(value)]])
+    _emit(args, "chsh", args_config, result, [["mode", "S"], ["backward_model", as_number(value)]],
+          backend=model.backend, tolerance=model.tolerance)
+    return 0
+
+
+def _chsh_scan(args) -> int:
+    if args.angles:
+        raise UsageError("--scan chooses the angles itself; drop --angles")
+    if not MIN_SCAN_RESOLUTION <= args.resolution <= MAX_SCAN_RESOLUTION:
+        raise UsageError(
+            f"--resolution must be between {MIN_SCAN_RESOLUTION} and "
+            f"{MAX_SCAN_RESOLUTION}, got {args.resolution}")
+    report = quantum_chsh_scan(args.state, args.resolution)
+    result = report.to_json_dict()
+    result["bounds"] = reference_bounds()
+    _emit(args, "chsh",
+          {"model": "bell", "state": args.state, "scan": True,
+           "resolution": args.resolution},
+          result,
+          [["mode", "max_S", "argmax"],
+           ["scan", result["max_S"], " ".join(map(repr, result["argmax"]))]],
+          backend="float", tolerance=FLOAT_TOL)
     return 0
 
 
@@ -408,22 +370,17 @@ def cmd_chsh(args) -> int:
 
 
 def cmd_ghz_exhaust(args) -> int:
+    _check_backend_flag(args, "ghz-exhaust", "rational")
     report = classical_assignment_exhaustion(
         include_near_misses=args.list_near_misses
     )
     result = report.to_json_dict()
-    env = _envelope(
-        "ghz-exhaust",
-        {"list_near_misses": bool(args.list_near_misses)},
-        result,
-        backend="rational",
-        tolerance=0,
-    )
     csv_rows = [["constraint", "satisfying_count"]]
     for name, count in zip(result["constraints"], result["per_constraint"]):
         csv_rows.append([name, count])
     csv_rows.append(["ALL", result["satisfying_all"]])
-    _emit(args, env, csv_rows)
+    _emit(args, "ghz-exhaust", {"list_near_misses": bool(args.list_near_misses)},
+          result, csv_rows, backend="rational", tolerance=0)
     return 0 if report.satisfying_all == 0 else 1
 
 
@@ -440,7 +397,7 @@ def cmd_sample(args) -> int:
     if args.threads > MAX_THREADS:
         raise UsageError(f"--threads must be at most {MAX_THREADS}, got {args.threads}")
     model = MODEL_BUILDERS[args.model]()
-    _check_backend_flag(model, args.backend)
+    _check_backend_flag(args, f"model {model.name!r}", model.backend)
     label = _resolve_label(model, args.label)
     settings = _model_settings_from_args(model, args)
     seed = _default_seed(args.seed)
@@ -453,23 +410,11 @@ def cmd_sample(args) -> int:
         cap_factor=args.cap_factor,
         shards=args.threads,
     )
-    result = report.to_json_dict()
-    env = _envelope(
-        "sample",
-        {
-            "model": args.model,
-            "label": label,
-            "settings": list(settings),
-            "n": args.n,
-            "cap_factor": args.cap_factor,
-            "threads": args.threads,
-        },
-        result,
-        backend=model.backend,
-        seed=seed,
-        tolerance=model.tolerance,
-    )
-    _emit(args, env, report.csv_rows())
+    _emit(args, "sample",
+          {"model": args.model, "label": label, "settings": list(settings), "n": args.n,
+           "cap_factor": args.cap_factor, "threads": args.threads},
+          report.to_json_dict(), report.csv_rows(),
+          backend=model.backend, tolerance=model.tolerance, seed=seed)
     return 0 if report.passed else 1
 
 
@@ -511,7 +456,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", help="write the report to this path")
     p.add_argument("--config", help="key=value defaults file; flags win")
     p.add_argument("--backend", choices=("rational", "float"),
-                   help="must match the model's native backend")
+                   help="the backend the command runs on; any other is an error")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -579,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("emit-curve", help="CSV correlation curve E(alpha1-alpha2)")
-    p.add_argument("--model", default="bell", choices=("bell",))
     p.add_argument("--state", type=int, choices=(1, 2, 3, 4), default=1)
     p.add_argument("--points", type=int, default=64,
                    help=f"curve rows, 2 to {MAX_CURVE_POINTS} (default 64)")

@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, formats, reproducibility."""
 
+import argparse
 import csv
 import io
 import json
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import retrobell.sampling as sampling
-from retrobell.cli import MAX_CURVE_POINTS, MAX_THREADS, main
+from retrobell.cli import MAX_CURVE_POINTS, MAX_THREADS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -181,6 +182,8 @@ class TestChshCommand:
             capsys, "chsh", "--model", "bell", "--scan", "--backend", "rational"
         )
         assert code == 2
+        assert err == ("error: model 'bell' is angle-dependent; the rational backend is "
+                       "only available for ghz and prbox\n")
 
     @pytest.mark.parametrize("resolution", ["4", "7", "65"])
     def test_scan_resolution_outside_8_to_64_is_usage_error(self, capsys, resolution):
@@ -196,6 +199,17 @@ class TestChshCommand:
                              "--resolution", resolution)
         assert code == 0
         assert doc["results"]["resolution"] == int(resolution)
+
+    @pytest.mark.parametrize("angles", ["0,0,0,0", "0,1,2"])
+    def test_scan_with_angles_is_usage_error(self, capsys, angles):
+        code, out, err = run(capsys, "chsh", "--model", "bell", "--scan", "--angles", angles)
+        assert (code, out) == (2, "")
+        assert err == "error: --scan chooses the angles itself; drop --angles\n"
+
+    def test_resolution_without_scan_is_ignored(self, capsys):
+        angles = ("--angles", "0,1,2,3")
+        assert run(capsys, "chsh", "--model", "bell", *angles, "--resolution", "4") == \
+            run(capsys, "chsh", "--model", "bell", *angles)
 
     def test_angles_with_prbox_is_usage_error(self, capsys):
         code, _, _ = run(
@@ -560,6 +574,74 @@ class TestEmitCurve:
         assert out == ""
         assert f"between 2 and {MAX_CURVE_POINTS}" in err
 
+    def test_has_no_model_flag(self, capsys):
+        code, out, err = run(capsys, "emit-curve", "--model", "bell")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --model bell" in err
+
+
+# ---------------------------------------------------------------------------
+# --backend names the backend a command runs on, for every command
+# ---------------------------------------------------------------------------
+
+ANGLES = "0,1.5707963267948966,0.7853981633974483,2.356194490192345"
+
+#: A valid argv for every command and mode that takes --backend, with the
+#: backend it runs on.
+RUNS_ON = {
+    "verify": [
+        (("verify", "--model", "bell", "--grid", "4"), "float"),
+        (("verify", "--model", "counterexample", "--grid", "4"), "float"),
+        (("verify", "--model", "ghz"), "rational"),
+        (("verify", "--model", "prbox"), "rational"),
+    ],
+    "chsh": [
+        (("chsh", "--lhv"), "rational"),
+        (("chsh", "--model", "prbox"), "rational"),
+        (("chsh", "--model", "prbox", "--settings", "0,1,1,0"), "rational"),
+        (("chsh", "--model", "bell", "--angles", ANGLES), "float"),
+        (("chsh", "--model", "bell", "--scan", "--resolution", "8"), "float"),
+    ],
+    "ghz-exhaust": [
+        (("ghz-exhaust",), "rational"),
+        (("ghz-exhaust", "--list-near-misses"), "rational"),
+    ],
+    "sample": [
+        (("sample", "--model", "bell", "--label", "1", "--alpha1", "0", "--alpha2", "1",
+          "--n", "50", "--seed", "3"), "float"),
+        (("sample", "--model", "counterexample", "--label", "bar", "--alpha1", "-1",
+          "--alpha2", "2", "--n", "50", "--seed", "3"), "float"),
+        (("sample", "--model", "ghz", "--label", "0", "--settings", "0,1,1", "--n", "50",
+          "--seed", "3"), "rational"),
+        (("sample", "--model", "prbox", "--label", "pr", "--settings", "1,1", "--n", "50",
+          "--seed", "3"), "rational"),
+    ],
+}
+
+
+def _commands_taking_backend():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(name for name, p in sub.choices.items()
+                  if any("--backend" in a.option_strings for a in p._actions))
+
+
+def test_every_command_taking_backend_is_covered():
+    assert _commands_taking_backend() == sorted(RUNS_ON)
+
+
+@pytest.mark.parametrize("argv, backend", [case for cases in RUNS_ON.values() for case in cases],
+                         ids=lambda v: " ".join(v[:3]) if isinstance(v, tuple) else v)
+def test_backend_flag_names_the_backend_the_command_runs_on(capsys, argv, backend):
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1)
+    assert json.loads(out)["backend"] == backend
+    assert run(capsys, *argv, "--backend", backend) == (code, out, err)
+    other = {"float": "rational", "rational": "float"}[backend]
+    code, out, err = run(capsys, *argv, "--backend", other)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "backend" in err
+
 
 # ---------------------------------------------------------------------------
 # Every argv: a documented exit code, strict JSON or an error message
@@ -615,7 +697,7 @@ ARGVS = st.one_of(
           _opt_list("--angles", REALS, 3, 5), _rarely(_opt_list("--settings", BITS, 3, 5)),
           _opt("--resolution", ["8", "9", "4", "65"]), BACKENDS, FORMATS),
     _argv(st.just(["ghz-exhaust"]), st.sampled_from([[], ["--list-near-misses"]]), FORMATS),
-    _argv(st.just(["emit-curve"]), _opt("--model", ["bell", "ghz"]),
+    _argv(st.just(["emit-curve"]), _rarely(_pick("--model", ["bell", "ghz"])),
           _opt("--state", ["1", "3", "0"]), _opt("--points", ["2", "5", "1", "-4", "x"])),
     _argv(st.sampled_from(SAMPLE_BASES), _pick("--n", ["1", "7", "40", "0"]),
           _opt("--seed", ["0", "5", "-1", str(2**64)]), _opt("--cap-factor", ["1", "3", "0"]),
