@@ -112,8 +112,7 @@ def enumerate_strategies() -> list[DeterministicStrategy]:
 
 
 def strategy_chsh_value(strategy: DeterministicStrategy) -> int:
-    e = strategy.correlation
-    return abs(e(0, 0) - e(0, 1)) + abs(e(1, 0) + e(1, 1))
+    return chsh_value(strategy.correlation, ChshConfig(0, 1, 0, 1))
 
 
 def lhv_max_chsh(c: ChshConfig | None = None) -> int:

@@ -58,25 +58,17 @@ def _check_angle(alpha) -> float:
 def bell_prob(state: int, a1: int, a2: int, alpha1: float, alpha2: float) -> float:
     """Outcome probability for one Bell pair at coplanar angles.
 
-    States 1 and 2 give (1 +/- a1*a2*cos(alpha1 - alpha2))/4; states 3 and 4
-    give (1 -/+ a1*a2*cos(alpha1 + alpha2))/4.  Angles are radians.
+    (1 + a1*a2*E)/4 with E the state's :func:`bell_expectation` at the same
+    angles, in radians.
     """
-    _check_state(state)
     _check_outcome(a1)
     _check_outcome(a2)
-    alpha1 = _check_angle(alpha1)
-    alpha2 = _check_angle(alpha2)
-    if state in (1, 2):
-        c = math.cos(alpha1 - alpha2)
-        sign = 1 if state == 1 else -1
-    else:
-        c = math.cos(alpha1 + alpha2)
-        sign = -1 if state == 3 else 1
-    return 0.25 * (1.0 + sign * a1 * a2 * c)
+    return 0.25 * (1.0 + a1 * a2 * bell_expectation(state, alpha1, alpha2))
 
 
-#: ``sign * a1 * a2`` of :func:`bell_prob` per (outcome pair, state): rows are
-#: the pairs (1, 1), (1, -1), (-1, 1), (-1, -1), columns the states 1 to 4.
+#: ``a1 * a2`` times the sign :func:`bell_expectation` puts on the cosine, per
+#: (outcome pair, state): rows are the pairs (1, 1), (1, -1), (-1, 1),
+#: (-1, -1), columns the states 1 to 4.
 _BELL_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
 
 
@@ -86,8 +78,8 @@ def bell_table(points: Iterable[Sequence[float]]) -> np.ndarray:
     Outcome pairs run (1, 1), (1, -1), (-1, 1), (-1, -1).  Every entry equals
     the scalar call bit for bit: the two cosines of a point come from
     ``math.cos`` (``np.cos`` may differ from libm in the last ulp), and the
-    arithmetic after them is the scalar formula's, with ``sign * a1 * a2``
-    exactly +/-1.
+    arithmetic after them is the scalar formula's, with ``a1 * a2`` times the
+    cosine's sign exactly +/-1.
     """
     cosines = []
     for alpha1, alpha2 in points:
