@@ -309,7 +309,7 @@ def cmd_chsh(args) -> int:
             raise UsageError("prbox takes binary settings; --angles/--scan do "
                              "not apply")
         model = pr_backward_model()
-        _check_backend_flag(args, "model 'prbox'", model.backend)
+        _check_backend_flag(args, f"model {model.name!r}", model.backend)
         if args.settings:
             config = ChshConfig(*_parse_list(args.settings, 4, "--settings", binary=True))
         else:
@@ -320,7 +320,23 @@ def cmd_chsh(args) -> int:
             raise UsageError("--settings is for prbox; bell takes --angles")
         _check_backend_flag(args, "model 'bell'", "float")
         if args.scan:
-            return _chsh_scan(args)
+            if args.angles:
+                raise UsageError("--scan chooses the angles itself; drop --angles")
+            if not MIN_SCAN_RESOLUTION <= args.resolution <= MAX_SCAN_RESOLUTION:
+                raise UsageError(
+                    f"--resolution must be between {MIN_SCAN_RESOLUTION} and "
+                    f"{MAX_SCAN_RESOLUTION}, got {args.resolution}")
+            report = quantum_chsh_scan(args.state, args.resolution)
+            result = report.to_json_dict()
+            result["bounds"] = reference_bounds()
+            _emit(args, "chsh",
+                  {"model": "bell", "state": args.state, "scan": True,
+                   "resolution": args.resolution},
+                  result,
+                  [["mode", "max_S", "argmax"],
+                   ["scan", result["max_S"], " ".join(map(repr, result["argmax"]))]],
+                  backend="float", tolerance=FLOAT_TOL)
+            return 0
         if not args.angles:
             raise UsageError("chsh --model bell needs --angles a1,a1p,a2,a2p or "
                              "--scan")
@@ -341,26 +357,6 @@ def cmd_chsh(args) -> int:
     }
     _emit(args, "chsh", args_config, result, [["mode", "S"], ["backward_model", as_number(value)]],
           backend=model.backend, tolerance=model.tolerance)
-    return 0
-
-
-def _chsh_scan(args) -> int:
-    if args.angles:
-        raise UsageError("--scan chooses the angles itself; drop --angles")
-    if not MIN_SCAN_RESOLUTION <= args.resolution <= MAX_SCAN_RESOLUTION:
-        raise UsageError(
-            f"--resolution must be between {MIN_SCAN_RESOLUTION} and "
-            f"{MAX_SCAN_RESOLUTION}, got {args.resolution}")
-    report = quantum_chsh_scan(args.state, args.resolution)
-    result = report.to_json_dict()
-    result["bounds"] = reference_bounds()
-    _emit(args, "chsh",
-          {"model": "bell", "state": args.state, "scan": True,
-           "resolution": args.resolution},
-          result,
-          [["mode", "max_S", "argmax"],
-           ["scan", result["max_S"], " ".join(map(repr, result["argmax"]))]],
-          backend="float", tolerance=FLOAT_TOL)
     return 0
 
 
