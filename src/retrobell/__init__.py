@@ -10,89 +10,63 @@ both analytically (exact rationals or 1e-12 float identities) and by seeded
 Monte Carlo.
 """
 
-from .backward import (
-    ANGLE,
-    BINARY,
-    BackwardModel,
-    ColliderKernel,
-    LambdaSpace,
-    Wing,
-    angle_grid,
-    bell_backward_model,
-    collider_model,
-    default_grid,
-    entry_table,
-    settings_grid,
-    sign_of,
-    signalling_counterexample_model,
-    verify_no_signalling_all,
-)
-from .chsh import (
-    LHV_BOUND,
-    PR_BOUND,
-    PR_BOX_CONFIG,
-    STANDARD_BELL_CONFIG,
-    TSIRELSON_BOUND,
-    ChshConfig,
-    DeterministicStrategy,
-    ScanReport,
-    backward_model_chsh,
-    chsh_value,
-    enumerate_strategies,
-    lhv_max_chsh,
-    pr_backward_model,
-    quantum_chsh_scan,
-)
-from .dist import (
-    FLOAT,
-    FLOAT_TOL,
-    RATIONAL,
-    ConstructionError,
-    DistributionError,
-    Joint,
-    NullEvidenceError,
-    Variable,
-    VariableMismatchError,
-    condition,
-    expectation,
-    joint_from_json_dict,
-    joint_to_json_dict,
-    make_joint,
-    marginalize,
-    tv_distance,
-)
-from .ghz import (
-    ExhaustionReport,
-    GHZ_CONSTRAINTS,
-    classical_assignment_exhaustion,
-    ghz_allowed,
-    ghz_backward_model,
-    ghz_settings_grid,
-    verify_ghz_recovery,
-)
-from .quantum import (
-    AXES,
-    BELL_STATES,
-    OUTCOMES,
-    bell_expectation,
-    bell_prob,
-    bell_table,
-    ghz_prob,
-    pr_prob,
-    wing_marginal,
-)
-from .reports import CheckReport, WitnessReport
-from .sampling import (
-    AcceptanceCapError,
-    EmpiricalChshReport,
-    RNG_ALGORITHM,
-    RunRecord,
-    SampleReport,
-    Z_GATE,
-    empirical_chsh,
-    make_rng,
-    sample_postselected,
-    sample_run,
-)
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
+
+#: Each public name, by the module that defines it.  Names resolve on first
+#: use, so ``import retrobell`` loads no module and numpy loads only with the
+#: array-backed modules (``backward``, ``dist``, ``sampling``).
+_EXPORTS = {
+    "backward": (
+        "ANGLE", "BINARY", "BackwardModel", "ColliderKernel", "LambdaSpace", "Wing",
+        "angle_grid", "bell_backward_model", "bell_table", "collider_model",
+        "default_grid", "entry_table", "settings_grid", "sign_of",
+        "signalling_counterexample_model", "verify_no_signalling_all",
+    ),
+    "chsh": (
+        "LHV_BOUND", "PR_BOUND", "PR_BOX_CONFIG", "STANDARD_BELL_CONFIG",
+        "TSIRELSON_BOUND", "ChshConfig", "DeterministicStrategy", "ScanReport",
+        "backward_model_chsh", "chsh_value", "enumerate_strategies", "lhv_max_chsh",
+        "pr_backward_model", "quantum_chsh_scan",
+    ),
+    "dist": (
+        "FLOAT", "FLOAT_TOL", "RATIONAL", "ConstructionError", "DistributionError",
+        "Joint", "NullEvidenceError", "Variable", "VariableMismatchError", "condition",
+        "expectation", "joint_from_json_dict", "joint_to_json_dict", "make_joint",
+        "marginalize", "tv_distance",
+    ),
+    "ghz": (
+        "ExhaustionReport", "GHZ_CONSTRAINTS", "classical_assignment_exhaustion",
+        "ghz_allowed", "ghz_backward_model", "ghz_settings_grid", "verify_ghz_recovery",
+    ),
+    "quantum": (
+        "AXES", "BELL_STATES", "OUTCOMES", "bell_expectation", "bell_prob", "ghz_prob",
+        "pr_prob", "wing_marginal",
+    ),
+    "reports": ("CheckReport", "WitnessReport"),
+    "sampling": (
+        "AcceptanceCapError", "EmpiricalChshReport", "RNG_ALGORITHM", "RunRecord",
+        "SampleReport", "Z_GATE", "empirical_chsh", "make_rng", "sample_postselected",
+        "sample_run",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

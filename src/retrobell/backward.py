@@ -53,7 +53,7 @@ from .dist import (
     make_joint,  # bench/tracing.py counts make_joint calls through this name
     marginalize,
 )
-from .quantum import OUTCOMES, bell_table
+from .quantum import OUTCOMES, _check_angle
 from .quantum import bell_prob  # bench/tracing.py counts bell_prob calls through this name
 from .reports import CheckReport, WitnessReport
 
@@ -543,6 +543,30 @@ def collider_model(name: str, wings: tuple[Wing, ...], lam: LambdaSpace, targets
 
     kernel = ColliderKernel(lam.labels, table, normalization)
     return BackwardModel(name, wings, lam, kernel, backend, targets, target_table)
+
+
+#: ``a1 * a2`` times the sign ``quantum.bell_expectation`` puts on the cosine, per
+#: (outcome pair, state): rows are the pairs (1, 1), (1, -1), (-1, 1),
+#: (-1, -1), columns the states 1 to 4.
+_BELL_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
+
+
+def bell_table(points: Iterable[Sequence[float]]) -> np.ndarray:
+    """:func:`bell_prob` over many angle pairs: ``P[point, pair, state - 1]``.
+
+    Outcome pairs run (1, 1), (1, -1), (-1, 1), (-1, -1).  Every entry equals
+    the scalar call bit for bit: the two cosines of a point come from
+    ``math.cos`` (``np.cos`` may differ from libm in the last ulp), and the
+    arithmetic after them is the scalar formula's, with ``a1 * a2`` times the
+    cosine's sign exactly +/-1.
+    """
+    cosines = []
+    for alpha1, alpha2 in points:
+        alpha1, alpha2 = _check_angle(alpha1), _check_angle(alpha2)
+        c_diff, c_sum = math.cos(alpha1 - alpha2), math.cos(alpha1 + alpha2)
+        cosines.append((c_diff, c_diff, c_sum, c_sum))
+    c = np.array(cosines, dtype=float).reshape(-1, 1, 4)
+    return 0.25 * (1.0 + _BELL_SIGNS * c)
 
 
 def bell_backward_model() -> BackwardModel:

@@ -18,6 +18,10 @@ kernel is deterministic 0/1.  That this model passes statistical
 independence and no-signalling yet yields S = 4 is the demonstration that
 the collider construction is flexible enough to cover superquantum
 correlations; nothing here explains why nature stops at 2*sqrt(2).
+
+The classical half (configurations, strategies and bounds) loads without
+numpy: the scan and the model functions import ``backward``, ``dist`` and
+numpy when they are called.
 """
 
 from __future__ import annotations
@@ -26,22 +30,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
-from .backward import (
-    BINARY,
-    BackwardModel,
-    LambdaSpace,
-    Wing,
-    angle_grid,
-    collider_model,
-    entry_table,
-)
-from .dist import RATIONAL, Prob, expectation
 from .quantum import bell_expectation, pr_prob
 from .reports import jsonable
+
+if TYPE_CHECKING:
+    from .backward import BackwardModel
+    from .dist import Prob
 
 LHV_BOUND = 2
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
@@ -165,6 +161,10 @@ def quantum_chsh_scan(state: int, resolution: int = 16) -> ScanReport:
     if resolution > MAX_SCAN_RESOLUTION:
         raise ValueError(
             f"scan time grows as resolution**4; {MAX_SCAN_RESOLUTION} is the cap")
+    import numpy as np
+
+    from .backward import angle_grid
+
     grid = angle_grid(resolution)
     e = np.empty((resolution, resolution), dtype=float)
     for i, a in enumerate(grid):
@@ -203,6 +203,8 @@ def backward_model_chsh(model: BackwardModel, label: str, c: ChshConfig):
     product under the label-conditioned distribution.  Exact (a Fraction)
     on the rational backend.
     """
+    from .dist import expectation
+
     if len(model.wings) != 2:
         raise ValueError("CHSH needs a two-wing model")
     name1 = model.wings[0].outcome_name
@@ -225,6 +227,9 @@ def pr_backward_model() -> BackwardModel:
     deterministic kernel: normalization (1/2)/(1/4) = 2 turns the box's
     1/2-or-0 probabilities into 0/1.
     """
+    from .backward import BINARY, LambdaSpace, Wing, collider_model, entry_table
+    from .dist import RATIONAL
+
     wings = (
         Wing("a1", "alpha1", BINARY, Fraction(1, 2)),
         Wing("a2", "alpha2", BINARY, Fraction(1, 2)),

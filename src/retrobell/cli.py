@@ -26,20 +26,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .backward import (
-    BackwardModel,
-    bell_backward_model,
-    default_grid,
-    signalling_counterexample_model,
-    verify_no_signalling_all,
-)
 from .chsh import (
     MAX_SCAN_RESOLUTION,
     MIN_SCAN_RESOLUTION,
@@ -51,11 +46,28 @@ from .chsh import (
     quantum_chsh_scan,
     reference_bounds,
 )
-from .dist import FLOAT_TOL, DistributionError
 from .ghz import classical_assignment_exhaustion, ghz_backward_model
 from .quantum import bell_expectation
 from .reports import as_number, jsonable
-from .sampling import AcceptanceCapError, sample_postselected
+
+if TYPE_CHECKING:
+    from .backward import BackwardModel
+
+
+def _on_call(module: str, name: str):
+    """``module.name``, imported when first called, so numpy loads only in the
+    commands that build an array-backed model or sample.  The entry points
+    stay module globals that the handlers look up at call time, because
+    ``bench/tracing.py`` replaces them here by name."""
+    return lambda *args, **kwargs: getattr(
+        importlib.import_module(module, __package__), name)(*args, **kwargs)
+
+
+bell_backward_model = _on_call(".backward", "bell_backward_model")
+default_grid = _on_call(".backward", "default_grid")
+signalling_counterexample_model = _on_call(".backward", "signalling_counterexample_model")
+verify_no_signalling_all = _on_call(".backward", "verify_no_signalling_all")
+sample_postselected = _on_call(".sampling", "sample_postselected")
 
 ENV_SEED = "RETROBELL_SEED"
 
@@ -289,6 +301,12 @@ def cmd_verify(args) -> int:
 
 def cmd_chsh(args) -> int:
     if args.lhv:
+        given = {"--model": args.model, "--state": args.state, "--angles": args.angles,
+                 "--settings": args.settings, "--scan": args.scan or None}
+        stray = next((flag for flag, value in given.items() if value is not None), None)
+        if stray:
+            raise UsageError(f"--lhv enumerates the deterministic strategies; {stray} "
+                             "does not apply")
         _check_backend_flag(args, "chsh --lhv", "rational")
         value = lhv_max_chsh()
         result = {
@@ -308,6 +326,8 @@ def cmd_chsh(args) -> int:
         if args.angles or args.scan:
             raise UsageError("prbox takes binary settings; --angles/--scan do "
                              "not apply")
+        if args.state is not None:
+            raise UsageError("prbox has no Bell state; --state is for bell")
         model = pr_backward_model()
         _check_backend_flag(args, f"model {model.name!r}", model.backend)
         if args.settings:
@@ -319,6 +339,7 @@ def cmd_chsh(args) -> int:
         if args.settings:
             raise UsageError("--settings is for prbox; bell takes --angles")
         _check_backend_flag(args, "model 'bell'", "float")
+        state = 1 if args.state is None else args.state
         if args.scan:
             if args.angles:
                 raise UsageError("--scan chooses the angles itself; drop --angles")
@@ -326,11 +347,13 @@ def cmd_chsh(args) -> int:
                 raise UsageError(
                     f"--resolution must be between {MIN_SCAN_RESOLUTION} and "
                     f"{MAX_SCAN_RESOLUTION}, got {args.resolution}")
-            report = quantum_chsh_scan(args.state, args.resolution)
+            from .dist import FLOAT_TOL
+
+            report = quantum_chsh_scan(state, args.resolution)
             result = report.to_json_dict()
             result["bounds"] = reference_bounds()
             _emit(args, "chsh",
-                  {"model": "bell", "state": args.state, "scan": True,
+                  {"model": "bell", "state": state, "scan": True,
                    "resolution": args.resolution},
                   result,
                   [["mode", "max_S", "argmax"],
@@ -343,8 +366,8 @@ def cmd_chsh(args) -> int:
         vals = _parse_list(args.angles, 4, "--angles")
         config = ChshConfig(*vals)
         model = bell_backward_model()
-        label = f"lambda{args.state}"
-        args_config = {"model": "bell", "state": args.state, "angles": vals}
+        label = f"lambda{state}"
+        args_config = {"model": "bell", "state": state, "angles": vals}
 
     value = backward_model_chsh(model, label, config)
     result = {
@@ -397,15 +420,21 @@ def cmd_sample(args) -> int:
     label = _resolve_label(model, args.label)
     settings = _model_settings_from_args(model, args)
     seed = _default_seed(args.seed)
-    report = sample_postselected(
-        model,
-        label,
-        settings,
-        args.n,
-        seed,
-        cap_factor=args.cap_factor,
-        shards=args.threads,
-    )
+    from .sampling import AcceptanceCapError
+
+    try:
+        report = sample_postselected(
+            model,
+            label,
+            settings,
+            args.n,
+            seed,
+            cap_factor=args.cap_factor,
+            shards=args.threads,
+        )
+    except AcceptanceCapError as e:
+        print(f"sampling failure: {e}", file=sys.stderr)
+        return 3
     _emit(args, "sample",
           {"model": args.model, "label": label, "settings": list(settings), "n": args.n,
            "cap_factor": args.cap_factor, "threads": args.threads},
@@ -478,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chsh", help="CHSH values and bounds")
     p.add_argument("--model", choices=("bell", "prbox"))
-    p.add_argument("--state", type=int, choices=(1, 2, 3, 4), default=1)
+    p.add_argument("--state", type=int, choices=(1, 2, 3, 4))
     p.add_argument("--angles", help="alpha1,alpha1',alpha2,alpha2' in radians")
     p.add_argument("--settings", help="binary CHSH slots for prbox, e.g. 1,0,0,1")
     p.add_argument("--scan", action="store_true",
@@ -582,10 +611,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except AcceptanceCapError as e:
-        print(f"sampling failure: {e}", file=sys.stderr)
-        return 3
-    except (DistributionError, ValueError, RuntimeError, OSError) as e:
+    except (ValueError, RuntimeError, OSError) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 3
 

@@ -11,7 +11,9 @@ The module also carries the classical side of the story: the brute-force
 proof that no fixed assignment of per-axis values (x_i for axis 0, y_i for
 axis 1, each +/-1) satisfies all four GHZ product constraints at once.  The
 constraints are the GHZ state's perfect correlations: the outcome product is
-+1 at xxx and -1 at each setting with two y axes.
++1 at xxx and -1 at each setting with two y axes.  That classical side loads
+without numpy; :func:`ghz_backward_model` imports ``backward`` and ``dist``
+when it is called.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .backward import BINARY, BackwardModel, LambdaSpace, Wing, collider_model, entry_table
-from .dist import RATIONAL
 from .quantum import AXES, OUTCOMES, ghz_prob
 from .reports import CheckReport
+
+if TYPE_CHECKING:
+    from .backward import BackwardModel
 
 GHZ_LABELS = ("lambda0", "lambda_bar")
 
@@ -54,6 +58,9 @@ def ghz_backward_model() -> BackwardModel:
     simply never observed.  At an odd number the target is uniform and the
     kernel is 1/2 on every triple.
     """
+    from .backward import BINARY, LambdaSpace, Wing, collider_model, entry_table
+    from .dist import RATIONAL
+
     wings = (
         Wing("a1", "alpha1", BINARY, Fraction(1, 2)),
         Wing("a2", "alpha2", BINARY, Fraction(1, 2)),

@@ -16,9 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
 
 #: Valid Bell-pair labels.  Measured with A(alpha) = cos(alpha) Z + sin(alpha) X,
 #: outcome +1 on |0>: 1 is Phi+ = (|00> + |11>)/sqrt(2), 2 is Psi- =
@@ -64,30 +61,6 @@ def bell_prob(state: int, a1: int, a2: int, alpha1: float, alpha2: float) -> flo
     _check_outcome(a1)
     _check_outcome(a2)
     return 0.25 * (1.0 + a1 * a2 * bell_expectation(state, alpha1, alpha2))
-
-
-#: ``a1 * a2`` times the sign :func:`bell_expectation` puts on the cosine, per
-#: (outcome pair, state): rows are the pairs (1, 1), (1, -1), (-1, 1),
-#: (-1, -1), columns the states 1 to 4.
-_BELL_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
-
-
-def bell_table(points: Iterable[Sequence[float]]) -> np.ndarray:
-    """:func:`bell_prob` over many angle pairs: ``P[point, pair, state - 1]``.
-
-    Outcome pairs run (1, 1), (1, -1), (-1, 1), (-1, -1).  Every entry equals
-    the scalar call bit for bit: the two cosines of a point come from
-    ``math.cos`` (``np.cos`` may differ from libm in the last ulp), and the
-    arithmetic after them is the scalar formula's, with ``a1 * a2`` times the
-    cosine's sign exactly +/-1.
-    """
-    cosines = []
-    for alpha1, alpha2 in points:
-        alpha1, alpha2 = _check_angle(alpha1), _check_angle(alpha2)
-        c_diff, c_sum = math.cos(alpha1 - alpha2), math.cos(alpha1 + alpha2)
-        cosines.append((c_diff, c_diff, c_sum, c_sum))
-    c = np.array(cosines, dtype=float).reshape(-1, 1, 4)
-    return 0.25 * (1.0 + _BELL_SIGNS * c)
 
 
 def bell_expectation(state: int, alpha1: float, alpha2: float) -> float:

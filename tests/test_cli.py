@@ -211,6 +211,28 @@ class TestChshCommand:
         assert run(capsys, "chsh", "--model", "bell", *angles, "--resolution", "4") == \
             run(capsys, "chsh", "--model", "bell", *angles)
 
+    @pytest.mark.parametrize("flags", [
+        ("--model", "bell"), ("--model", "prbox"), ("--angles", "nan"),
+        ("--settings", "9"), ("--scan",), ("--state", "2"),
+    ], ids=" ".join)
+    def test_lhv_with_a_mode_flag_is_usage_error(self, capsys, flags):
+        code, out, err = run(capsys, "chsh", "--lhv", *flags)
+        assert (code, out) == (2, "")
+        assert err == (f"error: --lhv enumerates the deterministic strategies; {flags[0]} "
+                       "does not apply\n")
+
+    @pytest.mark.parametrize("state", ["1", "4"])
+    def test_state_with_prbox_is_usage_error(self, capsys, state):
+        code, out, err = run(capsys, "chsh", "--model", "prbox", "--state", state)
+        assert (code, out, err) == (2, "", "error: prbox has no Bell state; --state is for bell\n")
+
+    @pytest.mark.parametrize("mode", [("--angles", "0,1,2,3"), ("--scan", "--resolution", "8")])
+    def test_omitted_state_is_state_1(self, capsys, mode):
+        code, out, err = run(capsys, "chsh", "--model", "bell", *mode)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["state"] == 1
+        assert run(capsys, "chsh", "--model", "bell", "--state", "1", *mode) == (code, out, err)
+
     def test_angles_with_prbox_is_usage_error(self, capsys):
         code, _, _ = run(
             capsys, "chsh", "--model", "prbox", "--angles", "0,1,2,3"
@@ -338,6 +360,7 @@ class TestSampleCommand:
             "--seed", "1", "--cap-factor", "1",
         )
         assert code == 3
+        assert err.startswith("sampling failure: ")
         assert "accepted only" in err
 
     def test_angle_flags_with_ghz_is_usage_error(self, capsys):
