@@ -111,15 +111,13 @@ def strategy_chsh_value(strategy: DeterministicStrategy) -> int:
     return chsh_value(strategy.correlation, ChshConfig(0, 1, 0, 1))
 
 
-def lhv_max_chsh(c: ChshConfig | None = None) -> int:
+def lhv_max_chsh() -> int:
     """Maximum CHSH value over deterministic strategies: exactly 2.
 
     Deterministic strategies are the extreme points of locally causal,
     setting-independent models, so this integer enumeration is the full
-    bound.  The configuration argument only labels the setting slots and
-    does not affect the value.
+    bound, whatever angles the four setting slots stand for.
     """
-    del c  # settings only name the slots; the extremal value is universal
     return max(strategy_chsh_value(s) for s in enumerate_strategies())
 
 

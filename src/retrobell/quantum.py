@@ -115,11 +115,10 @@ def pr_prob(a1: int, a2: int, s1: int, s2: int) -> Fraction:
     return Fraction(0)
 
 
-def wing_marginal(a: int, setting=None) -> Fraction:
+def wing_marginal(a: int) -> Fraction:
     """Single-wing outcome probability: exactly 1/2, independent of setting.
 
-    Every maximally entangled target in scope has uniform wing marginals;
-    the setting argument is accepted for signature uniformity and ignored.
+    Every maximally entangled target in scope has uniform wing marginals.
     """
     _check_outcome(a)
     return Fraction(1, 2)

@@ -39,8 +39,9 @@ from typing import Sequence
 import numpy as np
 
 from .backward import BackwardModel
-from .chsh import ChshConfig
-from .dist import FLOAT, make_joint, tv_distance
+from .chsh import ChshConfig, chsh_value
+from .dist import FLOAT, _normalized, _running_sum
+from .dist import make_joint  # noqa: F401 (bench/tracing.py patches this name)
 from .reports import jsonable
 
 RNG_ALGORITHM = "philox4x64"
@@ -84,23 +85,28 @@ class RunRecord:
     index: int = 0
 
 
-def make_rng(seed, shard: int | None = None) -> np.random.Generator:
-    """Philox generator for a 64-bit seed, optionally for one shard.
+def _seed_sequence(seed, shard: int | None = None) -> np.random.SeedSequence:
+    """The seed sequence of a 64-bit seed (or of a seed sequence), optionally
+    the child for one shard.
 
-    Shard streams are derived through the seed sequence's spawn keys, so
-    they are mutually independent and reproducible without shared state.
+    Children extend the root's spawn key, so they are mutually independent
+    and reproducible without shared state.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        root = seed
-    else:
-        root = np.random.SeedSequence(int(seed))
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(int(seed))
     if shard is None:
-        ss = root
-    else:
-        ss = np.random.SeedSequence(
-            entropy=root.entropy, spawn_key=root.spawn_key + (int(shard),)
-        )
-    return np.random.Generator(np.random.Philox(ss))
+        return seed
+    return np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key + (int(shard),))
+
+
+def _shown_seed(seed):
+    """The seed as a report shows it: a seed sequence by its ``str``."""
+    return str(seed) if isinstance(seed, np.random.SeedSequence) else seed
+
+
+def make_rng(seed, shard: int | None = None) -> np.random.Generator:
+    """Philox generator for a 64-bit seed, optionally for one shard."""
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, shard)))
 
 
 def _sampling_tables(model: BackwardModel, settings: tuple):
@@ -226,6 +232,15 @@ def _worker_count(shards: int) -> int:
     return min(shards, cpus)
 
 
+def _correlation_z(observed: float, exact: float, runs: int) -> float:
+    """z-score of a mean +/-1 outcome product over ``runs`` runs against its
+    exact value, whose variance per run is ``1 - exact**2``."""
+    var = 1.0 - exact * exact
+    if var > 0.0:
+        return (observed - exact) * math.sqrt(runs / var)
+    return 0.0 if observed == exact else math.inf
+
+
 def _cell_z(count: int, n: int, p: float) -> float:
     """Binomial z-score of a cell count against its exact probability."""
     if p <= 0.0 or p >= 1.0:
@@ -334,13 +349,10 @@ def sample_postselected(
     quotas = [n // shards + (i < n % shards) for i in range(min(shards, n))]
     caps = [max(1, cap_factor) * q for q in quotas]
 
-    if len(quotas) == 1:
-        rngs = [make_rng(seed)]
-    else:
-        rngs = [make_rng(seed, shard=i) for i in range(len(quotas))]
-
     def shard(i):
-        return _shard_postselect(model, settings, target_idx, quotas[i], caps[i], rngs[i])
+        # a single shard draws from the root stream, several from its children
+        rng = make_rng(seed, None if len(quotas) == 1 else i)
+        return _shard_postselect(model, settings, target_idx, quotas[i], caps[i], rng)
 
     workers = _worker_count(len(quotas))
     if workers == 1:
@@ -349,43 +361,29 @@ def sample_postselected(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             shard_results = list(pool.map(shard, range(len(quotas))))
 
+    counts, _, total, uncond_sum = map(sum, zip(*shard_results))
+
+    # The exact reference is one row of the joint table at these settings;
+    # conditioning raises NullEvidenceError for a label of probability zero.
     combos = model._cells()
-    counts = np.zeros(len(combos), dtype=np.int64)
-    total = 0
-    uncond_sum = 0
-    for c, _accepted, t, s in shard_results:
-        counts += c
-        total += t
-        uncond_sum += s
-
-    exact = model.condition_on_lambda(label, settings)
-    outcome_vars = model.outcome_variables()
-    empirical = make_joint(
-        outcome_vars,
-        {combo: counts[i] / n for i, combo in enumerate(combos) if counts[i]},
-        backend=FLOAT,
-    )
-
-    cells = []
-    max_abs_z = 0.0
-    for i, combo in enumerate(combos):
-        p = float(exact.prob(combo))
-        count = int(counts[i])
-        z = _cell_z(count, n, p)
-        max_abs_z = max(max_abs_z, abs(z))
-        cells.append(
-            {
-                "assignment": combo,
-                "exact_p": p,
-                "empirical_p": count / n,
-                "count": count,
-                "z": z,
-            }
-        )
+    T, M = model._joint(model._tabulate([settings])[1])
+    exact = model._conditioned(T, M, label)[0]
+    exact_p = exact.tolist()
+    cells = [
+        {
+            "assignment": combo,
+            "exact_p": float(p),
+            "empirical_p": count / n,
+            "count": count,
+            "z": _cell_z(count, n, float(p)),
+        }
+        for combo, p, count in zip(combos, exact_p, counts.tolist())
+    ]
+    max_abs_z = max(abs(cell["z"]) for cell in cells)
 
     # Acceptance rate: total draws to reach n acceptances is negative
     # binomial, so gate (p*total - n) / sqrt(n*(1-p)).
-    p_label = float(model.lambda_marginal(settings).prob((label,)))
+    p_label = float(M[0, target_idx])
     if 0.0 < p_label < 1.0:
         z_acc = (p_label * total - n) / math.sqrt(n * (1.0 - p_label))
     else:
@@ -401,11 +399,7 @@ def sample_postselected(
     bias = [float(2 * w.p_plus - 1) for w in model.wings[:2]]
     c0 = bias[0] * bias[1]
     mean_uncond = uncond_sum / total
-    var0 = 1.0 - c0 * c0
-    if var0 > 0.0:
-        z_uncond = (mean_uncond - c0) * math.sqrt(total / var0)
-    else:
-        z_uncond = 0.0 if mean_uncond == c0 else math.inf
+    z_uncond = _correlation_z(mean_uncond, c0, total)
     unconditional = {
         "pair": [model.wings[0].outcome_name, model.wings[1].outcome_name],
         "runs": total,
@@ -414,13 +408,9 @@ def sample_postselected(
         "z": z_uncond,
     }
 
-    e_exact = float(sum(c[0] * c[1] * exact.prob(c) for c in combos))
-    e_emp = float(sum(combos[i][0] * combos[i][1] * counts[i] for i in range(len(combos)))) / n
-    var_e = 1.0 - e_exact * e_exact
-    if var_e > 0.0:
-        z_cond = (e_emp - e_exact) * math.sqrt(n / var_e)
-    else:
-        z_cond = 0.0 if e_emp == e_exact else math.inf
+    e_exact = float(sum(c[0] * c[1] * p for c, p in zip(combos, exact_p)))
+    e_emp = float(sum(c[0] * c[1] * k for c, k in zip(combos, counts.tolist()))) / n
+    z_cond = _correlation_z(e_emp, e_exact, n)
     conditioned = {
         "pair": [model.wings[0].outcome_name, model.wings[1].outcome_name],
         "empirical": e_emp,
@@ -440,11 +430,11 @@ def sample_postselected(
         total_draws=total,
         cap=sum(caps),
         shards=len(quotas),
-        seed=seed if not isinstance(seed, np.random.SeedSequence) else str(seed),
+        seed=_shown_seed(seed),
         rng_algorithm=RNG_ALGORITHM,
         backend=model.backend,
         cells=tuple(cells),
-        tv_distance=float(tv_distance(empirical, exact)),
+        tv_distance=float(_running_sum(abs(_normalized((counts / n)[None], FLOAT)[0] - exact)) / 2),
         max_abs_z=max_abs_z,
         z_gate=Z_GATE,
         acceptance=acceptance,
@@ -495,40 +485,23 @@ def empirical_chsh(
     """
     if n_per_pair <= 0:
         raise ValueError("need a positive sample size per setting pair")
-    root = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(int(seed))
-    )
-    setting_pairs = [
-        (c.alpha1, c.alpha2),
-        (c.alpha1, c.alpha2_prime),
-        (c.alpha1_prime, c.alpha2),
-        (c.alpha1_prime, c.alpha2_prime),
-    ]
-    estimates = []
-    details = []
-    for i, pair in enumerate(setting_pairs):
-        child = np.random.SeedSequence(
-            entropy=root.entropy, spawn_key=root.spawn_key + (i,)
-        )
-        rep = sample_postselected(
-            model, label, pair, n_per_pair, child, cap_factor=cap_factor
-        )
+    pairs = []
+
+    def correlation(s1, s2):
+        # the i-th pair chsh_value asks for samples with child seed i
+        rep = sample_postselected(model, label, (s1, s2), n_per_pair,
+                                  _seed_sequence(seed, len(pairs)), cap_factor=cap_factor)
         e_hat = rep.conditioned_correlation["empirical"]
         se = math.sqrt(max(0.0, 1.0 - e_hat * e_hat) / n_per_pair)
-        estimates.append((e_hat, se))
-        details.append(
-            {"settings": pair, "E": e_hat, "stderr": se, "n": n_per_pair}
-        )
-    (e_ab, s1), (e_abp, s2), (e_apb, s3), (e_apbp, s4) = estimates
-    value = abs(e_ab - e_abp) + abs(e_apb + e_apbp)
-    stderr = math.sqrt(s1 * s1 + s2 * s2 + s3 * s3 + s4 * s4)
+        pairs.append({"settings": (s1, s2), "E": e_hat, "stderr": se, "n": n_per_pair})
+        return e_hat
+
+    value = chsh_value(correlation, c)
     return EmpiricalChshReport(
         value=value,
-        stderr=stderr,
+        stderr=math.sqrt(sum(p["stderr"] * p["stderr"] for p in pairs)),
         n_per_pair=n_per_pair,
-        seed=seed if not isinstance(seed, np.random.SeedSequence) else str(seed),
+        seed=_shown_seed(seed),
         config=c.as_tuple(),
-        pairs=tuple(details),
+        pairs=tuple(pairs),
     )

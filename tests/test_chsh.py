@@ -67,10 +67,6 @@ class TestLhvMax:
         assert value == 2
         assert isinstance(value, int)
 
-    def test_two_for_any_configuration(self):
-        assert lhv_max_chsh(STANDARD_BELL_CONFIG) == 2
-        assert lhv_max_chsh(ChshConfig(0.1, 0.2, 0.3, 0.4)) == 2
-
     def test_sixteen_strategies(self):
         assert len(enumerate_strategies()) == 16
 

@@ -207,7 +207,7 @@ class TestPrProb:
 class TestWingMarginal:
     def test_half_for_both_outcomes(self):
         assert wing_marginal(1) == Fraction(1, 2)
-        assert wing_marginal(-1, 0.37) == Fraction(1, 2)
+        assert wing_marginal(-1) == Fraction(1, 2)
 
     def test_sums_to_one(self):
         assert wing_marginal(1) + wing_marginal(-1) == 1

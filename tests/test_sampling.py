@@ -26,6 +26,7 @@ from retrobell import (
     sample_postselected,
     sample_run,
 )
+from retrobell.dist import FLOAT, expectation, make_joint, tv_distance
 
 PI = math.pi
 SETTINGS = (0.0, PI / 3)
@@ -153,6 +154,66 @@ class TestPostselection:
             sample_postselected(bell_model, "nosuch", SETTINGS, 10, 1)
         with pytest.raises(ValueError):
             sample_postselected(bell_model, "lambda1", SETTINGS, 10, 1, shards=0)
+
+
+def zero_cell_model():
+    """Float model whose label L1 never meets outcome (+1, +1)."""
+    wings = (Wing("a1", "s1", ANGLE, 0.5), Wing("a2", "s2", ANGLE, 0.25))
+
+    def kernel(outcomes, settings, label):
+        p = 0.0 if outcomes == (1, 1) else 0.3 + 0.1 * math.cos(settings[0] - settings[1])
+        return p if label == "L1" else 1.0 - p
+
+    return BackwardModel(
+        name="zero-cell",
+        wings=wings,
+        lam=LambdaSpace(("L1", "L2"), (0.5, 0.5)),
+        kernel=ColliderKernel(("L1", "L2"), entry_table(kernel, ("L1", "L2"))),
+        backend="float",
+    )
+
+
+#: (model, settings, label) where the report's exact numbers are compared
+#: with the public ``Joint`` API; -0.0 is the counterexample's sign boundary.
+EXACT_CASES = [
+    ("bell", (0.0, PI / 3), "lambda1"),
+    ("bell", (1.3, 4.9), "lambda2"),
+    ("bell", (2.2, 2.2), "lambda3"),
+    ("bell", (5.7, 0.4), "lambda4"),
+    ("counterexample", (0.3, -0.0), "lambda1"),
+    ("counterexample", (0.3, -0.0), "lambda_bar"),
+    ("counterexample", (1.1, 0.0), "lambda1"),
+    ("ghz", (0, 1, 1), "lambda0"),
+    ("ghz", (1, 1, 1), "lambda_bar"),
+    ("prbox", (1, 1), "lambda_pr"),
+    ("prbox", (0, 1), "lambda_bar"),
+    ("zero-cell", (0.4, 1.7), "L1"),
+    ("zero-cell", (0.4, 1.7), "L2"),
+]
+
+
+@pytest.mark.parametrize("name, settings, label", EXACT_CASES)
+def test_exact_reference_matches_joint_api(
+    name, settings, label, bell_model, ghz_model, pr_model, counterexample_model
+):
+    model = {"bell": bell_model, "ghz": ghz_model, "prbox": pr_model,
+             "counterexample": counterexample_model, "zero-cell": zero_cell_model()}[name]
+    n = 3_001
+    rep = sample_postselected(model, label, settings, n, 17)
+    exact = model.condition_on_lambda(label, settings)
+    assert [c["exact_p"] for c in rep.cells] == [
+        float(exact.prob(c["assignment"])) for c in rep.cells]
+    assert rep.acceptance["expected_rate"] == float(
+        model.lambda_marginal(settings).prob((label,)))
+    empirical = make_joint(
+        model.outcome_variables(),
+        {c["assignment"]: c["count"] / n for c in rep.cells if c["count"]},
+        backend=FLOAT,
+    )
+    assert rep.tv_distance == float(tv_distance(empirical, exact))
+    a1, a2 = (w.outcome_name for w in model.wings[:2])
+    assert rep.conditioned_correlation["exact"] == float(
+        expectation(exact, lambda v: v[a1] * v[a2]))
 
 
 class TestShardWorkers:

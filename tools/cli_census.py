@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Byte-identity census of the CLI: one JSON line per command.
+
+Runs a fixed list of argvs in-process through ``retrobell.cli.main`` and
+prints, for each, the exit code and the SHA-256 of its stdout and stderr.
+Two source trees produce the same output exactly when every command's bytes
+agree, so checking a change against its parent is a ``diff``:
+
+    python3 tools/cli_census.py --src /path/to/parent/src > parent.jsonl
+    python3 tools/cli_census.py > change.jsonl
+    diff parent.jsonl change.jsonl
+
+``--src`` defaults to the ``src/`` next to this script.  The argvs are every
+command of the benchmark's three workloads at seeds 1-3, each output format,
+``sample`` on every model at 1-3 threads, a cap failure and the usage-error
+paths.  A full census takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: ``sample`` flags per model: a label and settings, with -0.0 where the
+#: counterexample's sign convention tells it from 0.0.
+SAMPLE_ARGS = {
+    "bell": ("--label", "2", "--alpha1", "0.3", "--alpha2", "1.1"),
+    "counterexample": ("--label", "1", "--alpha1", "0.3", "--alpha2", "-0.0"),
+    "ghz": ("--label", "bar", "--settings", "0,1,1"),
+    "prbox": ("--label", "pr", "--settings", "1,1"),
+}
+
+#: Commands run once in each output format.
+FORMATTED = [
+    ("verify", "--model", "bell", "--grid", "8"),
+    ("verify", "--model", "counterexample", "--grid", "8"),
+    ("verify", "--model", "ghz", "--backend", "rational"),
+    ("chsh", "--lhv"),
+    ("chsh", "--model", "prbox", "--settings", "1,0,0,1"),
+    ("chsh", "--model", "bell", "--state", "2", "--angles", "0.1,1.2,0.7,2.9"),
+    ("chsh", "--model", "bell", "--state", "3", "--scan", "--resolution", "8"),
+    ("ghz-exhaust", "--list-near-misses"),
+] + [("sample", "--model", m) + a + ("--n", "2000", "--seed", "4") for m, a in SAMPLE_ARGS.items()]
+
+SAMPLE_BELL = ("sample", "--model", "bell") + SAMPLE_ARGS["bell"]
+
+#: Bad input: each exits 2 with a message, or 3 for the sampling cap.
+FAILING = [
+    (),
+    ("nosuch",),
+    ("--config", "/nonexistent/census.cfg", "verify", "--model", "bell"),
+    ("verify", "--model", "bell", "--grid", "0"),
+    ("verify", "--model", "bell", "--checks", "bogus"),
+    ("verify", "--model", "bell", "--backend", "rational"),
+    ("chsh", "--lhv", "--model", "bell"),
+    ("chsh", "--model", "prbox", "--state", "1"),
+    ("chsh", "--model", "bell", "--state", "1", "--scan", "--resolution", "7"),
+    ("chsh", "--model", "bell", "--state", "1", "--angles", "1,2,3"),
+    ("ghz-exhaust", "--backend", "float"),
+    ("emit-curve", "--points", "1"),
+    ("emit-curve", "--points", "100001"),
+    SAMPLE_BELL + ("--n", "0"),
+    SAMPLE_BELL + ("--n", "ten"),
+    SAMPLE_BELL + ("--n", "10", "--threads", "0"),
+    SAMPLE_BELL + ("--n", "10", "--threads", "257"),
+    SAMPLE_BELL + ("--n", "10", "--cap-factor", "0"),
+    SAMPLE_BELL + ("--n", "10", "--seed", "-1"),
+    SAMPLE_BELL + ("--n", "10", "--settings", "0,1"),
+    ("sample", "--model", "bell", "--label", "9", "--alpha1", "0", "--alpha2", "0", "--n", "10"),
+    ("sample", "--model", "bell", "--label", "1", "--alpha1", "nan", "--alpha2", "0", "--n", "10"),
+    ("sample", "--model", "bell", "--label", "1", "--alpha1", "0", "--n", "10"),
+    ("sample", "--model", "ghz", "--label", "0", "--settings", "0,1", "--n", "10"),
+    ("sample", "--model", "ghz", "--label", "0", "--settings", "0,2,1", "--n", "10"),
+    ("sample", "--model", "ghz", "--label", "0", "--alpha1", "0", "--n", "10"),
+    ("sample", "--model", "ghz", "--label", "0", "--settings", "0,1,1", "--n", "10",
+     "--backend", "float"),
+    SAMPLE_BELL + ("--n", "1000", "--cap-factor", "1", "--seed", "1"),
+]
+
+
+def argvs() -> list[tuple[str, ...]]:
+    """The census commands, in a fixed order and without repeats."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import WORKLOADS
+
+    commands = [cmd.argv for seed in (1, 2, 3)
+                for workload in WORKLOADS.values() for cmd in workload(seed)]
+    commands += [argv + ("--format", fmt) for argv in FORMATTED
+                 for fmt in ("json", "csv", "human")]
+    commands += [("sample", "--model", m) + a + ("--n", "50000", "--seed", "9", "--threads", t)
+                 for m, a in SAMPLE_ARGS.items() for t in ("1", "2", "3")]
+    commands += FAILING
+    return list(dict.fromkeys(commands))
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def run(argv) -> dict:
+    """Exit code and output digests of one in-process CLI command."""
+    from retrobell import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return {"argv": list(argv), "exit": code,
+            "stdout": _digest(out.getvalue()), "stderr": _digest(err.getvalue())}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="source tree holding the retrobell package")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    # the sampler's default seed comes from the environment
+    os.environ.pop("RETROBELL_SEED", None)
+    for command in argvs():
+        print(json.dumps(run(command)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
