@@ -49,7 +49,6 @@ from .dist import (
     Variable,
     _normalized,
     _running_sum,
-    condition,
     make_joint,  # bench/tracing.py counts make_joint calls through this name
     marginalize,
 )
@@ -158,6 +157,8 @@ class ColliderKernel:
         """
         if label not in self.labels:
             raise ConstructionError(f"unknown lambda label {label!r}")
+        if len(outcomes) != len(settings):
+            raise ConstructionError(f"{len(outcomes)} outcomes for {len(settings)} settings")
         cell = list(itertools.product(OUTCOMES, repeat=len(outcomes))).index(tuple(outcomes))
         value = self.table([tuple(settings)])[0][cell][self.labels.index(label)]
         return value.item() if isinstance(value, np.generic) else value
@@ -257,9 +258,9 @@ class BackwardModel:
         Raises the conditioning-on-null error when the label has zero
         probability at these settings.
         """
-        if label not in self.lam.labels:
-            raise ConstructionError(f"unknown lambda label {label!r}")
-        return condition(self.assemble_joint(settings), {LAMBDA: label})
+        P = self._conditioned(*self._joint(self._tabulate([settings])[1]), label)[0]
+        variables = self.outcome_variables()
+        return Joint(variables, P.reshape([len(v.domain) for v in variables]), self.backend)
 
     # -- checked properties --------------------------------------------------
     # Each check tabulates the kernel once over its grid and reduces the
@@ -297,7 +298,7 @@ class BackwardModel:
         return T, _running_sum(T, axis=1)
 
     def _conditioned(self, T: np.ndarray, M: np.ndarray, label: str) -> np.ndarray:
-        """P(cell | settings, label) at every point, as :meth:`condition_on_lambda`."""
+        """P(cell | settings, label) at every point, the label-conditioned outcome table."""
         if label not in self.lam.labels:
             raise ConstructionError(f"unknown lambda label {label!r}")
         at = self.lam.labels.index(label)
@@ -432,6 +433,8 @@ class BackwardModel:
         """
         settings = self.check_settings(settings)
         outcomes = tuple(outcomes)
+        if outcomes not in self._cells():
+            raise ConstructionError(f"outcomes {outcomes!r} are not a cell of {self.name}")
         cond = self.condition_on_lambda(label, settings)
         joint_p = cond.prob(outcomes)
         product: Prob = 1
@@ -543,6 +546,19 @@ def collider_model(name: str, wings: tuple[Wing, ...], lam: LambdaSpace, targets
 
     kernel = ColliderKernel(lam.labels, table, normalization)
     return BackwardModel(name, wings, lam, kernel, backend, targets, target_table)
+
+
+def _binary_collider(name: str, wings: int, labels: tuple, prob: Callable) -> BackwardModel:
+    """A rational collider over ``wings`` binary wings at marginal 1/2.
+
+    The first label, at prior 1/2, recovers ``prob(*cell, *settings)``; the
+    second takes the rest of each kernel row.
+    """
+    half = Fraction(1, 2)
+    wing_list = tuple(Wing(f"a{i}", f"alpha{i}", BINARY, half) for i in range(1, wings + 1))
+    lam = LambdaSpace(labels, (half, half))
+    target = entry_table(lambda cell, settings, _: prob(*cell, *settings), labels[:1])
+    return collider_model(name, wing_list, lam, labels[:1], target, RATIONAL)
 
 
 #: ``a1 * a2`` times the sign ``quantum.bell_expectation`` puts on the cosine, per

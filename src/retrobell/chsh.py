@@ -29,11 +29,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
 from .quantum import bell_expectation, pr_prob
-from .reports import jsonable
+from .reports import fields_json, jsonable
 
 if TYPE_CHECKING:
     from .backward import BackwardModel
@@ -125,22 +124,14 @@ def lhv_max_chsh() -> int:
 class ScanReport:
     """Result of a dense CHSH angle scan for one Bell pair."""
 
-    state: int
     max_value: float
     argmax: tuple[float, float, float, float]
     bound: float
     resolution: int
     configs_scanned: int
+    state: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "max_S": float(self.max_value),
-            "argmax": [float(a) for a in self.argmax],
-            "bound": float(self.bound),
-            "resolution": int(self.resolution),
-            "configs_scanned": int(self.configs_scanned),
-            "state": int(self.state),
-        }
+    to_json_dict = fields_json(max_value="max_S")
 
 
 def quantum_chsh_scan(state: int, resolution: int = 16) -> ScanReport:
@@ -225,16 +216,9 @@ def pr_backward_model() -> BackwardModel:
     deterministic kernel: normalization (1/2)/(1/4) = 2 turns the box's
     1/2-or-0 probabilities into 0/1.
     """
-    from .backward import BINARY, LambdaSpace, Wing, collider_model, entry_table
-    from .dist import RATIONAL
+    from .backward import _binary_collider
 
-    wings = (
-        Wing("a1", "alpha1", BINARY, Fraction(1, 2)),
-        Wing("a2", "alpha2", BINARY, Fraction(1, 2)),
-    )
-    lam = LambdaSpace(PR_LABELS, (Fraction(1, 2), Fraction(1, 2)))
-    target = entry_table(lambda cell, settings, _: pr_prob(*cell, *settings), ("lambda_pr",))
-    return collider_model("prbox", wings, lam, ("lambda_pr",), target, RATIONAL)
+    return _binary_collider("prbox", 2, PR_LABELS, pr_prob)
 
 
 def reference_bounds() -> dict:

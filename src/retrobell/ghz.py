@@ -12,15 +12,14 @@ proof that no fixed assignment of per-axis values (x_i for axis 0, y_i for
 axis 1, each +/-1) satisfies all four GHZ product constraints at once.  The
 constraints are the GHZ state's perfect correlations: the outcome product is
 +1 at xxx and -1 at each setting with two y axes.  That classical side loads
-without numpy; :func:`ghz_backward_model` imports ``backward`` and ``dist``
-when it is called.
+without numpy; :func:`ghz_backward_model` imports ``backward`` when it is
+called.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .quantum import AXES, OUTCOMES, ghz_prob
@@ -58,18 +57,9 @@ def ghz_backward_model() -> BackwardModel:
     simply never observed.  At an odd number the target is uniform and the
     kernel is 1/2 on every triple.
     """
-    from .backward import BINARY, LambdaSpace, Wing, collider_model, entry_table
-    from .dist import RATIONAL
+    from .backward import _binary_collider
 
-    wings = (
-        Wing("a1", "alpha1", BINARY, Fraction(1, 2)),
-        Wing("a2", "alpha2", BINARY, Fraction(1, 2)),
-        Wing("a3", "alpha3", BINARY, Fraction(1, 2)),
-    )
-    lam = LambdaSpace(GHZ_LABELS, (Fraction(1, 2), Fraction(1, 2)))
-    # normalization 4: prior (1/2) over the product of wing marginals (1/8)
-    target = entry_table(lambda cell, settings, _: ghz_prob(*cell, *settings), ("lambda0",))
-    return collider_model("ghz", wings, lam, ("lambda0",), target, RATIONAL)
+    return _binary_collider("ghz", 3, GHZ_LABELS, ghz_prob)
 
 
 def ghz_settings_grid() -> list[tuple]:

@@ -8,7 +8,8 @@ falsified claim is diagnosable rather than just red.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Mapping
 
@@ -23,7 +24,7 @@ def as_number(x):
         if x.denominator == 1:
             return int(x)
         return float(x)
-    if isinstance(x, bool) or isinstance(x, int):
+    if isinstance(x, numbers.Integral):
         return int(x)
     return float(x)
 
@@ -39,10 +40,20 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, (Fraction, float, int)):
+    if isinstance(obj, numbers.Real):
         x = as_number(obj)
         return x if not isinstance(x, float) or math.isfinite(x) else str(x)
     return obj
+
+
+def fields_json(**renames):
+    """A ``to_json_dict`` method writing each dataclass field, in field
+    order and through :func:`jsonable`, under its name or its rename."""
+
+    def to_json_dict(self) -> dict:
+        return {renames.get(f.name, f.name): jsonable(getattr(self, f.name)) for f in fields(self)}
+
+    return to_json_dict
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .backward import BackwardModel
 from .chsh import ChshConfig, chsh_value
 from .dist import FLOAT, _normalized, _running_sum
 from .dist import make_joint  # noqa: F401 (bench/tracing.py patches this name)
-from .reports import jsonable
+from .reports import fields_json
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -109,15 +109,15 @@ def make_rng(seed, shard: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_seed_sequence(seed, shard)))
 
 
-def _sampling_tables(model: BackwardModel, settings: tuple):
-    """Float lookup tables driving both scalar and batched sampling.
+def _sampling_tables(model: BackwardModel, K: np.ndarray):
+    """Float lookup tables driving both scalar and batched sampling, from the
+    one-point kernel tensor ``K`` of ``model._tabulate``.
 
     Returns the per-wing P(+1) vector, the canonical outcome combos, and the
     per-combo cumulative kernel rows (last entry forced to 1.0 so that a
     uniform draw always lands on a label).
     """
     p_plus = np.array([float(w.p_plus) for w in model.wings], dtype=float)
-    _, K = model._tabulate([settings])
     cum = np.cumsum(K[0].astype(float), axis=1)
     cum[:, -1] = 1.0
     return p_plus, model._cells(), cum
@@ -147,7 +147,7 @@ def sample_run(
     key = repr(settings)
     held_model, held_key, tables = _run_tables
     if held_model is not model or held_key != key:
-        tables = _sampling_tables(model, settings)
+        tables = _sampling_tables(model, model._tabulate([settings])[1])
         _run_tables = (model, key, tables)
     p_plus, combos, cum = tables
     outcomes = tuple(
@@ -173,7 +173,7 @@ def _label_bounds(cum: np.ndarray, target_idx: int) -> tuple[np.ndarray, np.ndar
     return padded[:, target_idx].copy(), padded[:, target_idx + 1].copy()
 
 
-def _shard_postselect(model, settings, target_idx, quota, cap, rng):
+def _shard_postselect(model, tables, target_idx, quota, cap, rng):
     """Accept ``quota`` runs with the target label, or raise at the cap.
 
     Returns (counts per outcome combo, accepted, total draws, sum of the
@@ -182,7 +182,7 @@ def _shard_postselect(model, settings, target_idx, quota, cap, rng):
     sampler would have seen.
     """
     n_wings = len(model.wings)
-    p_plus, combos, cum = _sampling_tables(model, settings)
+    p_plus, combos, cum = tables
     lo, hi = _label_bounds(cum, target_idx)
     n_cells = len(combos)
 
@@ -273,28 +273,7 @@ class SampleReport:
     conditioned_correlation: dict
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "label": self.label,
-            "settings": jsonable(self.settings),
-            "requested": int(self.requested),
-            "accepted": int(self.accepted),
-            "total_draws": int(self.total_draws),
-            "cap": int(self.cap),
-            "shards": int(self.shards),
-            "seed": jsonable(self.seed),
-            "rng": self.rng_algorithm,
-            "backend": self.backend,
-            "cells": jsonable(list(self.cells)),
-            "tv_distance": float(self.tv_distance),
-            "max_abs_z": jsonable(float(self.max_abs_z)),
-            "z_gate": float(self.z_gate),
-            "acceptance": jsonable(self.acceptance),
-            "unconditional": jsonable(self.unconditional),
-            "conditioned_correlation": jsonable(self.conditioned_correlation),
-            "pass": bool(self.passed),
-        }
+    to_json_dict = fields_json(rng_algorithm="rng", passed="pass")
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n"
@@ -345,6 +324,8 @@ def sample_postselected(
         raise ValueError(f"unknown label {label!r}")
     target_idx = model.lam.labels.index(label)
 
+    _, K = model._tabulate([settings])
+    tables = _sampling_tables(model, K)
     # shards beyond n would get no runs, so only min(shards, n) quotas exist
     quotas = [n // shards + (i < n % shards) for i in range(min(shards, n))]
     caps = [max(1, cap_factor) * q for q in quotas]
@@ -352,7 +333,7 @@ def sample_postselected(
     def shard(i):
         # a single shard draws from the root stream, several from its children
         rng = make_rng(seed, None if len(quotas) == 1 else i)
-        return _shard_postselect(model, settings, target_idx, quotas[i], caps[i], rng)
+        return _shard_postselect(model, tables, target_idx, quotas[i], caps[i], rng)
 
     workers = _worker_count(len(quotas))
     if workers == 1:
@@ -363,10 +344,10 @@ def sample_postselected(
 
     counts, _, total, uncond_sum = map(sum, zip(*shard_results))
 
-    # The exact reference is one row of the joint table at these settings;
+    # The exact reference is one row of the joint of the sampled tensor;
     # conditioning raises NullEvidenceError for a label of probability zero.
     combos = model._cells()
-    T, M = model._joint(model._tabulate([settings])[1])
+    T, M = model._joint(K)
     exact = model._conditioned(T, M, label)[0]
     exact_p = exact.tolist()
     cells = [
@@ -452,19 +433,11 @@ class EmpiricalChshReport:
     stderr: float
     n_per_pair: int
     seed: object
+    rng_algorithm: str
     config: tuple
     pairs: tuple[dict, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "S": float(self.value),
-            "stderr": float(self.stderr),
-            "n_per_pair": int(self.n_per_pair),
-            "seed": jsonable(self.seed),
-            "rng": RNG_ALGORITHM,
-            "config": jsonable(self.config),
-            "pairs": jsonable(list(self.pairs)),
-        }
+    to_json_dict = fields_json(value="S", rng_algorithm="rng")
 
 
 def empirical_chsh(
@@ -502,6 +475,7 @@ def empirical_chsh(
         stderr=math.sqrt(sum(p["stderr"] * p["stderr"] for p in pairs)),
         n_per_pair=n_per_pair,
         seed=_shown_seed(seed),
+        rng_algorithm=RNG_ALGORITHM,
         config=c.as_tuple(),
         pairs=tuple(pairs),
     )

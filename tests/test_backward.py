@@ -436,3 +436,19 @@ class TestColliderModel:
         with pytest.raises(ConstructionError, match="target table"):
             BackwardModel("x", model.wings, model.lam, model.kernel, "rational",
                           ("lambda_box",))
+
+
+class TestMalformedOutcomes:
+    @pytest.mark.parametrize("outcomes", [(1,), (1, 1, 1), (), (2, 1)])
+    def test_witness_rejects_a_non_cell(self, bell_model, outcomes):
+        with pytest.raises(ConstructionError, match="not a cell"):
+            bell_model.lc_violation_witness("lambda1", (0.0, 0.0), outcomes)
+
+    def test_witness_rejects_a_non_cell_of_three_wings(self, ghz_model):
+        with pytest.raises(ConstructionError, match="not a cell"):
+            ghz_model.lc_violation_witness("lambda0", (0, 1, 1), (1, 1))
+
+    @pytest.mark.parametrize("outcomes", [(1,), (1, 1, 1)])
+    def test_kernel_entry_needs_one_outcome_per_setting(self, bell_model, outcomes):
+        with pytest.raises(ConstructionError, match="outcomes for 2 settings"):
+            bell_model.kernel.probability(outcomes, (0.0, 0.0), "lambda1")

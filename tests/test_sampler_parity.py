@@ -35,7 +35,7 @@ PI = math.pi
 
 def reference_shard_postselect(model, settings, target_idx, quota, cap, rng):
     n_wings = len(model.wings)
-    p_plus, combos, cum = sampling._sampling_tables(model, settings)
+    p_plus, combos, cum = sampling._sampling_tables(model, model._tabulate([settings])[1])
     pow2 = np.array([2 ** (n_wings - 1 - i) for i in range(n_wings)], dtype=int)
 
     counts = np.zeros(len(combos), dtype=np.int64)
@@ -87,7 +87,8 @@ def assert_parity(model, settings, label, quota, cap, rng_factory):
     target_idx = model.lam.labels.index(label)
     args = (model, settings, target_idx, quota, cap)
     expected = outcome(reference_shard_postselect, *args, rng_factory())
-    got = outcome(sampling._shard_postselect, *args, rng_factory())
+    tables = sampling._sampling_tables(model, model._tabulate([settings])[1])
+    got = outcome(sampling._shard_postselect, model, tables, *args[2:], rng_factory())
     assert got == expected
     return got
 
@@ -150,7 +151,7 @@ def test_final_hit_on_last_run_of_a_batch(bell_model):
     # find a seed whose first batch ends with a hit; a quota of exactly that
     # batch's hits then stops on its last run
     settings = bell_model.check_settings((0.0, PI / 3))
-    _, _, cum = sampling._sampling_tables(bell_model, settings)
+    _, _, cum = sampling._sampling_tables(bell_model, bell_model._tabulate([settings])[1])
     b = sampling.BATCH_RUNS
     for seed in range(100):
         u = make_rng(seed).random((b, 3))
@@ -258,7 +259,7 @@ def odd_model(p_plus):
 @pytest.mark.parametrize("label", ["L0", "L1", "L2", "L3"])
 def test_odd_kernels(p_plus, settings, label):
     model = odd_model(p_plus)
-    _, _, cum = sampling._sampling_tables(model, settings)
+    _, _, cum = sampling._sampling_tables(model, model._tabulate([settings])[1])
     assert np.isnan(cum).any() and (np.diff(cum, axis=1) < 0).any() and (cum > 1).any()
     for seed in (3, 4):
         assert_parity(model, settings, label, 20_000, 200_000, lambda: make_rng(seed))
@@ -280,5 +281,6 @@ def test_sample_run_loop_matches_batched_sampler_on_odd_kernels(p_plus):
             hits += 1
             counts[cells.index(run.outcomes)] += 1
     expected = (counts, quota, total, product_sum)
-    assert outcome(sampling._shard_postselect, model, settings, 1, quota,
+    tables = sampling._sampling_tables(model, model._tabulate([settings])[1])
+    assert outcome(sampling._shard_postselect, model, tables, 1, quota,
                    100 * quota, make_rng(3)) == expected

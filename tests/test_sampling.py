@@ -418,3 +418,19 @@ class TestStrictJson:
         assert doc["acceptance"]["z"] == "-inf"
         assert doc["unconditional"]["z"] == "nan"
         assert doc["cells"][1] == json.loads(rep.to_json_text())["cells"][1]
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_sample_tabulates_the_kernel_once(bell_model, monkeypatch, shards):
+    # the shards' cumulative rows and the exact reference share one tensor
+    calls = []
+    tabulate = type(bell_model)._tabulate
+
+    def counted(model, grid):
+        calls.append(grid)
+        return tabulate(model, grid)
+
+    monkeypatch.setattr(type(bell_model), "_tabulate", counted)
+    rep = sample_postselected(bell_model, "lambda1", SETTINGS, 3000, 2, shards=shards)
+    assert rep.shards == shards
+    assert len(calls) == 1
