@@ -35,8 +35,7 @@ _EXPORTS = {
     "dist": (
         "FLOAT", "FLOAT_TOL", "RATIONAL", "ConstructionError", "DistributionError",
         "Joint", "NullEvidenceError", "Variable", "VariableMismatchError", "condition",
-        "expectation", "joint_from_json_dict", "joint_to_json_dict", "make_joint",
-        "marginalize", "tv_distance",
+        "expectation", "make_joint", "marginalize", "tv_distance",
     ),
     "ghz": (
         "ExhaustionReport", "GHZ_CONSTRAINTS", "classical_assignment_exhaustion",

@@ -50,7 +50,6 @@ from .dist import (
     _normalized,
     _running_sum,
     make_joint,  # bench/tracing.py counts make_joint calls through this name
-    marginalize,
 )
 from .quantum import OUTCOMES, _check_angle
 from .quantum import bell_prob  # bench/tracing.py counts bell_prob calls through this name
@@ -249,8 +248,9 @@ class BackwardModel:
         return Joint(variables, T[0].reshape([len(v.domain) for v in variables]), self.backend)
 
     def lambda_marginal(self, settings: Sequence) -> Joint:
-        """P(lambda | settings): outcomes summed out of the assembled joint."""
-        return marginalize(self.assemble_joint(settings), [LAMBDA])
+        """P(lambda | settings): outcomes summed out of the one-point joint."""
+        _, M = self._joint(self._tabulate([settings])[1])
+        return Joint((self.lambda_variable(),), M[0], self.backend)
 
     def condition_on_lambda(self, label: str, settings: Sequence) -> Joint:
         """P(outcomes | settings, label): the postselected outcome table.
@@ -258,7 +258,7 @@ class BackwardModel:
         Raises the conditioning-on-null error when the label has zero
         probability at these settings.
         """
-        P = self._conditioned(*self._joint(self._tabulate([settings])[1]), label)[0]
+        P = self._conditioned_at(label, [settings])[0]
         variables = self.outcome_variables()
         return Joint(variables, P.reshape([len(v.domain) for v in variables]), self.backend)
 
@@ -305,6 +305,10 @@ class BackwardModel:
         if (M[:, at] == 0).any():
             raise NullEvidenceError(f"label {label!r} has probability zero on the grid")
         return T[:, :, at] / M[:, at, None]
+
+    def _conditioned_at(self, label: str, settings_grid: Iterable[Sequence]) -> np.ndarray:
+        """:meth:`_conditioned` at the grid's points, from one tabulation."""
+        return self._conditioned(*self._joint(self._tabulate(settings_grid)[1]), label)
 
     def _sweep(self, check: str, devs, describe: Callable[[int], dict]) -> CheckReport:
         """Report the first strict maximum of ``devs``, flattened in sweep order.
@@ -433,13 +437,15 @@ class BackwardModel:
         """
         settings = self.check_settings(settings)
         outcomes = tuple(outcomes)
-        if outcomes not in self._cells():
+        cells = self._cells()
+        if outcomes not in cells:
             raise ConstructionError(f"outcomes {outcomes!r} are not a cell of {self.name}")
-        cond = self.condition_on_lambda(label, settings)
-        joint_p = cond.prob(outcomes)
+        row = self._conditioned_at(label, [settings])[0].tolist()
+        joint_p = row[cells.index(outcomes)]
         product: Prob = 1
-        for wing, outcome in zip(self.wings, outcomes):
-            product = product * marginalize(cond, [wing.outcome_name]).prob((outcome,))
+        for i, outcome in enumerate(outcomes):
+            # wing i's marginal: a left-to-right sum over its cells in canonical order
+            product = product * sum(p for c, p in zip(cells, row) if c[i] == outcome)
         difference = abs(joint_p - product)
         return WitnessReport(
             product_value=product,

@@ -147,6 +147,8 @@ def _resolve_label(model: BackwardModel, token: str) -> str:
 
 def _parse_list(text: str, count: int, what: str, binary: bool = False) -> list:
     """``count`` comma-separated finite floats, or 0/1 ints when ``binary``."""
+    if not all(field.strip() for field in text.split(",")):
+        raise UsageError(f"{what} has an empty field: {text!r}")
     parts = text.replace(",", " ").split()
     if len(parts) != count:
         raise UsageError(f"{what} needs {count} comma-separated values")
@@ -167,7 +169,7 @@ def _parse_list(text: str, count: int, what: str, binary: bool = False) -> list:
 def _model_settings_from_args(model: BackwardModel, args) -> tuple:
     angle_wings = all(w.setting_kind == "angle" for w in model.wings)
     if angle_wings:
-        if getattr(args, "settings", None):
+        if args.settings is not None:
             raise UsageError(
                 f"--settings is for binary-setting models; {model.name} takes "
                 "--alpha1/--alpha2"
@@ -182,7 +184,7 @@ def _model_settings_from_args(model: BackwardModel, args) -> tuple:
             f"angle flags are for bell/counterexample; {model.name} takes "
             "--settings (binary)"
         )
-    if not getattr(args, "settings", None):
+    if args.settings is None:
         raise UsageError(f"{model.name} needs --settings, e.g. 0,1,1")
     return tuple(_parse_list(args.settings, len(model.wings), "--settings", binary=True))
 
@@ -252,12 +254,17 @@ def cmd_verify(args) -> int:
     _check_backend_flag(args, f"model {model.name!r}", model.backend)
     grid = default_grid(model, args.grid)
 
-    if args.checks:
+    if args.checks is not None:
+        if not args.checks.strip():
+            raise UsageError("--checks is empty; name one or more of "
+                             "si,nosignal,recovery,kernel-norm")
         requested = []
         for raw in args.checks.split(","):
             raw = raw.strip()
             if raw not in CHECK_ALIASES:
                 raise UsageError(f"unknown check {raw!r}")
+            if CHECK_ALIASES[raw] in requested:
+                raise UsageError(f"--checks names the {CHECK_ALIASES[raw]} check twice")
             requested.append(CHECK_ALIASES[raw])
     else:
         requested = ["si", "no_signalling", "kernel_norm"]
@@ -323,25 +330,25 @@ def cmd_chsh(args) -> int:
         raise UsageError("chsh needs --model (or --lhv)")
 
     if args.model == "prbox":
-        if args.angles or args.scan:
+        if args.angles is not None or args.scan:
             raise UsageError("prbox takes binary settings; --angles/--scan do "
                              "not apply")
         if args.state is not None:
             raise UsageError("prbox has no Bell state; --state is for bell")
         model = pr_backward_model()
         _check_backend_flag(args, f"model {model.name!r}", model.backend)
-        if args.settings:
+        if args.settings is not None:
             config = ChshConfig(*_parse_list(args.settings, 4, "--settings", binary=True))
         else:
             config = PR_BOX_CONFIG
         label, args_config = "lambda_pr", {"model": "prbox"}
     else:
-        if args.settings:
+        if args.settings is not None:
             raise UsageError("--settings is for prbox; bell takes --angles")
         _check_backend_flag(args, "model 'bell'", "float")
         state = 1 if args.state is None else args.state
         if args.scan:
-            if args.angles:
+            if args.angles is not None:
                 raise UsageError("--scan chooses the angles itself; drop --angles")
             if not MIN_SCAN_RESOLUTION <= args.resolution <= MAX_SCAN_RESOLUTION:
                 raise UsageError(
@@ -360,7 +367,7 @@ def cmd_chsh(args) -> int:
                    ["scan", result["max_S"], " ".join(map(repr, result["argmax"]))]],
                   backend="float", tolerance=FLOAT_TOL)
             return 0
-        if not args.angles:
+        if args.angles is None:
             raise UsageError("chsh --model bell needs --angles a1,a1p,a2,a2p or "
                              "--scan")
         vals = _parse_list(args.angles, 4, "--angles")

@@ -60,7 +60,7 @@ class Variable:
     """A named discrete variable with a fixed, ordered domain.
 
     The domain ordering is canonical for the lifetime of any model using the
-    variable; it defines assignment iteration and serialization order.
+    variable; it defines assignment iteration order.
     """
 
     name: str
@@ -276,46 +276,3 @@ def tv_distance(j1: Joint, j2: Joint) -> Prob:
         )
     return _running_sum(abs(j1._table - j2._table)) / 2
 
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-#
-# Schema: {"variables": [{"name": ..., "domain": [...]}, ...],
-#          "entries":   [{"assignment": [...], "p": "<string>"}, ...]}
-# Rational probabilities render as "n/d" strings, floats as shortest
-# round-trip decimals.  Entries appear in canonical assignment order and
-# zero entries are omitted.
-# ---------------------------------------------------------------------------
-
-
-def prob_to_string(p: Prob) -> str:
-    if isinstance(p, Fraction):
-        return str(p)
-    return repr(float(p))
-
-
-def prob_from_string(s: str) -> Prob:
-    if "/" in s:
-        return Fraction(s)
-    if any(c in s for c in ".eE") or s in ("inf", "-inf", "nan"):
-        return float(s)
-    return Fraction(int(s))
-
-
-def joint_to_json_dict(j: Joint) -> dict:
-    return {
-        "variables": [{"name": v.name, "domain": list(v.domain)} for v in j.variables],
-        "entries": [
-            {"assignment": list(a), "p": prob_to_string(p)} for a, p in j.items()
-        ],
-    }
-
-
-def joint_from_json_dict(d: Mapping) -> Joint:
-    variables = tuple(
-        Variable(item["name"], tuple(item["domain"])) for item in d["variables"]
-    )
-    weights = {
-        tuple(e["assignment"]): prob_from_string(e["p"]) for e in d["entries"]
-    }
-    return make_joint(variables, weights)

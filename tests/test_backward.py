@@ -1,6 +1,7 @@
 """Backward-conditional models: assembly, conditioning, checked properties."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from retrobell import (
     default_grid,
     entry_table,
     expectation,
+    ghz_prob,
     make_joint,
     marginalize,
     pr_prob,
@@ -234,6 +236,51 @@ class TestLcViolationWitness:
             for label in labels:
                 w = model.lc_violation_witness(label, (0.1, 0.2), outcomes)
                 assert not w.violated
+
+    @pytest.mark.parametrize("label", ["lambda_pr", "lambda_bar"])
+    def test_prbox_witness_is_exact(self, pr_model, label):
+        # the box label gives the box (joint 1/2 at settings (0, 0) and
+        # outcomes (1, 1)), the other label the anti-box; every wing marginal
+        # is 1/2, so the product is 1/4
+        for settings in itertools.product((0, 1), repeat=2):
+            for outcomes in itertools.product((1, -1), repeat=2):
+                w = pr_model.lc_violation_witness(label, settings, outcomes)
+                box = pr_prob(*outcomes, *settings)
+                joint = box if label == "lambda_pr" else Fraction(1, 2) - box
+                values = (w.product_value, w.joint_value, w.difference)
+                assert all(type(v) is Fraction for v in values)
+                assert values == (Fraction(1, 4), joint, Fraction(1, 4))
+                assert w.violated
+
+    @pytest.mark.parametrize("label", ["lambda0", "lambda_bar"])
+    def test_ghz_witness_is_exact_with_its_json(self, ghz_model, label):
+        # wing marginals are 1/2, so the product is 1/8; at an odd number of
+        # y axes the conditioned table is uniform and nothing is violated
+        for settings in itertools.product((0, 1), repeat=3):
+            for outcomes in itertools.product((1, -1), repeat=3):
+                w = ghz_model.lc_violation_witness(label, settings, outcomes)
+                ghz = ghz_prob(*outcomes, *settings)
+                joint = ghz if label == "lambda0" else Fraction(1, 4) - ghz
+                difference = abs(joint - Fraction(1, 8))
+                values = (w.product_value, w.joint_value, w.difference)
+                assert all(type(v) is Fraction for v in values)
+                assert values == (Fraction(1, 8), joint, difference)
+                assert w.violated == (sum(settings) % 2 == 0)
+                expected = {
+                    "check": "lc_witness",
+                    "pass": sum(settings) % 2 == 0,
+                    "max_deviation": 0 if difference == 0 else float(difference),
+                    "worst_case": {
+                        "label": label,
+                        "settings": list(settings),
+                        "outcomes": list(outcomes),
+                        "product_of_wing_conditionals": 0.125,
+                        "joint_conditional": 0 if joint == 0 else float(joint),
+                    },
+                    "tolerance": 0,
+                    "backend": "rational",
+                }
+                assert json.dumps(w.to_json_dict()) == json.dumps(expected)
 
     def test_witness_json_shape(self, bell_model):
         w = bell_model.lc_violation_witness("lambda1", (0.0, 0.0), (1, 1))

@@ -81,6 +81,16 @@ class TestVerifyCommand:
         assert code == 2
         assert "unknown check" in err
 
+    @pytest.mark.parametrize("checks, message", [
+        ("", "--checks is empty; name one or more of si,nosignal,recovery,kernel-norm"),
+        ("si,si", "--checks names the si check twice"),
+        ("nosignal,no-signalling", "--checks names the no_signalling check twice"),
+    ])
+    def test_empty_or_repeated_checks_are_usage_errors(self, capsys, checks, message):
+        code, out, err = run(capsys, "verify", "--model", "bell", "--grid", "2",
+                             "--checks", checks)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_rational_backend_rejected_for_bell(self, capsys):
         code, _, err = run(
             capsys, "verify", "--model", "bell", "--backend", "rational"
@@ -280,6 +290,24 @@ class TestChshCommand:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+    @pytest.mark.parametrize("model, flag, values", [
+        ("bell", "--angles", "0,,1,2,3"),
+        ("bell", "--angles", "0,1,2,3,"),
+        ("prbox", "--settings", "1,0,,0,1"),
+        ("prbox", "--settings", ""),
+    ])
+    def test_empty_list_fields_are_usage_errors(self, capsys, model, flag, values):
+        code, out, err = run(capsys, "chsh", "--model", model, flag, values)
+        assert (code, out, err) == (2, "", f"error: {flag} has an empty field: {values!r}\n")
+
+    def test_negative_exponent_angles_take_the_equals_form(self, capsys):
+        code, doc = run_json(capsys, "chsh", "--model", "bell", "--angles=-1,2,3,4")
+        assert code == 0
+        assert doc["config"]["angles"] == [-1.0, 2.0, 3.0, 4.0]
+        code, _, err = run(capsys, "chsh", "--model", "bell", "--angles", "-1,2,3,4")
+        assert code == 2 and "expected one argument" in err
+
+
 class TestGhzExhaustCommand:
     def test_default_run(self, capsys):
         code, doc = run_json(capsys, "ghz-exhaust")
@@ -427,6 +455,20 @@ class TestSampleCommand:
     def test_missing_settings_are_usage_errors(self, capsys, argv, message):
         code, out, err = run(capsys, "sample", *argv, "--n", "10", "--seed", "1")
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_empty_settings_field_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sample", "--model", "ghz", "--label", "0",
+                             "--settings", "0,,1,1", "--n", "10", "--seed", "1")
+        assert (code, out, err) == (2, "", "error: --settings has an empty field: '0,,1,1'\n")
+
+    def test_negative_exponent_angle_takes_the_equals_form(self, capsys):
+        argv = ["sample", "--model", "counterexample", "--label", "1", "--alpha1", "0",
+                "--n", "50", "--seed", "1"]
+        code, doc = run_json(capsys, *argv, "--alpha2=-1e-3")
+        assert code == 0
+        assert doc["config"]["settings"] == [0.0, -1e-3]
+        code, _, err = run(capsys, *argv, "--alpha2", "-1e-3")
+        assert code == 2 and "expected one argument" in err
 
     def test_csv_cells_table(self, capsys):
         code, out, _ = run(

@@ -1,4 +1,4 @@
-"""Probability-table engine: construction, operations, backends, JSON."""
+"""Probability-table engine: construction, operations, backends."""
 
 import itertools
 from fractions import Fraction
@@ -18,8 +18,6 @@ from retrobell import (
     VariableMismatchError,
     condition,
     expectation,
-    joint_from_json_dict,
-    joint_to_json_dict,
     make_joint,
     marginalize,
     tv_distance,
@@ -170,25 +168,6 @@ class TestTvDistance:
         j2 = make_joint((B,), {(1,): 1})
         with pytest.raises(VariableMismatchError):
             tv_distance(j1, j2)
-
-
-class TestJson:
-    def test_rational_round_trip(self):
-        j = make_joint((A, B), {(1, 1): 3, (-1, 1): 1, (-1, -1): 4})
-        d = joint_to_json_dict(j)
-        assert d["entries"][0]["p"] == "3/8"
-        assert joint_from_json_dict(d) == j
-
-    def test_float_round_trip_is_exact(self):
-        j = make_joint((A,), {(1,): 0.375, (-1,): 0.625})
-        d = joint_to_json_dict(j)
-        assert all(isinstance(e["p"], str) for e in d["entries"])
-        assert joint_from_json_dict(d) == j
-
-    def test_zero_entries_omitted(self):
-        j = make_joint((A, B), {(1, 1): 1})
-        d = joint_to_json_dict(j)
-        assert len(d["entries"]) == 1
 
 
 # ---------------------------------------------------------------------------
