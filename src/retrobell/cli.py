@@ -252,7 +252,6 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--grid must be between 1 and {MAX_GRID}, got {args.grid}")
     model = MODEL_BUILDERS[args.model]()
     _check_backend_flag(args, f"model {model.name!r}", model.backend)
-    grid = default_grid(model, args.grid)
 
     if args.checks is not None:
         if not args.checks.strip():
@@ -277,23 +276,12 @@ def cmd_verify(args) -> int:
             "check does not apply"
         )
 
-    reports = []
-    for check in requested:
-        if check == "si":
-            reports.append(model.verify_si(grid))
-        elif check == "no_signalling":
-            reports.append(verify_no_signalling_all(model, grid))
-        elif check == "kernel_norm":
-            reports.append(model.verify_kernel_normalization(grid))
-        elif check == "recovery":
-            reports.append(model.verify_recovery(grid))
-
-    results = [r.to_json_dict() for r in reports]
-    csv_rows = [["check", "pass", "max_deviation", "tolerance", "backend"]]
-    for r in results:
-        csv_rows.append(
-            [r["check"], r["pass"], r["max_deviation"], r["tolerance"], r["backend"]]
-        )
+    grid = model.tabulate(default_grid(model, args.grid))
+    run = {"si": model.verify_si, "no_signalling": lambda g: verify_no_signalling_all(model, g),
+           "kernel_norm": model.verify_kernel_normalization, "recovery": model.verify_recovery}
+    results = [run[check](grid).to_json_dict() for check in requested]
+    columns = ["check", "pass", "max_deviation", "tolerance", "backend"]
+    csv_rows = [columns] + [[r[c] for c in columns] for r in results]
     _emit(args, "verify",
           {"model": args.model, "checks": requested, "grid": args.grid,
            "grid_points": len(grid)},
@@ -581,21 +569,25 @@ def _expand_config_tokens(argv: list[str]) -> list[str]:
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     tokens: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line (want key=value): {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            flag = f"--{key}"
-            if value.lower() == "true":
-                tokens.append(flag)
-            elif value.lower() == "false":
-                continue
-            else:
-                tokens.extend([flag, value])
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise UsageError(f"bad config line (want key=value): {line!r}")
+                key, value = (part.strip() for part in line.split("=", 1))
+                flag = f"--{key}"
+                if value.lower() == "true":
+                    tokens.append(flag)
+                elif value.lower() == "false":
+                    continue
+                else:
+                    tokens.extend([flag, value])
+    except (OSError, UnicodeDecodeError) as e:
+        reason = getattr(e, "strerror", None) or e
+        raise UsageError(f"cannot read config file {path}: {reason}") from None
     if not argv:
         return tokens
     return [argv[0]] + tokens + argv[1:]
@@ -624,6 +616,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
+    # numpy's OpenBLAS starts a thread pool when numpy loads, and no command
+    # calls BLAS; a value the user set wins.  numpy has not loaded yet here.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

@@ -545,7 +545,7 @@ class TestFormatsAndConfig:
         )
         assert code == 2
 
-    def test_version_flag(self, capsys):
+    def test_missing_config_file_in_equals_form_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "--model", "bell", "--config=/nosuch/file")
         assert (code, out, err) == (2, "", "error: config file not found: /nosuch/file\n")
 
@@ -566,6 +566,20 @@ class TestFormatsAndConfig:
         code, out, err = run(capsys, "verify", "--model", "bell", "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err == "error: bad config line (want key=value): 'grid 8'\n"
+
+    def test_config_directory_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "--model", "bell", "--config", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config file {tmp_path}: ")
+        assert err.count("\n") == 1
+
+    def test_undecodable_config_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"\xff\xfegrid=8\n")
+        code, out, err = run(capsys, "verify", "--model", "bell", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read config file {cfg}: 'utf-8' codec can't decode "
+                       "byte 0xff in position 0: invalid start byte\n")
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--model", "ghz"), ("emit-curve", "--points", "3"),
