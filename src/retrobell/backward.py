@@ -105,13 +105,6 @@ class Wing:
             raise ConstructionError(f"{self.setting_name} must be finite")
         return value
 
-    def check_column(self, values: tuple) -> Sequence | None:
-        """:meth:`check_setting` over many values at once, or None if any is bad."""
-        if self.setting_kind == BINARY:
-            return values if set(values) <= {0, 1} else None
-        column = list(map(float, values))
-        return column if all(map(math.isfinite, column)) else None
-
 
 @dataclass(frozen=True)
 class LambdaSpace:
@@ -187,11 +180,9 @@ def entry_table(
 
 @dataclass(frozen=True, eq=False)
 class Tabulation(Sequence):
-    """A model's grid checked (``points``), its kernel ``K[point, cell, label]``
-    over canonical cells (float64, or ``object`` holding the kernel's values on
-    the rational backend) and ``joint``, the ``(T, M)`` of :meth:`BackwardModel._joint`
-    built on first use.  A sequence of the points as given (``raw``), it stands
-    in for the grid anywhere."""
+    """A model's grid checked (``points``) and tabulated (``K``) by ``_tabulate``,
+    and ``joint``, the ``(T, M)`` of ``_joint`` built on first use.  A sequence
+    of the points as given (``raw``), it stands in for the grid anywhere."""
 
     model: BackwardModel
     raw: list[tuple]
@@ -272,9 +263,10 @@ class BackwardModel:
 
         Entry weights are the product of the wing marginals and the collider
         kernel, per the model factorization: the one-point case of the
-        checks' :meth:`tabulate` and :meth:`_joint`.
+        checks' :meth:`_tabulate` and :meth:`_joint`.
         """
-        T, _ = self._joint(self._tabulate([settings])[1])
+        _, K = self._tabulate([settings])
+        T, _ = self._joint(K)
         variables = self.outcome_variables() + (self.lambda_variable(),)
         return Joint(variables, T[0].reshape([len(v.domain) for v in variables]), self.backend)
 
@@ -299,29 +291,25 @@ class BackwardModel:
     # floats match the single-point tables at every point.
 
     def tabulate(self, settings_grid: Iterable[Sequence]) -> Tabulation:
-        """The grid checked and the kernel tabulated, once for any number of
-        checks; this model's own tabulation comes back as is.  Wing columns are
-        checked whole; if any point is bad, the per-point loop runs instead, so
-        the first bad point raises what :meth:`check_settings` raises."""
+        """The grid checked and the kernel tabulated by :meth:`_tabulate`, once
+        for any number of checks; this model's own tabulation comes back as is."""
         if isinstance(settings_grid, Tabulation) and settings_grid.model is self:
             return settings_grid
-        grid = list(settings_grid)
-        if not grid:
-            raise ConstructionError("empty settings grid")
-        try:
-            grid = [tuple(s) for s in grid]
-            columns = [w.check_column(c) for w, c in zip(self.wings, zip(*grid))]
-            ok = {len(s) for s in grid} == {len(self.wings)} and None not in columns
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        points = list(zip(*columns)) if ok else [self.check_settings(s) for s in grid]
-        K = self._fill(points, self.kernel.table, len(self.lam.labels))
-        return Tabulation(self, grid, points, K)
+        # each point is read once, checked in grid order and kept as given
+        raw, read = itertools.tee(map(tuple, settings_grid))
+        points, K = self._tabulate(read)
+        return Tabulation(self, list(raw), points, K)
 
     def _tabulate(self, settings_grid: Iterable[Sequence]) -> tuple[list[tuple], np.ndarray]:
-        """``points`` and ``K`` of :meth:`tabulate`."""
-        tab = self.tabulate(settings_grid)
-        return tab.points, tab.K
+        """Checked grid points and the kernel tensor ``K[point, cell, label]``.
+
+        Cells are the outcome combos in canonical order.  The dtype is float64,
+        or ``object`` holding the kernel's own values on the rational backend.
+        """
+        points = [self.check_settings(s) for s in settings_grid]
+        if not points:
+            raise ConstructionError("empty settings grid")
+        return points, self._fill(points, self.kernel.table, len(self.lam.labels))
 
     def _fill(self, points: list[tuple], table, width: int) -> np.ndarray:
         """``table(points)`` as ``X[point, cell]`` of ``width`` values, in the
@@ -404,39 +392,38 @@ class BackwardModel:
     ) -> list[CheckReport]:
         """One no-signalling report per label, from one tabulation."""
         tab = self.tabulate(settings_grid)
-        points, cells = tab.points, self._cells()
-        # One slot per (wing, local setting value, outcome), in the order the
-        # grid first reaches each; equal setting values share one slot.
-        groups, slots = [], []
-        for i in range(len(self.wings)):
-            number: dict = {}
-            groups.append(np.array([number.setdefault(s[i], len(number)) for s in points]))
-            firsts = np.unique(groups[i], return_index=True)[1].tolist()
-            slots += [(first, i, o, g) for g, first in enumerate(firsts) for o in (0, 1)]
-        slots.sort()
+        points, (T, M) = tab.points, tab.joint
+        cells = self._cells()
+        # Grid points per (wing, local setting value, outcome), in the order
+        # the grid first reaches each; equal setting values share one entry.
+        slots: dict[tuple, list[int]] = {}
+        for g, settings in enumerate(points):
+            for i, local in enumerate(settings):
+                for outcome in OUTCOMES:
+                    slots.setdefault((i, local, outcome), []).append(g)
         reports = []
         for label in labels:
-            cond = self._conditioned(*tab.joint, label)
-            # (wing, outcome) -> its marginal per point, and per group the first points of
-            # least and greatest marginal (lexsort is stable; the normalizer leaves no NaN)
-            spans = {}
-            for i, group in enumerate(groups):
-                for o, outcome in enumerate(OUTCOMES):
-                    p = _running_sum(cond[:, [c[i] == outcome for c in cells]], axis=1)
-                    spans[i, o] = (p.tolist(), *(
-                        order[np.unique(group[order], return_index=True)[1]].tolist()
-                        for order in (np.lexsort((q, group)) for q in (p, -p))))
-            devs = [p[hi[g]] - p[lo[g]] for _, i, o, g in slots for p, lo, hi in [spans[i, o]]]
-
-            def describe(k: int) -> dict:
-                first, i, o, g = slots[k]
-                p, lo, hi = spans[i, o]
-                return {"wing": self.wings[i].outcome_name, "local_setting": points[first][i],
-                        "outcome": OUTCOMES[o], "label": label,
-                        "min_probability": p[lo[g]], "max_probability": p[hi[g]],
-                        "min_at_settings": points[lo[g]], "max_at_settings": points[hi[g]]}
-
-            reports.append(self._sweep("no_signalling", devs, describe))
+            cond = self._conditioned(T, M, label)
+            wing_marginals = {
+                (i, outcome): _running_sum(cond[:, [c[i] == outcome for c in cells]], axis=1).tolist()
+                for i in range(len(self.wings)) for outcome in OUTCOMES
+            }
+            devs, cases = [], []
+            for (i, local, outcome), at in slots.items():
+                p = wing_marginals[i, outcome]
+                lo, hi = min(at, key=p.__getitem__), max(at, key=p.__getitem__)
+                devs.append(p[hi] - p[lo])
+                cases.append({
+                    "wing": self.wings[i].outcome_name,
+                    "local_setting": local,
+                    "outcome": outcome,
+                    "label": label,
+                    "min_probability": p[lo],
+                    "max_probability": p[hi],
+                    "min_at_settings": points[lo],
+                    "max_at_settings": points[hi],
+                })
+            reports.append(self._sweep("no_signalling", devs, cases.__getitem__))
         return reports
 
     def verify_kernel_normalization(
@@ -444,11 +431,12 @@ class BackwardModel:
     ) -> CheckReport:
         """Kernel rows sum to one over labels, with every value in [0, 1]."""
         tab = self.tabulate(settings_grid)
-        range_excess = np.maximum(-tab.K, tab.K - 1).max(axis=2)
-        devs = np.maximum(abs(_running_sum(tab.K, axis=2) - 1), range_excess)
+        points, K = tab.points, tab.K
+        range_excess = np.maximum(-K, K - 1).max(axis=2)
+        devs = np.maximum(abs(_running_sum(K, axis=2) - 1), range_excess)
         cells = self._cells()
         return self._sweep("kernel_norm", devs, lambda i: {
-            "settings": tab.points[i // len(cells)], "outcomes": cells[i % len(cells)]})
+            "settings": points[i // len(cells)], "outcomes": cells[i % len(cells)]})
 
     def verify_recovery(self, settings_grid: Iterable[Sequence]) -> CheckReport:
         """Label-conditioned model equals its closed-form target distribution.
@@ -461,11 +449,12 @@ class BackwardModel:
                 f"{self.name} has no quantum targets to recover"
             )
         tab = self.tabulate(settings_grid)
-        points, labels = tab.points, self.quantum_targets
+        points, K, (T, M) = tab.points, tab.K, tab.joint
+        labels = self.quantum_targets
         W = self._fill(points, self.target_table, len(labels))
-        devs = np.empty((len(points), len(labels)), dtype=tab.K.dtype)
+        devs = np.empty((len(points), len(labels)), dtype=K.dtype)
         for t, label in enumerate(labels):
-            P = self._conditioned(*tab.joint, label)
+            P = self._conditioned(T, M, label)
             devs[:, t] = _running_sum(abs(P - _normalized(W[:, :, t], self.backend)), axis=1) / 2
         return self._sweep("recovery", devs, lambda i: {
             "settings": points[i // len(labels)], "label": labels[i % len(labels)]})

@@ -277,11 +277,23 @@ def cmd_verify(args) -> int:
         )
 
     grid = model.tabulate(default_grid(model, args.grid))
-    run = {"si": model.verify_si, "no_signalling": lambda g: verify_no_signalling_all(model, g),
-           "kernel_norm": model.verify_kernel_normalization, "recovery": model.verify_recovery}
-    results = [run[check](grid).to_json_dict() for check in requested]
-    columns = ["check", "pass", "max_deviation", "tolerance", "backend"]
-    csv_rows = [columns] + [[r[c] for c in columns] for r in results]
+    reports = []
+    for check in requested:
+        if check == "si":
+            reports.append(model.verify_si(grid))
+        elif check == "no_signalling":
+            reports.append(verify_no_signalling_all(model, grid))
+        elif check == "kernel_norm":
+            reports.append(model.verify_kernel_normalization(grid))
+        elif check == "recovery":
+            reports.append(model.verify_recovery(grid))
+
+    results = [r.to_json_dict() for r in reports]
+    csv_rows = [["check", "pass", "max_deviation", "tolerance", "backend"]]
+    for r in results:
+        csv_rows.append(
+            [r["check"], r["pass"], r["max_deviation"], r["tolerance"], r["backend"]]
+        )
     _emit(args, "verify",
           {"model": args.model, "checks": requested, "grid": args.grid,
            "grid_points": len(grid)},

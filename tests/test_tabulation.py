@@ -149,27 +149,29 @@ def test_another_models_tabulation_is_read_as_its_raw_grid(owner, reader):
 
 
 def test_verify_checks_and_tabulates_the_grid_once(monkeypatch):
-    columns, kernels = [], []
-    check_column, fill = Wing.check_column, BackwardModel._fill
+    flags = ("bell", "counterexample", "ghz", "prbox")
+    models = [cli.MODEL_BUILDERS[flag]() for flag in flags]
+    sizes = [len(default_grid(model, 8)) for model in models]
+    checked, kernels = [], []
+    check_settings, fill = BackwardModel.check_settings, BackwardModel._fill
 
-    def counted_column(self, values):
-        columns.append(self.setting_name)
-        return check_column(self, values)
+    def counted_check(self, settings):
+        checked.append(self.name)
+        return check_settings(self, settings)
 
     def counted_fill(self, points, table, width):
         if table is self.kernel.table:
             kernels.append(self.name)
         return fill(self, points, table, width)
 
-    monkeypatch.setattr(Wing, "check_column", counted_column)
+    monkeypatch.setattr(BackwardModel, "check_settings", counted_check)
     monkeypatch.setattr(BackwardModel, "_fill", counted_fill)
     with contextlib.redirect_stdout(io.StringIO()):
-        for model in ("bell", "counterexample", "ghz", "prbox"):
-            assert cli.main(["verify", "--model", model, "--grid", "8"]) in (0, 1)
-    assert kernels == ["bell", "counterexample", "ghz", "prbox"]
-    # one column check per wing: bell, counterexample, ghz (three wings), prbox
-    assert columns == ["alpha1", "alpha2"] * 2 + ["alpha1", "alpha2", "alpha3"] + [
-        "alpha1", "alpha2"]
+        for flag in flags:
+            assert cli.main(["verify", "--model", flag, "--grid", "8"]) in (0, 1)
+    # one kernel tabulation per verify, one check per grid point
+    assert kernels == [model.name for model in models]
+    assert checked == [m.name for m, n in zip(models, sizes) for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +239,28 @@ def test_bad_grid_raises_what_check_settings_raises_first(request, model_name, g
         assert str(info.value) == message, name
 
 
+def test_a_point_given_as_an_iterator_is_read_once(bell_model):
+    # the grid is built afresh for every call, as its points are used up
+    def bad():
+        return [iter((0.0, 1.0)), 5]
+
+    cls, message = _first_error(bell_model, bad())
+    assert cls is TypeError
+    for name, check in {"tabulate": bell_model.tabulate, **_checks(bell_model)}.items():
+        with pytest.raises(cls) as info:
+            check(bad())
+        assert str(info.value) == message, name
+
+    def good():
+        return [iter((0, 1)), iter((2.0, 3.0))]
+
+    tab = bell_model.tabulate(good())
+    assert tab.raw == [(0, 1), (2.0, 3.0)]
+    assert tab.points == [(0.0, 1.0), (2.0, 3.0)]
+    for name, check in _checks(bell_model).items():
+        assert _text(check(good())) == _text(check([(0, 1), (2.0, 3.0)])), name
+
+
 @pytest.mark.parametrize("model_name", MODELS)
 def test_empty_grid_is_rejected(request, model_name):
     model = request.getfixturevalue(model_name)
@@ -267,7 +291,7 @@ def test_checked_binary_settings_keep_their_values(pr_model, ghz_model):
     grid = [(a, b) for a in values for b in values[:3]]
     assert repr(pr_model.tabulate(grid).points) == repr(
         [pr_model.check_settings(s) for s in grid])
-    # a value that set() cannot hold still passes check_settings one by one
+    # a value no set can hold passes as check_settings passes it
     grid = [(np.array(0), 1, 1), (1, 0, 1)]
     assert repr(ghz_model.tabulate(grid).points) == repr(
         [ghz_model.check_settings(s) for s in grid])
