@@ -17,12 +17,14 @@ root seed and merges counts in shard order, making parallel and serial
 execution indistinguishable; ``shards=1`` is the single-stream baseline.
 Shards run on at most one thread per usable CPU.
 
-A batch of runs is one ``(runs, wings + 1)`` block of uniforms.  Each run's
-outcome cell index is built from bits: wing ``i`` sets its bit when its
-uniform is not below P(+1), wing 1 most significant, which is the canonical
-cell order.  The label is never computed; a run is a hit when its last
-uniform lies in the target label's interval ``[lo[cell], hi[cell])``, read
-once per call from the sorted cumulative kernel rows.  One ``bincount`` over
+A shard refills one buffer set for every batch of ``BATCH_RUNS`` runs, so
+its memory does not grow with ``n``: a ``(runs, wings + 1)`` block of
+uniforms, a cell-key array, two masks and a bound array.  Each run's outcome
+cell index is built from bits: wing ``i`` sets its bit when its uniform is
+not below P(+1), wing 1 most significant, which is the canonical cell order.
+The label is never computed; a run is a hit when its last uniform lies in
+the target label's interval ``[lo[cell], hi[cell])``, read once per call
+from the sorted cumulative kernel rows.  One ``bincount`` over the key
 ``2 * cell + hit`` then gives each cell's hits and draws, and the
 pre-postselection product sum follows from the draws per cell.
 """
@@ -46,9 +48,11 @@ from .reports import fields_json
 
 RNG_ALGORITHM = "philox4x64"
 
-#: Runs drawn per vectorized batch.  Fixed so that the consumed stream, and
-#: therefore every report, depends only on (model, settings, n, seed, shards).
-BATCH_RUNS = 1 << 16
+#: Runs drawn per vectorized batch, a performance constant: at two or three
+#: wings a batch's buffers take ~0.7 MiB, small enough to stay in L2 cache.
+#: Reports do not depend on it, since each batch reads the next runs of one
+#: stream and sampling stops at the exact draw.
+BATCH_RUNS = 1 << 14
 
 #: Per-cell statistical gate: |z| <= 5 keeps the false-alarm probability per
 #: cell below 1e-6, stable for repeated automated runs.
@@ -186,6 +190,11 @@ def _shard_postselect(model, tables, target_idx, quota, cap, rng):
     lo, hi = _label_bounds(cum, target_idx)
     n_cells = len(combos)
 
+    # one buffer set per shard (uniforms, keys, two masks, bounds); a short
+    # batch uses leading views of it
+    size = min(BATCH_RUNS, cap)
+    buffers = (np.empty((size, n_wings + 1)), np.empty(size, dtype=np.intp),
+               np.empty(size, dtype=bool), np.empty(size, dtype=bool), np.empty(size))
     # tallies[2c] counts the rejected draws in cell c, tallies[2c + 1] the hits
     tallies = np.zeros(2 * n_cells, dtype=np.int64)
     accepted = 0
@@ -196,20 +205,26 @@ def _shard_postselect(model, tables, target_idx, quota, cap, rng):
             raise AcceptanceCapError(
                 model.lam.labels[target_idx], accepted, quota, total, cap
             )
-        b = min(BATCH_RUNS, room)
-        u = rng.random((b, n_wings + 1))
+        b = min(size, room)
+        u, key, bit, hit, bound = (a[:b] for a in buffers)
+        rng.random(out=u)
         # wing i's bit is set when its outcome is -1; wing 1 is the top bit
-        cell = (u[:, 0] >= p_plus[0]).astype(np.intp)
+        np.greater_equal(u[:, 0], p_plus[0], out=key)
         for i in range(1, n_wings):
-            cell <<= 1
-            cell |= u[:, i] >= p_plus[i]
+            key <<= 1
+            key |= np.greater_equal(u[:, i], p_plus[i], out=bit)
+        # keys are cells, all below n_cells, so "clip" never clips; it only
+        # spares take the copy it makes of ``out`` under "raise"
         v = u[:, n_wings]
-        hit = (lo.take(cell) <= v) & (v < hi.take(cell))
-        tally = np.bincount(2 * cell + hit, minlength=2 * n_cells)
+        np.less_equal(lo.take(key, out=bound, mode="clip"), v, out=hit)
+        hit &= np.less(v, hi.take(key, out=bound, mode="clip"), out=bit)
+        key <<= 1  # the key becomes 2 * cell + hit
+        key |= hit
+        tally = np.bincount(key, minlength=2 * n_cells)
         new = int(tally[1::2].sum())
         if accepted + new >= quota:
             b = int(np.flatnonzero(hit)[quota - accepted - 1]) + 1
-            tally = np.bincount(2 * cell[:b] + hit[:b], minlength=2 * n_cells)
+            tally = np.bincount(key[:b], minlength=2 * n_cells)
             new = quota - accepted
         tallies += tally
         accepted += new

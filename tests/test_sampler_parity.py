@@ -186,6 +186,30 @@ def test_label_uniform_equal_to_a_row_entry():
     assert got[2] == 1
 
 
+def test_quota_inside_a_short_first_batch(ghz_model):
+    # a cap below BATCH_RUNS shortens the first batch; 1,000 hits at label
+    # probability 1/2 complete well inside its 3,000 runs
+    got = assert_parity(ghz_model, (0, 1, 1), "lambda0", 1_000, 3_000,
+                        lambda: make_rng(4))
+    assert got[1] == 1_000 and got[2] < 3_000
+
+
+def test_final_hit_on_last_run_of_a_short_batch(ghz_model):
+    # the hits in the first 3,000 runs are the accepted count of the cap
+    # error; a quota of that many stops on run 3,000 exactly when it is a hit
+    settings, cap = (0, 1, 1), 3_000
+    args = (ghz_model, settings, 0, cap, cap)
+    for seed in range(100):
+        hits = outcome(reference_shard_postselect, *args, make_rng(seed))[2]
+        got = assert_parity(ghz_model, settings, "lambda0", hits, cap,
+                            lambda: make_rng(seed))
+        if got[2] == cap:
+            break
+    else:
+        pytest.fail("no seed among the first 100 ends its short batch with a hit")
+    assert got[1] == hits
+
+
 # ---------------------------------------------------------------------------
 # Cap paths
 # ---------------------------------------------------------------------------
@@ -284,3 +308,34 @@ def test_sample_run_loop_matches_batched_sampler_on_odd_kernels(p_plus):
     tables = sampling._sampling_tables(model, model._tabulate([settings])[1])
     assert outcome(sampling._shard_postselect, model, tables, 1, quota,
                    100 * quota, make_rng(3)) == expected
+
+
+# ---------------------------------------------------------------------------
+# Batch size
+# ---------------------------------------------------------------------------
+
+BATCH_CASES = [
+    *((name, settings, label, 2_000, 200_000) for name, settings, label in STOCK_CASES),
+    ("odd", (0, 0, 0), "L1", 500, 50_000),
+    ("odd", (1, 0, 1), "L3", 500, 50_000),
+    ("bell", (0.0, 0.0), "lambda1", 1_000, 1_000),
+    ("bell", (0.0, 0.0), "lambda1", 3_000, 5_000),
+    ("bell", (0.0, 0.0), "lambda1", 2_000, 4_096),
+]
+
+
+@pytest.mark.parametrize("name, settings, label, quota, cap", BATCH_CASES)
+def test_batch_size_changes_no_statistic(stock, monkeypatch, name, settings, label,
+                                         quota, cap):
+    # each batch reads the next runs of the one stream and sampling stops at
+    # the exact draw, so the batch size is a performance constant only
+    model = stock.get(name) or odd_model((0.3, 0.8, 0.6))
+    settings = model.check_settings(settings)
+    tables = sampling._sampling_tables(model, model._tabulate([settings])[1])
+    target_idx = model.lam.labels.index(label)
+    got = []
+    for runs in (1, 1000, 4096, 1 << 14, 1 << 16):
+        monkeypatch.setattr(sampling, "BATCH_RUNS", runs)
+        got.append(outcome(sampling._shard_postselect, model, tables, target_idx,
+                           quota, cap, make_rng(9)))
+    assert got[1:] == got[:-1]

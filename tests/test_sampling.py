@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -262,6 +263,27 @@ class TestShardWorkers:
         assert rep.shards == 3
         expected = sample_postselected(bell_model, "lambda1", SETTINGS, 3, 2, shards=3)
         assert rep.to_json_text() == expected.to_json_text()
+
+
+class TestBatchMemory:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_peak_allocation_is_one_batch_per_shard_whatever_n(self, bell_model, shards):
+        # each shard holds one fixed buffer set, so ten times the runs
+        # allocate no more than a few small Python objects; two threads' sets
+        # overlap only when their shards happen to run at once, so there only
+        # the bound holds whatever the timing
+        sample_postselected(bell_model, "lambda1", SETTINGS, 1_000, 1)
+        peaks = []
+        for n in (50_000, 500_000):
+            tracemalloc.start()
+            try:
+                sample_postselected(bell_model, "lambda1", SETTINGS, n, 3, shards=shards)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= shards * 2**20
+        if shards == 1:
+            assert abs(peaks[1] - peaks[0]) < 2**12
 
 
 class TestSampleRunTables:
