@@ -43,7 +43,7 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 PR_BOUND = 4
 
 #: Allowed ``quantum_chsh_scan`` resolutions (angles per wing).  The scan's
-#: time grows as resolution**4; its memory as resolution**3.
+#: time grows as resolution**3; its memory as resolution**2.
 MIN_SCAN_RESOLUTION = 8
 MAX_SCAN_RESOLUTION = 64
 
@@ -149,40 +149,44 @@ def quantum_chsh_scan(state: int, resolution: int = 16) -> ScanReport:
         raise ValueError(f"scan resolution must be at least {MIN_SCAN_RESOLUTION}")
     if resolution > MAX_SCAN_RESOLUTION:
         raise ValueError(
-            f"scan time grows as resolution**4; {MAX_SCAN_RESOLUTION} is the cap")
-    import numpy as np
-
+            f"scan time grows as resolution**3; {MAX_SCAN_RESOLUTION} is the cap")
     from .backward import angle_grid
 
     grid = angle_grid(resolution)
-    e = np.empty((resolution, resolution), dtype=float)
-    for i, a in enumerate(grid):
-        for j, b in enumerate(grid):
-            e[i, j] = bell_expectation(state, a, b)
-    # S[i1, i1p, i2, i2p] = |E[i1,i2] - E[i1,i2p]| + |E[i1p,i2] + E[i1p,i2p]|,
-    # reduced one i1 at a time in O(resolution**3) memory.  A later slice
-    # wins only when strictly larger, so the first maximum in C order
-    # (the lexicographically smallest configuration) is kept.
-    term2 = np.abs(e[:, :, None] + e[:, None, :])
-    max_value, idx = -math.inf, None
-    for i1 in range(resolution):
-        s = np.abs(e[i1, :, None] - e[i1, None, :]) + term2
-        flat_index = int(np.argmax(s))
-        if s.flat[flat_index] > max_value:
-            max_value = float(s.flat[flat_index])
-            idx = (i1, *np.unravel_index(flat_index, s.shape))
+    max_value, idx = _max_chsh([[bell_expectation(state, a, b) for b in grid] for a in grid])
     if max_value > TSIRELSON_BOUND + TSIRELSON_TOL:
         raise RuntimeError(
             f"scan exceeded the quantum bound: {max_value} > {TSIRELSON_BOUND}"
         )
-    return ScanReport(
-        state=state,
-        max_value=max_value,
-        argmax=tuple(grid[i] for i in idx),
-        bound=TSIRELSON_BOUND,
-        resolution=resolution,
-        configs_scanned=resolution**4,
-    )
+    return ScanReport(state=state, max_value=max_value, argmax=tuple(grid[i] for i in idx),
+                      bound=TSIRELSON_BOUND, resolution=resolution,
+                      configs_scanned=resolution**4)
+
+
+def _max_chsh(e) -> tuple[float, tuple[int, int, int, int]]:
+    """Largest S = |e[i1,i2] - e[i1,i2p]| + |e[i1p,i2] + e[i1p,i2p]| over the table
+    ``e``, and the first (i1, i1p, i2, i2p) in C order that reaches it.
+
+    The terms D (row i1) and P (row i1p) split: x -> fl(d + x) is monotone, so the
+    max over i1p of fl(D + P) is fl(D + B), B the elementwise max of P, in O(n**3)
+    time and O(n**2) memory.  A rounding tie lets fl(d + b) reach the maximum with
+    d below its own, so the argmax is looked for in the sums, not in D and B.
+    """
+    import numpy as np
+
+    e = np.asarray(e)
+    n = len(e)
+    b = np.full((n, n), -math.inf)
+    for row in e:
+        np.maximum(b, np.abs(row[:, None] + row), out=b)
+    row_max = [(np.abs(row[:, None] - row) + b).max() for row in e]
+    i1 = int(np.argmax(row_max))
+    d = np.abs(e[i1, :, None] - e[i1])
+    for i1p, row in enumerate(e):
+        s = d + np.abs(row[:, None] + row)
+        flat_index = int(np.argmax(s))
+        if s.flat[flat_index] == row_max[i1]:
+            return float(row_max[i1]), (i1, i1p, *divmod(flat_index, n))
 
 
 def backward_model_chsh(model: BackwardModel, label: str, c: ChshConfig):
@@ -220,10 +224,5 @@ def pr_backward_model() -> BackwardModel:
 
 def reference_bounds() -> dict:
     """The three reference bounds every CHSH report carries for context."""
-    return jsonable(
-        {
-            "lhv_bound": LHV_BOUND,
-            "tsirelson_bound": TSIRELSON_BOUND,
-            "pr_bound": PR_BOUND,
-        }
-    )
+    return jsonable({"lhv_bound": LHV_BOUND, "tsirelson_bound": TSIRELSON_BOUND,
+                     "pr_bound": PR_BOUND})

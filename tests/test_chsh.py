@@ -2,10 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retrobell import (
     LHV_BOUND,
@@ -25,7 +28,7 @@ from retrobell import (
     settings_grid,
     verify_no_signalling_all,
 )
-from retrobell.chsh import strategy_chsh_value
+from retrobell.chsh import _max_chsh, strategy_chsh_value
 
 PI = math.pi
 SQRT8 = 2.0 * math.sqrt(2.0)
@@ -82,29 +85,109 @@ class TestLhvMax:
         assert all(strategy_chsh_value(s) <= 2 for s in enumerate_strategies())
 
 
-def reference_chsh_scan(state, resolution):
-    """The whole resolution**4 array of S and one argmax over it, as the scan
-    was first written: (max_S, argmax angles)."""
+def bell_table(state, resolution):
+    """E[i1, i2] from scalar bell_expectation, and the grid it is read on."""
     grid = angle_grid(resolution)
     e = np.empty((resolution, resolution), dtype=float)
     for i, a in enumerate(grid):
         for j, b in enumerate(grid):
             e[i, j] = bell_expectation(state, a, b)
+    return e, grid
+
+
+def reference_max(e):
+    """The whole n**4 array of S and one argmax over it: (max_S, index tuple)."""
     term1 = np.abs(e[:, None, :, None] - e[:, None, None, :])
     term2 = np.abs(e[None, :, :, None] + e[None, :, None, :])
     s = term1 + term2
     flat_index = int(np.argmax(s))
-    idx = np.unravel_index(flat_index, s.shape)
-    return float(s.flat[flat_index]), tuple(grid[i] for i in idx)
+    return float(s.flat[flat_index]), tuple(int(i) for i in np.unravel_index(flat_index, s.shape))
+
+
+def reference_chsh_scan(state, resolution):
+    """The full-array scan, as the scan was first written: (max_S, argmax angles)."""
+    e, grid = bell_table(state, resolution)
+    max_value, idx = reference_max(e)
+    return max_value, tuple(grid[i] for i in idx)
+
+
+def slice_chsh_scan(state, resolution):
+    """The scan reduced one i1 slice at a time in O(resolution**3) memory, as
+    it stood before the two CHSH terms were split: (max_S, argmax angles).  A
+    later slice wins only when strictly larger, so the first maximum in C
+    order is kept."""
+    e, grid = bell_table(state, resolution)
+    term2 = np.abs(e[:, :, None] + e[:, None, :])
+    max_value, idx = -math.inf, None
+    for i1 in range(resolution):
+        s = np.abs(e[i1, :, None] - e[i1, None, :]) + term2
+        flat_index = int(np.argmax(s))
+        if s.flat[flat_index] > max_value:
+            max_value = float(s.flat[flat_index])
+            idx = (i1, *np.unravel_index(flat_index, s.shape))
+    return max_value, tuple(grid[i] for i in idx)
+
+
+#: Table entries with exact ties in S, and rounding ties: 1 + 2**-53 rounds to
+#: 1, and 1 - 2**-53 is the float just below 1.
+TIE_ENTRIES = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0**-53, -(2.0**-53), 1 - 2.0**-53, -1 + 2.0**-53)
+
+
+@st.composite
+def tie_tables(draw):
+    n = draw(st.integers(1, 5))
+    entries = st.sampled_from(TIE_ENTRIES)
+    return np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                  min_size=n, max_size=n)))
 
 
 class TestQuantumScan:
-    @pytest.mark.parametrize("resolution", [8, 16])
+    @pytest.mark.parametrize("resolution", [8, 16, 24, 32])
     @pytest.mark.parametrize("state", [1, 2, 3, 4])
     def test_scan_equals_the_full_array_reference(self, state, resolution):
         rep = quantum_chsh_scan(state, resolution)
         assert (rep.max_value, rep.argmax) == reference_chsh_scan(state, resolution)
         assert rep.configs_scanned == resolution**4
+
+    @pytest.mark.parametrize("resolution", range(8, 65))
+    @pytest.mark.parametrize("state", [1, 2, 3, 4])
+    def test_scan_equals_the_slice_reference_bit_for_bit(self, state, resolution):
+        rep = quantum_chsh_scan(state, resolution)
+        max_value, argmax = slice_chsh_scan(state, resolution)
+        assert (rep.max_value.hex(), rep.argmax) == (max_value.hex(), argmax)
+
+    @settings(max_examples=400, deadline=None)
+    @given(tie_tables())
+    def test_ties_resolve_to_the_first_configuration_in_c_order(self, e):
+        max_value, idx = _max_chsh(e)
+        want_value, want_idx = reference_max(e)
+        assert (max_value.hex(), idx) == (want_value.hex(), want_idx)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_tie_tables_match_the_full_array_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        e = rng.choice(TIE_ENTRIES, size=(6, 6))
+        max_value, idx = _max_chsh(e)
+        want_value, want_idx = reference_max(e)
+        assert (max_value.hex(), idx) == (want_value.hex(), want_idx)
+
+    def test_rounding_tie_keeps_the_first_configuration(self):
+        # exactly, S(1, 0, 0, 1) = 1 + (1 + 2**-53) is the largest, but in
+        # floats it rounds to 2 = S(0, 0, 0, 0), which comes first
+        e = np.array([[-1.0, -(2.0**-53)], [-1.0, 0.0]])
+        assert reference_max(e) == (2.0, (0, 0, 0, 0))
+        assert _max_chsh(e) == (2.0, (0, 0, 0, 0))
+
+    @pytest.mark.parametrize("state", [1, 2, 3, 4])
+    def test_peak_allocation_is_a_few_resolution_squared_buffers(self, state):
+        quantum_chsh_scan(state, 8)
+        tracemalloc.start()
+        try:
+            quantum_chsh_scan(state, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**19
 
     def test_state1_reaches_tsirelson_on_16_grid(self):
         rep = quantum_chsh_scan(1, 16)

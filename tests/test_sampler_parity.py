@@ -217,7 +217,7 @@ def test_final_hit_on_last_run_of_a_short_batch(ghz_model):
 
 @pytest.mark.parametrize("quota, cap", [
     (10_000, 10_000),    # one short batch
-    (50_000, 100_000),   # a full batch, then a short one
+    (50_000, 100_000),   # six full batches, then a short one
     (40_000, 2 * sampling.BATCH_RUNS),  # stops on a batch edge
 ])
 def test_cap_error_fields(bell_model, quota, cap):

@@ -12,8 +12,8 @@ agree, so checking a change against its parent is a ``diff``:
 
 ``--src`` defaults to the ``src/`` next to this script.  The argvs are every
 command of the benchmark's three workloads at seeds 1-3, each output format,
-``sample`` on every model at 1-3 threads, a cap failure and the usage-error
-paths.  A full census takes a few seconds.
+the CHSH scan of every Bell state at resolutions 64 and 33, ``sample`` on
+every model at 1-3 threads, a cap failure and the usage-error paths.  A full census takes a few seconds.
 """
 
 from __future__ import annotations
@@ -95,6 +95,8 @@ def argvs() -> list[tuple[str, ...]]:
                 for workload in WORKLOADS.values() for cmd in workload(seed)]
     commands += [argv + ("--format", fmt) for argv in FORMATTED
                  for fmt in ("json", "csv", "human")]
+    commands += [("chsh", "--model", "bell", "--state", state, "--scan", "--resolution", res)
+                 for res in ("64", "33") for state in "1234"]
     commands += [("sample", "--model", m) + a + ("--n", "50000", "--seed", "9", "--threads", t)
                  for m, a in SAMPLE_ARGS.items() for t in ("1", "2", "3")]
     commands += FAILING
