@@ -180,9 +180,9 @@ def entry_table(
 
 @dataclass(frozen=True, eq=False)
 class Tabulation(Sequence):
-    """A model's grid checked (``points``) and tabulated (``K``) by ``_tabulate``,
-    and ``joint``, the ``(T, M)`` of ``_joint`` built on first use.  A sequence
-    of the points as given (``raw``), it stands in for the grid anywhere."""
+    """A model's grid checked (``points``) and kernel tabulated (``K``) by ``tabulate``,
+    and the tables derived from them: ``joint``, built on first use, and ``conditioned``.
+    A sequence of the points as given (``raw``), it stands in for the grid anywhere."""
 
     model: BackwardModel
     raw: list[tuple]
@@ -197,7 +197,23 @@ class Tabulation(Sequence):
 
     @cached_property
     def joint(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.model._joint(self.K)
+        """``(T, M)``: the joint ``T[point, cell, label]`` and its marginal ``M[point, label]``."""
+        base = np.array(self.model._outcome_weights(), dtype=self.K.dtype)[:, None]
+        W = self.K * base
+        # zero weights and zero-marginal cells are dropped unchecked
+        T = _normalized(np.where((base != 0) & (W != 0), W, 0), self.model.backend)
+        return T, _running_sum(T, axis=1)
+
+    def conditioned(self, label: str) -> np.ndarray:
+        """P(cell | settings, label) at every point, the label-conditioned outcome table."""
+        T, M = self.joint
+        labels = self.model.lam.labels
+        if label not in labels:
+            raise ConstructionError(f"unknown lambda label {label!r}")
+        at = labels.index(label)
+        if (M[:, at] == 0).any():
+            raise NullEvidenceError(f"label {label!r} has probability zero on the grid")
+        return T[:, :, at] / M[:, at, None]
 
 
 @dataclass(frozen=True)
@@ -262,17 +278,16 @@ class BackwardModel:
         """The full joint over (outcomes..., lambda) at fixed settings.
 
         Entry weights are the product of the wing marginals and the collider
-        kernel, per the model factorization: the one-point case of the
-        checks' :meth:`_tabulate` and :meth:`_joint`.
+        kernel, per the model factorization: the one-point
+        :attr:`Tabulation.joint`.
         """
-        _, K = self._tabulate([settings])
-        T, _ = self._joint(K)
+        T, _ = self.tabulate([settings]).joint
         variables = self.outcome_variables() + (self.lambda_variable(),)
         return Joint(variables, T[0].reshape([len(v.domain) for v in variables]), self.backend)
 
     def lambda_marginal(self, settings: Sequence) -> Joint:
         """P(lambda | settings): outcomes summed out of the one-point joint."""
-        _, M = self._joint(self._tabulate([settings])[1])
+        _, M = self.tabulate([settings]).joint
         return Joint((self.lambda_variable(),), M[0], self.backend)
 
     def condition_on_lambda(self, label: str, settings: Sequence) -> Joint:
@@ -281,7 +296,7 @@ class BackwardModel:
         Raises the conditioning-on-null error when the label has zero
         probability at these settings.
         """
-        P = self._conditioned_at(label, [settings])[0]
+        P = self.tabulate([settings]).conditioned(label)[0]
         variables = self.outcome_variables()
         return Joint(variables, P.reshape([len(v.domain) for v in variables]), self.backend)
 
@@ -291,25 +306,21 @@ class BackwardModel:
     # floats match the single-point tables at every point.
 
     def tabulate(self, settings_grid: Iterable[Sequence]) -> Tabulation:
-        """The grid checked and the kernel tabulated by :meth:`_tabulate`, once
-        for any number of checks; this model's own tabulation comes back as is."""
-        if isinstance(settings_grid, Tabulation) and settings_grid.model is self:
-            return settings_grid
-        # each point is read once, checked in grid order and kept as given
-        raw, read = itertools.tee(map(tuple, settings_grid))
-        points, K = self._tabulate(read)
-        return Tabulation(self, list(raw), points, K)
-
-    def _tabulate(self, settings_grid: Iterable[Sequence]) -> tuple[list[tuple], np.ndarray]:
-        """Checked grid points and the kernel tensor ``K[point, cell, label]``.
+        """The grid checked point by point and its kernel ``K[point, cell, label]`` filled
+        once for any number of checks; this model's own tabulation comes back as is.
 
         Cells are the outcome combos in canonical order.  The dtype is float64,
         or ``object`` holding the kernel's own values on the rational backend.
         """
-        points = [self.check_settings(s) for s in settings_grid]
+        if isinstance(settings_grid, Tabulation) and settings_grid.model is self:
+            return settings_grid
+        # each point is read once, checked in grid order and kept as given
+        raw, read = itertools.tee(map(tuple, settings_grid))
+        points = [self.check_settings(s) for s in read]
         if not points:
             raise ConstructionError("empty settings grid")
-        return points, self._fill(points, self.kernel.table, len(self.lam.labels))
+        K = self._fill(points, self.kernel.table, len(self.lam.labels))
+        return Tabulation(self, list(raw), points, K)
 
     def _fill(self, points: list[tuple], table, width: int) -> np.ndarray:
         """``table(points)`` as ``X[point, cell]`` of ``width`` values, in the
@@ -320,28 +331,6 @@ class BackwardModel:
         if X.shape != shape:
             raise ConstructionError(f"batched table has shape {X.shape}, not {shape}")
         return X
-
-    def _joint(self, K: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The joint ``T[point, cell, label]`` at every point, and its label
-        marginal ``M[point, label]``."""
-        base = np.array(self._outcome_weights(), dtype=K.dtype)[:, None]
-        W = K * base
-        # zero weights and zero-marginal cells are dropped unchecked
-        T = _normalized(np.where((base != 0) & (W != 0), W, 0), self.backend)
-        return T, _running_sum(T, axis=1)
-
-    def _conditioned(self, T: np.ndarray, M: np.ndarray, label: str) -> np.ndarray:
-        """P(cell | settings, label) at every point, the label-conditioned outcome table."""
-        if label not in self.lam.labels:
-            raise ConstructionError(f"unknown lambda label {label!r}")
-        at = self.lam.labels.index(label)
-        if (M[:, at] == 0).any():
-            raise NullEvidenceError(f"label {label!r} has probability zero on the grid")
-        return T[:, :, at] / M[:, at, None]
-
-    def _conditioned_at(self, label: str, settings_grid: Iterable[Sequence]) -> np.ndarray:
-        """:meth:`_conditioned` at the grid's points, from one tabulation."""
-        return self._conditioned(*self._joint(self._tabulate(settings_grid)[1]), label)
 
     def _sweep(self, check: str, devs, describe: Callable[[int], dict]) -> CheckReport:
         """Report the first strict maximum of ``devs``, flattened in sweep order.
@@ -392,7 +381,7 @@ class BackwardModel:
     ) -> list[CheckReport]:
         """One no-signalling report per label, from one tabulation."""
         tab = self.tabulate(settings_grid)
-        points, (T, M) = tab.points, tab.joint
+        points = tab.points
         cells = self._cells()
         # Grid points per (wing, local setting value, outcome), in the order
         # the grid first reaches each; equal setting values share one entry.
@@ -403,7 +392,7 @@ class BackwardModel:
                     slots.setdefault((i, local, outcome), []).append(g)
         reports = []
         for label in labels:
-            cond = self._conditioned(T, M, label)
+            cond = tab.conditioned(label)
             wing_marginals = {
                 (i, outcome): _running_sum(cond[:, [c[i] == outcome for c in cells]], axis=1).tolist()
                 for i in range(len(self.wings)) for outcome in OUTCOMES
@@ -449,12 +438,12 @@ class BackwardModel:
                 f"{self.name} has no quantum targets to recover"
             )
         tab = self.tabulate(settings_grid)
-        points, K, (T, M) = tab.points, tab.K, tab.joint
+        points, K = tab.points, tab.K
         labels = self.quantum_targets
         W = self._fill(points, self.target_table, len(labels))
         devs = np.empty((len(points), len(labels)), dtype=K.dtype)
         for t, label in enumerate(labels):
-            P = self._conditioned(T, M, label)
+            P = tab.conditioned(label)
             devs[:, t] = _running_sum(abs(P - _normalized(W[:, :, t], self.backend)), axis=1) / 2
         return self._sweep("recovery", devs, lambda i: {
             "settings": points[i // len(labels)], "label": labels[i % len(labels)]})
@@ -473,7 +462,7 @@ class BackwardModel:
         cells = self._cells()
         if outcomes not in cells:
             raise ConstructionError(f"outcomes {outcomes!r} are not a cell of {self.name}")
-        row = self._conditioned_at(label, [settings])[0].tolist()
+        row = self.tabulate([settings]).conditioned(label)[0].tolist()
         joint_p = row[cells.index(outcomes)]
         product: Prob = 1
         for i, outcome in enumerate(outcomes):

@@ -203,7 +203,7 @@ def backward_model_chsh(model: BackwardModel, label: str, c: ChshConfig):
              (c.alpha1_prime, c.alpha2), (c.alpha1_prime, c.alpha2_prime)]
     cells = model._cells()
     correlations = iter([sum(a1 * a2 * p for (a1, a2), p in zip(cells, row) if p != 0)
-                         for row in model._conditioned_at(label, pairs).tolist()])
+                         for row in model.tabulate(pairs).conditioned(label).tolist()])
     return chsh_value(lambda s1, s2: next(correlations), c)
 
 

@@ -115,7 +115,7 @@ def make_rng(seed, shard: int | None = None) -> np.random.Generator:
 
 def _sampling_tables(model: BackwardModel, K: np.ndarray):
     """Float lookup tables driving both scalar and batched sampling, from the
-    one-point kernel tensor ``K`` of ``model._tabulate``.
+    kernel tensor ``K`` of a one-point ``model.tabulate``.
 
     Returns the per-wing P(+1) vector, the canonical outcome combos, and the
     per-combo cumulative kernel rows (last entry forced to 1.0 so that a
@@ -151,7 +151,7 @@ def sample_run(
     key = repr(settings)
     held_model, held_key, tables = _run_tables
     if held_model is not model or held_key != key:
-        tables = _sampling_tables(model, model._tabulate([settings])[1])
+        tables = _sampling_tables(model, model.tabulate([settings]).K)
         _run_tables = (model, key, tables)
     p_plus, combos, cum = tables
     outcomes = tuple(
@@ -339,8 +339,8 @@ def sample_postselected(
         raise ValueError(f"unknown label {label!r}")
     target_idx = model.lam.labels.index(label)
 
-    _, K = model._tabulate([settings])
-    tables = _sampling_tables(model, K)
+    tab = model.tabulate([settings])
+    tables = _sampling_tables(model, tab.K)
     # shards beyond n would get no runs, so only min(shards, n) quotas exist
     quotas = [n // shards + (i < n % shards) for i in range(min(shards, n))]
     caps = [max(1, cap_factor) * q for q in quotas]
@@ -361,9 +361,8 @@ def sample_postselected(
 
     # The exact reference is one row of the joint of the sampled tensor;
     # conditioning raises NullEvidenceError for a label of probability zero.
-    combos = model._cells()
-    T, M = model._joint(K)
-    exact = model._conditioned(T, M, label)[0]
+    combos = tables[1]
+    exact = tab.conditioned(label)[0]
     exact_p = exact.tolist()
     cells = [
         {
@@ -379,6 +378,7 @@ def sample_postselected(
 
     # Acceptance rate: total draws to reach n acceptances is negative
     # binomial, so gate (p*total - n) / sqrt(n*(1-p)).
+    _, M = tab.joint
     p_label = float(M[0, target_idx])
     if 0.0 < p_label < 1.0:
         z_acc = (p_label * total - n) / math.sqrt(n * (1.0 - p_label))

@@ -270,6 +270,8 @@ class TestChshCommand:
     @pytest.mark.parametrize("settings, message", [
         ("0,1,1", "--settings needs 4 comma-separated values"),
         ("0,1,2,0", "--settings values must be 0 or 1, got '2'"),
+        ("1 0,0,1", "--settings needs 4 comma-separated values"),
+        ("1 0,0,1,1", "--settings values must be 0 or 1, got '1 0'"),
     ])
     def test_bad_prbox_settings_are_usage_errors(self, capsys, settings, message):
         code, out, err = run(capsys, "chsh", "--model", "prbox", "--settings", settings)
@@ -284,6 +286,8 @@ class TestChshCommand:
         ("0,1,2", "--angles needs 4 comma-separated values"),
         ("0,1,2,3,4", "--angles needs 4 comma-separated values"),
         ("0,1,2,x", "bad --angles: could not convert string to float: 'x'"),
+        ("0 1,2,3", "--angles needs 4 comma-separated values"),
+        ("0 1,2,3,4", "bad --angles: could not convert string to float: '0 1'"),
     ])
     def test_bad_angle_lists_are_usage_errors(self, capsys, angles, message):
         code, out, err = run(capsys, "chsh", "--model", "bell", "--angles", angles)
@@ -299,6 +303,11 @@ class TestChshCommand:
     def test_empty_list_fields_are_usage_errors(self, capsys, model, flag, values):
         code, out, err = run(capsys, "chsh", "--model", model, flag, values)
         assert (code, out, err) == (2, "", f"error: {flag} has an empty field: {values!r}\n")
+
+    def test_list_fields_are_stripped(self, capsys):
+        code, doc = run_json(capsys, "chsh", "--model", "bell", "--angles", " 0, 1 ,2,3 ")
+        assert code == 0
+        assert doc["config"]["angles"] == [0.0, 1.0, 2.0, 3.0]
 
     def test_negative_exponent_angles_take_the_equals_form(self, capsys):
         code, doc = run_json(capsys, "chsh", "--model", "bell", "--angles=-1,2,3,4")

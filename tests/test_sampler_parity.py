@@ -35,7 +35,7 @@ PI = math.pi
 
 def reference_shard_postselect(model, settings, target_idx, quota, cap, rng):
     n_wings = len(model.wings)
-    p_plus, combos, cum = sampling._sampling_tables(model, model._tabulate([settings])[1])
+    p_plus, combos, cum = sampling._sampling_tables(model, model.tabulate([settings]).K)
     pow2 = np.array([2 ** (n_wings - 1 - i) for i in range(n_wings)], dtype=int)
 
     counts = np.zeros(len(combos), dtype=np.int64)
@@ -87,7 +87,7 @@ def assert_parity(model, settings, label, quota, cap, rng_factory):
     target_idx = model.lam.labels.index(label)
     args = (model, settings, target_idx, quota, cap)
     expected = outcome(reference_shard_postselect, *args, rng_factory())
-    tables = sampling._sampling_tables(model, model._tabulate([settings])[1])
+    tables = sampling._sampling_tables(model, model.tabulate([settings]).K)
     got = outcome(sampling._shard_postselect, model, tables, *args[2:], rng_factory())
     assert got == expected
     return got
@@ -151,7 +151,7 @@ def test_final_hit_on_last_run_of_a_batch(bell_model):
     # find a seed whose first batch ends with a hit; a quota of exactly that
     # batch's hits then stops on its last run
     settings = bell_model.check_settings((0.0, PI / 3))
-    _, _, cum = sampling._sampling_tables(bell_model, bell_model._tabulate([settings])[1])
+    _, _, cum = sampling._sampling_tables(bell_model, bell_model.tabulate([settings]).K)
     b = sampling.BATCH_RUNS
     for seed in range(100):
         u = make_rng(seed).random((b, 3))
@@ -283,7 +283,7 @@ def odd_model(p_plus):
 @pytest.mark.parametrize("label", ["L0", "L1", "L2", "L3"])
 def test_odd_kernels(p_plus, settings, label):
     model = odd_model(p_plus)
-    _, _, cum = sampling._sampling_tables(model, model._tabulate([settings])[1])
+    _, _, cum = sampling._sampling_tables(model, model.tabulate([settings]).K)
     assert np.isnan(cum).any() and (np.diff(cum, axis=1) < 0).any() and (cum > 1).any()
     for seed in (3, 4):
         assert_parity(model, settings, label, 20_000, 200_000, lambda: make_rng(seed))
@@ -305,7 +305,7 @@ def test_sample_run_loop_matches_batched_sampler_on_odd_kernels(p_plus):
             hits += 1
             counts[cells.index(run.outcomes)] += 1
     expected = (counts, quota, total, product_sum)
-    tables = sampling._sampling_tables(model, model._tabulate([settings])[1])
+    tables = sampling._sampling_tables(model, model.tabulate([settings]).K)
     assert outcome(sampling._shard_postselect, model, tables, 1, quota,
                    100 * quota, make_rng(3)) == expected
 
@@ -331,7 +331,7 @@ def test_batch_size_changes_no_statistic(stock, monkeypatch, name, settings, lab
     # the exact draw, so the batch size is a performance constant only
     model = stock.get(name) or odd_model((0.3, 0.8, 0.6))
     settings = model.check_settings(settings)
-    tables = sampling._sampling_tables(model, model._tabulate([settings])[1])
+    tables = sampling._sampling_tables(model, model.tabulate([settings]).K)
     target_idx = model.lam.labels.index(label)
     got = []
     for runs in (1, 1000, 4096, 1 << 14, 1 << 16):

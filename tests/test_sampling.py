@@ -446,13 +446,13 @@ class TestStrictJson:
 def test_sample_tabulates_the_kernel_once(bell_model, monkeypatch, shards):
     # the shards' cumulative rows and the exact reference share one tensor
     calls = []
-    tabulate = type(bell_model)._tabulate
+    tabulate = type(bell_model).tabulate
 
     def counted(model, grid):
         calls.append(grid)
         return tabulate(model, grid)
 
-    monkeypatch.setattr(type(bell_model), "_tabulate", counted)
+    monkeypatch.setattr(type(bell_model), "tabulate", counted)
     rep = sample_postselected(bell_model, "lambda1", SETTINGS, 3000, 2, shards=shards)
     assert rep.shards == shards
     assert len(calls) == 1

@@ -81,23 +81,22 @@ def _reference_targets(model, points):
 def test_kernel_table_matches_scalar_loop(name, res, centered):
     model = MODELS[name]()
     grid = settings_grid(model, res, centered=centered)
-    points, K = model._tabulate(grid)
-    ref_points, ref = _scalar(model)._tabulate(grid)
-    assert points == ref_points
-    _same_bits(K, ref)
+    tab, ref = model.tabulate(grid), _scalar(model).tabulate(grid)
+    assert tab.points == ref.points
+    _same_bits(tab.K, ref.K)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_kernel_table_matches_scalar_loop_on_edge_angles(name):
     model = MODELS[name]()
-    _, K = model._tabulate(EDGE_GRID)
-    _same_bits(K, _scalar(model)._tabulate(EDGE_GRID)[1])
+    K = model.tabulate(EDGE_GRID).K
+    _same_bits(K, _scalar(model).tabulate(EDGE_GRID).K)
 
 
 @pytest.mark.parametrize("res, centered", _grids())
 def test_bell_target_table_matches_quantum_targets(res, centered):
     model = bell_backward_model()
-    points = model._tabulate(settings_grid(model, res, centered=centered))[0]
+    points = model.tabulate(settings_grid(model, res, centered=centered)).points
     _same_bits(model.target_table(points), _reference_targets(model, points))
 
 
@@ -177,7 +176,7 @@ def _collider_rule(target, label, norm):
 def test_exact_collider_kernels_equal_their_scalar_rule(build, target, label, norm, grid):
     model = build()
     assert model.kernel.normalization == {label: norm}
-    _, K = model._tabulate(grid)
+    K = model.tabulate(grid).K
     ref = entry_table(_collider_rule(target, label, norm), model.lam.labels)(grid)
     assert K.dtype == ref.dtype == object and K.shape == ref.shape
     assert all(type(k) is Fraction and k == r for k, r in zip(K.flat, ref.flat))

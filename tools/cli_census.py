@@ -83,6 +83,8 @@ FAILING = [
     ("sample", "--model", "ghz", "--label", "0", "--settings", "0,1,1", "--n", "10",
      "--backend", "float"),
     SAMPLE_BELL + ("--n", "1000", "--cap-factor", "1", "--seed", "1"),
+    ("chsh", "--model", "bell", "--angles", "0 1,2,3"),
+    ("chsh", "--model", "prbox", "--settings", "1 0,0,1"),
 ]
 
 
