@@ -47,9 +47,8 @@ _EXPORTS = {
     ),
     "reports": ("CheckReport", "WitnessReport"),
     "sampling": (
-        "AcceptanceCapError", "EmpiricalChshReport", "RNG_ALGORITHM", "RunRecord",
-        "SampleReport", "Z_GATE", "empirical_chsh", "make_rng", "sample_postselected",
-        "sample_run",
+        "AcceptanceCapError", "RNG_ALGORITHM", "RunRecord", "SampleReport", "Z_GATE",
+        "make_rng", "sample_postselected", "sample_run",
     ),
 }
 

@@ -9,12 +9,14 @@ outcomes are uncorrelated; the kept runs reproduce the label-conditioned
 distribution.
 
 Reproducibility contract: the generator is Philox (counter-based), keyed by
-a 64-bit seed; the algorithm name is recorded in every report.  Batched
+a non-negative integer seed (an ``int`` or numpy integer; a float or a string
+is rejected); the algorithm name is recorded in every report.  Batched
 sampling consumes the generator stream in exactly the order a run-by-run
 loop would, so results are bit-identical for a given (model, settings, n,
-seed, shards).  Sharded sampling derives one child seed per shard from the
-root seed and merges counts in shard order, making parallel and serial
-execution indistinguishable; ``shards=1`` is the single-stream baseline.
+seed, shards).  With several shards, shard ``k`` draws from the root seed's
+``k``-th spawned child, numpy's ``SeedSequence(seed).spawn(k + 1)[k]``, and
+counts merge in shard order, making parallel and serial execution
+indistinguishable; ``shards=1`` draws from the root stream itself.
 Shards run on at most one thread per usable CPU.
 
 A shard refills one buffer set for every batch of ``BATCH_RUNS`` runs, so
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -41,7 +44,6 @@ from typing import Sequence
 import numpy as np
 
 from .backward import BackwardModel
-from .chsh import ChshConfig, chsh_value
 from .dist import FLOAT, _normalized, _running_sum
 from .dist import make_joint  # noqa: F401 (bench/tracing.py patches this name)
 from .reports import fields_json
@@ -89,28 +91,16 @@ class RunRecord:
     index: int = 0
 
 
-def _seed_sequence(seed, shard: int | None = None) -> np.random.SeedSequence:
-    """The seed sequence of a 64-bit seed (or of a seed sequence), optionally
-    the child for one shard.
+def make_rng(seed: int, shard: int | None = None) -> np.random.Generator:
+    """Philox generator for an integer seed, optionally for one shard.
 
-    Children extend the root's spawn key, so they are mutually independent
-    and reproducible without shared state.
+    The seed passes through ``operator.index``, so a float or a string raises
+    ``TypeError``.  A shard's stream is the root's spawned child: the same as
+    ``SeedSequence(seed).spawn(shard + 1)[shard]``, so the shards are mutually
+    independent and each is reproducible without shared state.
     """
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(int(seed))
-    if shard is None:
-        return seed
-    return np.random.SeedSequence(entropy=seed.entropy, spawn_key=seed.spawn_key + (int(shard),))
-
-
-def _shown_seed(seed):
-    """The seed as a report shows it: a seed sequence by its ``str``."""
-    return str(seed) if isinstance(seed, np.random.SeedSequence) else seed
-
-
-def make_rng(seed, shard: int | None = None) -> np.random.Generator:
-    """Philox generator for a 64-bit seed, optionally for one shard."""
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed, shard)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        operator.index(seed), spawn_key=() if shard is None else (shard,))))
 
 
 def _sampling_tables(model: BackwardModel, K: np.ndarray):
@@ -276,7 +266,7 @@ class SampleReport:
     total_draws: int
     cap: int
     shards: int
-    seed: object
+    seed: int
     rng_algorithm: str
     backend: str
     cells: tuple[dict, ...]
@@ -314,7 +304,7 @@ def sample_postselected(
     label: str,
     settings: Sequence,
     n: int,
-    seed,
+    seed: int,
     *,
     cap_factor: int = DEFAULT_CAP_FACTOR,
     shards: int = 1,
@@ -334,6 +324,9 @@ def sample_postselected(
         raise ValueError("need a positive number of postselected runs")
     if shards < 1:
         raise ValueError("shards must be >= 1")
+    if cap_factor < 1:
+        raise ValueError("cap_factor must be >= 1")
+    seed = operator.index(seed)
     settings = model.check_settings(settings)
     if label not in model.lam.labels:
         raise ValueError(f"unknown label {label!r}")
@@ -343,7 +336,7 @@ def sample_postselected(
     tables = _sampling_tables(model, tab.K)
     # shards beyond n would get no runs, so only min(shards, n) quotas exist
     quotas = [n // shards + (i < n % shards) for i in range(min(shards, n))]
-    caps = [max(1, cap_factor) * q for q in quotas]
+    caps = [cap_factor * q for q in quotas]
 
     def shard(i):
         # a single shard draws from the root stream, several from its children
@@ -426,7 +419,7 @@ def sample_postselected(
         total_draws=total,
         cap=sum(caps),
         shards=len(quotas),
-        seed=_shown_seed(seed),
+        seed=seed,
         rng_algorithm=RNG_ALGORITHM,
         backend=model.backend,
         cells=tuple(cells),
@@ -437,60 +430,4 @@ def sample_postselected(
         unconditional=unconditional,
         conditioned_correlation=conditioned,
         passed=passed,
-    )
-
-
-@dataclass(frozen=True)
-class EmpiricalChshReport:
-    """CHSH value estimated from postselected counts, with standard error."""
-
-    value: float
-    stderr: float
-    n_per_pair: int
-    seed: object
-    rng_algorithm: str
-    config: tuple
-    pairs: tuple[dict, ...]
-
-    to_json_dict = fields_json(value="S", rng_algorithm="rng")
-
-
-def empirical_chsh(
-    model: BackwardModel,
-    label: str,
-    c: ChshConfig,
-    n_per_pair: int,
-    seed,
-    *,
-    cap_factor: int = DEFAULT_CAP_FACTOR,
-) -> EmpiricalChshReport:
-    """Estimate the CHSH combination from postselected samples.
-
-    Each of the four setting pairs is sampled independently with a child
-    seed derived from the root seed; the per-pair correlation estimate and
-    its binomial standard error combine into the CHSH value and a quadrature
-    standard error.
-    """
-    if n_per_pair <= 0:
-        raise ValueError("need a positive sample size per setting pair")
-    pairs = []
-
-    def correlation(s1, s2):
-        # the i-th pair chsh_value asks for samples with child seed i
-        rep = sample_postselected(model, label, (s1, s2), n_per_pair,
-                                  _seed_sequence(seed, len(pairs)), cap_factor=cap_factor)
-        e_hat = rep.conditioned_correlation["empirical"]
-        se = math.sqrt(max(0.0, 1.0 - e_hat * e_hat) / n_per_pair)
-        pairs.append({"settings": (s1, s2), "E": e_hat, "stderr": se, "n": n_per_pair})
-        return e_hat
-
-    value = chsh_value(correlation, c)
-    return EmpiricalChshReport(
-        value=value,
-        stderr=math.sqrt(sum(p["stderr"] * p["stderr"] for p in pairs)),
-        n_per_pair=n_per_pair,
-        seed=_shown_seed(seed),
-        rng_algorithm=RNG_ALGORITHM,
-        config=c.as_tuple(),
-        pairs=tuple(pairs),
     )

@@ -39,9 +39,8 @@ PUBLIC = {
     ],
     "reports": ["CheckReport", "WitnessReport"],
     "sampling": [
-        "AcceptanceCapError", "EmpiricalChshReport", "RNG_ALGORITHM", "RunRecord",
-        "SampleReport", "Z_GATE", "empirical_chsh", "make_rng", "sample_postselected",
-        "sample_run",
+        "AcceptanceCapError", "RNG_ALGORITHM", "RunRecord", "SampleReport", "Z_GATE",
+        "make_rng", "sample_postselected", "sample_run",
     ],
 }
 NAMES = sorted(name for names in PUBLIC.values() for name in names)

@@ -8,11 +8,9 @@ on the platform's libm.
 """
 
 import hashlib
-import json
 
 import pytest
 
-from retrobell import PR_BOX_CONFIG, empirical_chsh, pr_backward_model
 from retrobell.cli import main
 
 
@@ -55,8 +53,3 @@ def test_sample_report_bytes(capsys, argv, digest):
     assert main(argv) == 0
     assert _sha256(capsys.readouterr().out) == digest
 
-
-def test_empirical_chsh_report_bytes():
-    rep = empirical_chsh(pr_backward_model(), "lambda_pr", PR_BOX_CONFIG, 5000, 21)
-    assert (_sha256(json.dumps(rep.to_json_dict()))
-            == "6da02408edc816c9fa18e00b0ee528600f37553628b7530de1840f4f478c1873")

@@ -17,10 +17,8 @@ from retrobell import (
     BackwardModel,
     ColliderKernel,
     LambdaSpace,
-    STANDARD_BELL_CONFIG,
     Wing,
     Z_GATE,
-    empirical_chsh,
     entry_table,
     ghz_allowed,
     make_rng,
@@ -155,6 +153,18 @@ class TestPostselection:
             sample_postselected(bell_model, "nosuch", SETTINGS, 10, 1)
         with pytest.raises(ValueError):
             sample_postselected(bell_model, "lambda1", SETTINGS, 10, 1, shards=0)
+
+    @pytest.mark.parametrize("cap_factor", [0, -3])
+    def test_cap_factor_below_one_rejected(self, bell_model, cap_factor):
+        # a factor clamped to 1 would run, and stop at its cap of 100 draws
+        # with AcceptanceCapError rather than reject the argument
+        with pytest.raises(ValueError, match="cap_factor"):
+            sample_postselected(bell_model, "lambda1", SETTINGS, 100, 1, cap_factor=cap_factor)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "7"])
+    def test_non_integer_seed_rejected(self, bell_model, seed):
+        with pytest.raises(TypeError):
+            sample_postselected(bell_model, "lambda1", (0.3, 1.1), 1000, seed)
 
 
 def zero_cell_model():
@@ -375,31 +385,6 @@ class TestAcceptanceCap:
             sample_postselected(model, "never", (0.0, 0.0), 10, 1, cap_factor=5)
 
 
-class TestEmpiricalChsh:
-    def test_standard_angles_within_five_se(self, bell_model):
-        rep = empirical_chsh(bell_model, "lambda1", STANDARD_BELL_CONFIG, 200_000, 3)
-        assert abs(rep.value - 2.0 * math.sqrt(2.0)) <= 5.0 * rep.stderr
-
-    def test_equal_angles_give_exactly_two(self, bell_model):
-        from retrobell import ChshConfig
-
-        rep = empirical_chsh(
-            bell_model, "lambda1", ChshConfig(0.4, 0.4, 0.4, 0.4), 5_000, 8
-        )
-        # perfect correlation at equal angles: every accepted pair agrees
-        assert rep.value == 2.0
-        assert rep.stderr == 0.0
-
-    def test_empty_sample_rejected(self, bell_model):
-        with pytest.raises(ValueError):
-            empirical_chsh(bell_model, "lambda1", STANDARD_BELL_CONFIG, 0, 1)
-
-    def test_deterministic(self, bell_model):
-        a = empirical_chsh(bell_model, "lambda1", STANDARD_BELL_CONFIG, 10_000, 4)
-        b = empirical_chsh(bell_model, "lambda1", STANDARD_BELL_CONFIG, 10_000, 4)
-        assert a.to_json_dict() == b.to_json_dict()
-
-
 class TestRng:
     def test_same_seed_same_stream(self):
         assert make_rng(123).random(8).tolist() == make_rng(123).random(8).tolist()
@@ -414,9 +399,20 @@ class TestRng:
         g1, g2 = make_rng(5), make_rng(5)
         assert g1.random(6).tolist() == [g2.random() for _ in range(6)]
 
-    def test_seed_sequence_accepted(self):
-        ss = np.random.SeedSequence(77)
-        assert make_rng(ss).random() == make_rng(77).random()
+    @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+    def test_streams_are_numpys_spawned_children(self, seed):
+        def draws(seed_sequence):
+            return np.random.Generator(np.random.Philox(seed_sequence)).random(4).tolist()
+
+        assert make_rng(seed).random(4).tolist() == draws(np.random.SeedSequence(seed))
+        for k in range(3):
+            child = np.random.SeedSequence(seed).spawn(k + 1)[k]
+            assert make_rng(seed, shard=k).random(4).tolist() == draws(child)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "7"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(TypeError):
+            make_rng(seed)
 
 
 class TestStrictJson:

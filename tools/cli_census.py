@@ -13,7 +13,9 @@ agree, so checking a change against its parent is a ``diff``:
 ``--src`` defaults to the ``src/`` next to this script.  The argvs are every
 command of the benchmark's three workloads at seeds 1-3, each output format,
 the CHSH scan of every Bell state at resolutions 64 and 33, ``sample`` on
-every model at 1-3 threads, a cap failure and the usage-error paths.  A full census takes a few seconds.
+every model at 1-3 threads, bell ``sample`` at the 64-bit seed edge (2^63
+and 2^64 - 1) on 1 and 3 threads, a cap failure and the usage-error paths.
+A full census takes a few seconds.
 """
 
 from __future__ import annotations
@@ -101,6 +103,8 @@ def argvs() -> list[tuple[str, ...]]:
                  for res in ("64", "33") for state in "1234"]
     commands += [("sample", "--model", m) + a + ("--n", "50000", "--seed", "9", "--threads", t)
                  for m, a in SAMPLE_ARGS.items() for t in ("1", "2", "3")]
+    commands += [SAMPLE_BELL + ("--n", "50000", "--seed", seed, "--threads", t)
+                 for seed in (str(2**63), str(2**64 - 1)) for t in ("1", "3")]
     commands += FAILING
     return list(dict.fromkeys(commands))
 
