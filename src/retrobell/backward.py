@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
@@ -182,18 +182,17 @@ def entry_table(
 class Tabulation(Sequence):
     """A model's grid checked (``points``) and kernel tabulated (``K``) by ``tabulate``,
     and the tables derived from them: ``joint``, built on first use, and ``conditioned``.
-    A sequence of the points as given (``raw``), it stands in for the grid anywhere."""
+    A sequence of the checked points, it stands in for the grid anywhere."""
 
     model: BackwardModel
-    raw: list[tuple]
     points: list[tuple]
     K: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.raw)
+        return len(self.points)
 
     def __getitem__(self, i):
-        return self.raw[i]
+        return self.points[i]
 
     @cached_property
     def joint(self) -> tuple[np.ndarray, np.ndarray]:
@@ -314,13 +313,12 @@ class BackwardModel:
         """
         if isinstance(settings_grid, Tabulation) and settings_grid.model is self:
             return settings_grid
-        # each point is read once, checked in grid order and kept as given
-        raw, read = itertools.tee(map(tuple, settings_grid))
-        points = [self.check_settings(s) for s in read]
+        # each point is read once and checked in grid order
+        points = [self.check_settings(s) for s in settings_grid]
         if not points:
             raise ConstructionError("empty settings grid")
         K = self._fill(points, self.kernel.table, len(self.lam.labels))
-        return Tabulation(self, list(raw), points, K)
+        return Tabulation(self, points, K)
 
     def _fill(self, points: list[tuple], table, width: int) -> np.ndarray:
         """``table(points)`` as ``X[point, cell]`` of ``width`` values, in the
@@ -349,7 +347,7 @@ class BackwardModel:
                 max_dev, worst = dev, i
         tol = self.tolerance
         worst_case = None if worst is None else describe(worst)
-        return CheckReport(check, max_dev <= tol, max_dev, tol, self.backend, worst_case)
+        return CheckReport(check, max_dev <= tol, max_dev, worst_case, tol, self.backend)
 
     def verify_si(self, settings_grid: Iterable[Sequence]) -> CheckReport:
         """Statistical independence: P(lambda | settings) equals the prior.
@@ -362,7 +360,7 @@ class BackwardModel:
         labels = self.lam.labels
         devs = abs(M - np.array(self.lam.priors, dtype=tab.K.dtype))
         return self._sweep("si", devs, lambda i: {
-            "settings": tab.raw[i // len(labels)], "label": labels[i % len(labels)]})
+            "settings": tab.points[i // len(labels)], "label": labels[i % len(labels)]})
 
     def verify_no_signalling(
         self, label: str, settings_grid: Iterable[Sequence]
@@ -374,46 +372,47 @@ class BackwardModel:
         remote-setting variations; the deviation is the spread (max minus
         min) of each such collection.
         """
-        return self._no_signalling([label], settings_grid)[0]
+        return self._no_signalling([label], settings_grid)
 
     def _no_signalling(
         self, labels: Sequence[str], settings_grid: Iterable[Sequence]
-    ) -> list[CheckReport]:
-        """One no-signalling report per label, from one tabulation."""
+    ) -> CheckReport:
+        """No-signalling at every label of ``labels``, from one tabulation: one
+        sweep over (label, wing, local setting, outcome) in that order."""
         tab = self.tabulate(settings_grid)
         points = tab.points
-        cells = self._cells()
-        # Grid points per (wing, local setting value, outcome), in the order
-        # the grid first reaches each; equal setting values share one entry.
+        # Grid points per (wing, local setting value), in the order the grid
+        # first reaches each; equal setting values share one entry.
         slots: dict[tuple, list[int]] = {}
         for g, settings in enumerate(points):
             for i, local in enumerate(settings):
-                for outcome in OUTCOMES:
-                    slots.setdefault((i, local, outcome), []).append(g)
-        reports = []
+                slots.setdefault((i, local), []).append(g)
+        devs, cases = [], []
         for label in labels:
             cond = tab.conditioned(label)
-            wing_marginals = {
-                (i, outcome): _running_sum(cond[:, [c[i] == outcome for c in cells]], axis=1).tolist()
-                for i in range(len(self.wings)) for outcome in OUTCOMES
-            }
-            devs, cases = [], []
-            for (i, local, outcome), at in slots.items():
-                p = wing_marginals[i, outcome]
-                lo, hi = min(at, key=p.__getitem__), max(at, key=p.__getitem__)
-                devs.append(p[hi] - p[lo])
-                cases.append({
-                    "wing": self.wings[i].outcome_name,
-                    "local_setting": local,
-                    "outcome": outcome,
-                    "label": label,
-                    "min_probability": p[lo],
-                    "max_probability": p[hi],
-                    "min_at_settings": points[lo],
-                    "max_at_settings": points[hi],
-                })
-            reports.append(self._sweep("no_signalling", devs, cases.__getitem__))
-        return reports
+            wing_marginals = {(i, outcome): self._wing_marginal(cond, i, outcome)
+                              for i in range(len(self.wings)) for outcome in OUTCOMES}
+            for (i, local), at in slots.items():
+                for outcome in OUTCOMES:
+                    p = wing_marginals[i, outcome]
+                    lo, hi = min(at, key=p.__getitem__), max(at, key=p.__getitem__)
+                    devs.append(p[hi] - p[lo])
+                    cases.append({
+                        "wing": self.wings[i].outcome_name,
+                        "local_setting": local,
+                        "outcome": outcome,
+                        "label": label,
+                        "min_probability": p[lo],
+                        "max_probability": p[hi],
+                        "min_at_settings": points[lo],
+                        "max_at_settings": points[hi],
+                    })
+        return self._sweep("no_signalling", devs, cases.__getitem__)
+
+    def _wing_marginal(self, cond: np.ndarray, i: int, outcome: int) -> list[Prob]:
+        """P(a_i = outcome | settings, label) at every point of ``cond[point, cell]``:
+        a left-to-right sum over wing ``i``'s cells in canonical order."""
+        return _running_sum(cond[:, [c[i] == outcome for c in self._cells()]], axis=1).tolist()
 
     def verify_kernel_normalization(
         self, settings_grid: Iterable[Sequence]
@@ -462,12 +461,11 @@ class BackwardModel:
         cells = self._cells()
         if outcomes not in cells:
             raise ConstructionError(f"outcomes {outcomes!r} are not a cell of {self.name}")
-        row = self.tabulate([settings]).conditioned(label)[0].tolist()
-        joint_p = row[cells.index(outcomes)]
+        cond = self.tabulate([settings]).conditioned(label)
+        joint_p = cond[0].tolist()[cells.index(outcomes)]
         product: Prob = 1
         for i, outcome in enumerate(outcomes):
-            # wing i's marginal: a left-to-right sum over its cells in canonical order
-            product = product * sum(p for c, p in zip(cells, row) if c[i] == outcome)
+            product = product * self._wing_marginal(cond, i, outcome)[0]
         difference = abs(joint_p - product)
         return WitnessReport(
             product_value=product,
@@ -486,9 +484,7 @@ def verify_no_signalling_all(
     model: BackwardModel, settings_grid: Sequence[Sequence]
 ) -> CheckReport:
     """No-signalling aggregated over every label of the model."""
-    reports = model._no_signalling(model.lam.labels, settings_grid)
-    worst = max(reports, key=lambda r: r.max_deviation)
-    return replace(worst, passed=all(r.passed for r in reports))
+    return model._no_signalling(model.lam.labels, settings_grid)
 
 
 # ---------------------------------------------------------------------------

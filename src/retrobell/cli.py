@@ -561,16 +561,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _expand_config_tokens(argv: list[str]) -> list[str]:
-    """Insert config-file tokens after the subcommand so flags win."""
-    path = None
+    """Take the ``--config`` pair out wherever it stands and insert the
+    file's tokens right after the command name, so flags win."""
     for i, tok in enumerate(argv):
         if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
+            path, argv = argv[i + 1], argv[:i] + argv[i + 2:]
             break
         if tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
+            path, argv = tok.split("=", 1)[1], argv[:i] + argv[i + 1:]
             break
-    if path is None:
+    else:
         return argv
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
@@ -594,9 +594,7 @@ def _expand_config_tokens(argv: list[str]) -> list[str]:
     except (OSError, UnicodeDecodeError) as e:
         reason = getattr(e, "strerror", None) or e
         raise UsageError(f"cannot read config file {path}: {reason}") from None
-    if not argv:
-        return tokens
-    return [argv[0]] + tokens + argv[1:]
+    return argv[:1] + tokens + argv[1:]
 
 
 def main(argv: list[str] | None = None) -> int:

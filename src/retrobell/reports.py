@@ -68,19 +68,11 @@ class CheckReport:
     check: str
     passed: bool
     max_deviation: Fraction | float
+    worst_case: dict | None
     tolerance: Fraction | float
     backend: str
-    worst_case: dict | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "pass": bool(self.passed),
-            "max_deviation": as_number(self.max_deviation),
-            "worst_case": jsonable(self.worst_case) if self.worst_case else None,
-            "tolerance": as_number(self.tolerance),
-            "backend": self.backend,
-        }
+    to_json_dict = fields_json(passed="pass")
 
 
 @dataclass(frozen=True)

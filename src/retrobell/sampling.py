@@ -324,6 +324,10 @@ def sample_postselected(
         raise ValueError("need a positive number of postselected runs")
     if shards < 1:
         raise ValueError("shards must be >= 1")
+    try:
+        cap_factor = operator.index(cap_factor)
+    except TypeError:
+        raise TypeError(f"cap_factor must be an integer, got {cap_factor!r}") from None
     if cap_factor < 1:
         raise ValueError("cap_factor must be >= 1")
     seed = operator.index(seed)
@@ -337,6 +341,14 @@ def sample_postselected(
     # shards beyond n would get no runs, so only min(shards, n) quotas exist
     quotas = [n // shards + (i < n % shards) for i in range(min(shards, n))]
     caps = [cap_factor * q for q in quotas]
+
+    # The exact reference is one row of the joint of the sampled tensor, built
+    # before any draw; a label of probability zero stops at 0 draws.
+    _, M = tab.joint
+    if M[0, target_idx] == 0:
+        raise AcceptanceCapError(label, 0, n, 0, sum(caps))
+    p_label = float(M[0, target_idx])
+    exact = tab.conditioned(label)[0]
 
     def shard(i):
         # a single shard draws from the root stream, several from its children
@@ -352,10 +364,7 @@ def sample_postselected(
 
     counts, _, total, uncond_sum = map(sum, zip(*shard_results))
 
-    # The exact reference is one row of the joint of the sampled tensor;
-    # conditioning raises NullEvidenceError for a label of probability zero.
     combos = tables[1]
-    exact = tab.conditioned(label)[0]
     exact_p = exact.tolist()
     cells = [
         {
@@ -371,8 +380,6 @@ def sample_postselected(
 
     # Acceptance rate: total draws to reach n acceptances is negative
     # binomial, so gate (p*total - n) / sqrt(n*(1-p)).
-    _, M = tab.joint
-    p_label = float(M[0, target_idx])
     if 0.0 < p_label < 1.0:
         z_acc = (p_label * total - n) / math.sqrt(n * (1.0 - p_label))
     else:

@@ -548,6 +548,16 @@ class TestFormatsAndConfig:
         assert code == 0
         assert doc["config"]["grid"] == 4
 
+    @pytest.mark.parametrize("form", ["pair", "equals"])
+    def test_config_before_the_command_name(self, capsys, tmp_path, form):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grid=4\nchecks=si\n")
+        config = ["--config", str(cfg)] if form == "pair" else [f"--config={cfg}"]
+        code, doc = run_json(capsys, *config, "verify", "--model", "bell", "--grid", "2")
+        assert code == 0
+        assert doc["config"]["grid"] == 2
+        assert doc["config"]["checks"] == ["si"]
+
     def test_missing_config_file_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "verify", "--model", "bell", "--config", "/nosuch/file"

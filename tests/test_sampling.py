@@ -16,6 +16,7 @@ from retrobell import (
     AcceptanceCapError,
     BackwardModel,
     ColliderKernel,
+    ConstructionError,
     LambdaSpace,
     Wing,
     Z_GATE,
@@ -159,6 +160,16 @@ class TestPostselection:
         # a factor clamped to 1 would run, and stop at its cap of 100 draws
         # with AcceptanceCapError rather than reject the argument
         with pytest.raises(ValueError, match="cap_factor"):
+            sample_postselected(bell_model, "lambda1", SETTINGS, 100, 1, cap_factor=cap_factor)
+
+    @pytest.mark.parametrize("cap_factor", [1.5, 100.0, "100"])
+    def test_non_integer_cap_factor_rejected_before_tabulation(
+            self, bell_model, monkeypatch, cap_factor):
+        def no_tables(*args):
+            raise AssertionError("tabulated before the arguments were checked")
+
+        monkeypatch.setattr(BackwardModel, "tabulate", no_tables)
+        with pytest.raises(TypeError, match="cap_factor"):
             sample_postselected(bell_model, "lambda1", SETTINGS, 100, 1, cap_factor=cap_factor)
 
     @pytest.mark.parametrize("seed", [1.5, 1.0, "7"])
@@ -369,20 +380,34 @@ class TestAcceptanceCap:
 
     def test_unreachable_label_hits_cap(self):
         # a label with positive prior that the kernel never produces
-        wings = (Wing("a1", "s1", ANGLE, 0.5), Wing("a2", "s2", ANGLE, 0.5))
-
-        def kernel(outcomes, settings, label):
-            return 1.0 if label == "L1" else 0.0
-
-        model = BackwardModel(
-            name="stuck",
-            wings=wings,
-            lam=LambdaSpace(("L1", "never"), (0.5, 0.5)),
-            kernel=ColliderKernel(("L1", "never"), entry_table(kernel, ("L1", "never"))),
-            backend="float",
-        )
         with pytest.raises(AcceptanceCapError):
-            sample_postselected(model, "never", (0.0, 0.0), 10, 1, cap_factor=5)
+            sample_postselected(two_label_model(1.0, 0.0), "never", (0.0, 0.0), 10, 1,
+                                cap_factor=5)
+
+    @pytest.mark.parametrize("weights, error", [
+        ((1.0, 0.0), AcceptanceCapError),  # the kernel never produces "never"
+        ((-0.5, 1.5), ConstructionError),  # the joint rejects negative weights
+    ])
+    def test_exact_reference_is_built_before_any_draw(self, monkeypatch, weights, error):
+        def no_draws(*args):
+            raise AssertionError("drew runs before building the exact reference")
+
+        monkeypatch.setattr(sampling, "_shard_postselect", no_draws)
+        with pytest.raises(error) as exc:
+            sample_postselected(two_label_model(*weights), "never", (0.0, 0.0), 10, 1,
+                                cap_factor=5)
+        if error is AcceptanceCapError:
+            assert (exc.value.accepted, exc.value.total_draws, exc.value.cap) == (0, 0, 50)
+
+
+def two_label_model(first, never):
+    """Float model whose labels "L1" and "never" take these kernel weights in
+    every cell, at any settings."""
+    wings = (Wing("a1", "s1", ANGLE, 0.5), Wing("a2", "s2", ANGLE, 0.5))
+    labels = ("L1", "never")
+    kernel = entry_table(lambda o, s, label: first if label == "L1" else never, labels)
+    return BackwardModel("stuck", wings, LambdaSpace(labels, (0.5, 0.5)),
+                         ColliderKernel(labels, kernel), "float")
 
 
 class TestRng:

@@ -34,7 +34,6 @@ from retrobell import (
     tv_distance,
     verify_no_signalling_all,
 )
-from retrobell.reports import jsonable
 
 PI = math.pi
 
@@ -52,15 +51,17 @@ def oracle_si(model, grid):
     max_dev, worst, count = _zero(model), None, 0
     for settings in grid:
         count += 1
+        settings = model.check_settings(settings)
         marg = ref.lambda_marginal(model, settings)
         for label, prior in zip(model.lam.labels, model.lam.priors):
             dev = abs(marg.prob((label,)) - prior)
             if dev > max_dev:
-                max_dev, worst = dev, {"settings": tuple(settings), "label": label}
+                max_dev, worst = dev, {"settings": settings, "label": label}
     if count == 0:
         raise ConstructionError("empty settings grid")
     tol = model.tolerance
-    return CheckReport("si", max_dev <= tol, max_dev, tol, model.backend, worst)
+    return CheckReport(check="si", passed=max_dev <= tol, max_deviation=max_dev,
+                       worst_case=worst, tolerance=tol, backend=model.backend)
 
 
 def oracle_no_signalling(model, label, grid):
@@ -98,7 +99,8 @@ def oracle_no_signalling(model, label, grid):
                 "max_at_settings": slot["at_max"],
             }
     tol = model.tolerance
-    return CheckReport("no_signalling", max_dev <= tol, max_dev, tol, model.backend, worst)
+    return CheckReport(check="no_signalling", passed=max_dev <= tol, max_deviation=max_dev,
+                       worst_case=worst, tolerance=tol, backend=model.backend)
 
 
 def oracle_no_signalling_all(model, grid):
@@ -109,8 +111,8 @@ def oracle_no_signalling_all(model, grid):
         if worst is None or rep.max_deviation > worst.max_deviation:
             worst = rep
     return CheckReport(
-        "no_signalling", all_passed, worst.max_deviation, worst.tolerance,
-        worst.backend, worst.worst_case,
+        check="no_signalling", passed=all_passed, max_deviation=worst.max_deviation,
+        worst_case=worst.worst_case, tolerance=worst.tolerance, backend=worst.backend,
     )
 
 
@@ -132,7 +134,8 @@ def oracle_kernel_normalization(model, grid):
     if count == 0:
         raise ConstructionError("empty settings grid")
     tol = model.tolerance
-    return CheckReport("kernel_norm", max_dev <= tol, max_dev, tol, model.backend, worst)
+    return CheckReport(check="kernel_norm", passed=max_dev <= tol, max_deviation=max_dev,
+                       worst_case=worst, tolerance=tol, backend=model.backend)
 
 
 def oracle_recovery(model, grid):
@@ -157,7 +160,8 @@ def oracle_recovery(model, grid):
     if count == 0:
         raise ConstructionError("empty settings grid")
     tol = model.tolerance
-    return CheckReport("recovery", max_dev <= tol, max_dev, tol, model.backend, worst)
+    return CheckReport(check="recovery", passed=max_dev <= tol, max_deviation=max_dev,
+                       worst_case=worst, tolerance=tol, backend=model.backend)
 
 
 def check_pairs(model):
@@ -204,9 +208,8 @@ def _two_label_model(kernel, backend="float", p_plus=0.5, kind=ANGLE):
 # ---------------------------------------------------------------------------
 
 #: Hand-written non-Cartesian grids.  Local settings repeat across points,
-#: integer and signed-zero angles must group with 0.0, the raw settings
-#: survive in the SI worst case, and the last point flips the sign the
-#: counterexample's kernel reads.
+#: integer and signed-zero angles must group with 0.0 and are reported as
+#: checked, and the last point flips the sign the counterexample's kernel reads.
 CUSTOM_ANGLE_GRID = [(0, 0), (0, PI / 4), (0, PI / 2), (PI / 4, -0.0), (-0.0, PI / 4),
                      (-0.0, -PI / 3)]
 CUSTOM_BINARY_GRID = {2: [(0, 0), (1, 0), (0, 1)], 3: [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0)]}
@@ -252,6 +255,25 @@ def test_no_signalling_worst_case_is_first_in_grid_order():
     assert rep.max_deviation == 1.0
     assert rep.worst_case["wing"] == "a2"
     assert rep.worst_case["max_at_settings"] == (5.0, 1.0)
+
+
+def test_no_signalling_tie_across_labels_names_the_first_label():
+    # L1 and L2 are the same kernel column at half weight, so conditioning
+    # on either gives the same table and the same largest deviation
+    def kernel(o, s, label):
+        k = float(o[0] == sign_of(s[1]) and o[1] == sign_of(s[0]))
+        return 1.0 - k if label == "L3" else k / 2
+
+    labels = ("L1", "L2", "L3")
+    wings = (Wing("a1", "s1", ANGLE, 0.5), Wing("a2", "s2", ANGLE, 0.5))
+    model = BackwardModel("tied", wings, LambdaSpace(labels, (0.125, 0.125, 0.75)),
+                          ColliderKernel(labels, entry_table(kernel, labels)), "float")
+    grid = [(5, 1), (1, 1), (-1, 1), (1, -1)]
+    for name, dense, oracle in check_pairs(model):
+        assert _text(dense(grid)) == _text(oracle(grid)), name
+    rep = verify_no_signalling_all(model, grid)
+    assert rep.max_deviation == model.verify_no_signalling("L2", grid).max_deviation == 1.0
+    assert rep.worst_case["label"] == "L1"
 
 
 def _skewed_model():
@@ -364,7 +386,7 @@ def test_first_nan_kernel_value_is_the_kernel_norm_worst_case():
     assert not rep.passed
     assert math.isnan(rep.max_deviation)
     assert rep.worst_case == {"settings": (0.5, 1.0), "outcomes": (-1, 1)}
-    doc = json.loads(json.dumps(jsonable(rep.to_json_dict()), allow_nan=False))
+    doc = json.loads(json.dumps(rep.to_json_dict(), allow_nan=False))
     assert doc["max_deviation"] == "nan" and doc["pass"] is False
 
 

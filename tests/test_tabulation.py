@@ -26,6 +26,7 @@ from retrobell import (
     Wing,
     default_grid,
     entry_table,
+    sign_of,
     verify_no_signalling_all,
 )
 from retrobell.backward import Tabulation
@@ -50,7 +51,7 @@ def _checks(model):
 
 def _text(report):
     # the JSON, plus the Python types behind it: a Fraction, a float or an
-    # int deviation, and settings as given or as checked
+    # int deviation, and the types of the reported settings
     return json.dumps(report.to_json_dict()) + repr((report.max_deviation, report.worst_case))
 
 
@@ -74,21 +75,31 @@ def test_checks_report_the_same_from_the_clis_tabulation(request, model_name, re
 INT_GRID = [(0, 0), (0, 1), (1, -1), (-2, 1), (1, 1)]
 
 
-def test_si_worst_case_keeps_the_raw_settings(counterexample_model):
-    tab = counterexample_model.tabulate(INT_GRID)
-    rep = counterexample_model.verify_si(tab)
-    assert rep.worst_case["settings"] == (0, 0)
-    assert [type(x) for x in rep.worst_case["settings"]] == [int, int]
-    assert _text(rep) == _text(counterexample_model.verify_si(INT_GRID))
+def _rigged_model():
+    """Each label pulls wing 1's outcome toward or away from the sign of s2,
+    and kernel rows sum to 1.1 or 0.9: every check fails."""
+
+    def kernel(outcomes, settings, label):
+        pulled = outcomes[0] == sign_of(settings[1])
+        return (0.6 if pulled else 0.1) if label == "L1" else (0.5 if pulled else 0.8)
+
+    wings = (Wing("a1", "s1", ANGLE, 0.5), Wing("a2", "s2", ANGLE, 0.5))
+    return BackwardModel("rigged", wings, LambdaSpace(("L1", "L2"), (0.5, 0.5)),
+                         ColliderKernel(("L1", "L2"), entry_table(kernel, ("L1", "L2"))),
+                         "float", ("L1",), entry_table(lambda o, s, _: 0.25, ("L1",)))
 
 
-def test_other_checks_report_the_checked_settings(counterexample_model):
-    tab = counterexample_model.tabulate(INT_GRID)
-    rep = verify_no_signalling_all(counterexample_model, tab)
-    assert type(rep.worst_case["local_setting"]) is float
-    for key in ("min_at_settings", "max_at_settings"):
-        assert all(type(x) is float for x in rep.worst_case[key])
-    assert _text(rep) == _text(verify_no_signalling_all(counterexample_model, INT_GRID))
+def test_every_check_reports_the_checked_settings():
+    model = _rigged_model()
+    tab = model.tabulate(INT_GRID)
+    for name, check in _checks(model).items():
+        rep = check(tab)
+        case = rep.worst_case
+        values = [case.get("local_setting", 0.0)] + [
+            x for key in ("settings", "min_at_settings", "max_at_settings")
+            for x in case.get(key, ())]
+        assert len(values) > 1 and all(type(x) is float for x in values), name
+        assert _text(rep) == _text(check(INT_GRID)), name
 
 
 def _off_kernel_model():
@@ -255,8 +266,8 @@ def test_a_point_given_as_an_iterator_is_read_once(bell_model):
         return [iter((0, 1)), iter((2.0, 3.0))]
 
     tab = bell_model.tabulate(good())
-    assert tab.raw == [(0, 1), (2.0, 3.0)]
     assert tab.points == [(0.0, 1.0), (2.0, 3.0)]
+    assert list(tab) == tab.points
     for name, check in _checks(bell_model).items():
         assert _text(check(good())) == _text(check([(0, 1), (2.0, 3.0)])), name
 
@@ -283,7 +294,7 @@ def test_checked_angles_equal_check_settings_value_for_value(bell_model):
     reference = [bell_model.check_settings(s) for s in grid]
     assert repr(tab.points) == repr(reference)
     assert all(type(x) is float for p in tab.points for x in p)
-    assert tab.raw == [tuple(s) for s in grid]
+    assert list(tab) == tab.points
 
 
 def test_checked_binary_settings_keep_their_values(pr_model, ghz_model):
