@@ -75,6 +75,23 @@ def test_checks_report_the_same_from_the_clis_tabulation(request, model_name, re
 INT_GRID = [(0, 0), (0, 1), (1, -1), (-2, 1), (1, 1)]
 
 
+def test_si_worst_case_reports_the_checked_settings(counterexample_model):
+    tab = counterexample_model.tabulate(INT_GRID)
+    rep = counterexample_model.verify_si(tab)
+    assert rep.worst_case["settings"] == (0.0, 0.0)
+    assert [type(x) for x in rep.worst_case["settings"]] == [float, float]
+    assert _text(rep) == _text(counterexample_model.verify_si(INT_GRID))
+
+
+def test_other_checks_report_the_checked_settings(counterexample_model):
+    tab = counterexample_model.tabulate(INT_GRID)
+    rep = verify_no_signalling_all(counterexample_model, tab)
+    assert type(rep.worst_case["local_setting"]) is float
+    for key in ("min_at_settings", "max_at_settings"):
+        assert all(type(x) is float for x in rep.worst_case[key])
+    assert _text(rep) == _text(verify_no_signalling_all(counterexample_model, INT_GRID))
+
+
 def _rigged_model():
     """Each label pulls wing 1's outcome toward or away from the sign of s2,
     and kernel rows sum to 1.1 or 0.9: every check fails."""
