@@ -28,9 +28,8 @@ _EXPORTS = {
     ),
     "chsh": (
         "LHV_BOUND", "PR_BOUND", "PR_BOX_CONFIG", "STANDARD_BELL_CONFIG",
-        "TSIRELSON_BOUND", "ChshConfig", "DeterministicStrategy", "ScanReport",
-        "backward_model_chsh", "chsh_value", "enumerate_strategies", "lhv_max_chsh",
-        "pr_backward_model", "quantum_chsh_scan",
+        "TSIRELSON_BOUND", "ChshConfig", "ScanReport", "backward_model_chsh",
+        "chsh_value", "lhv_max_chsh", "pr_backward_model", "quantum_chsh_scan",
     ),
     "dist": (
         "FLOAT", "FLOAT_TOL", "RATIONAL", "ConstructionError", "DistributionError",
@@ -39,11 +38,11 @@ _EXPORTS = {
     ),
     "ghz": (
         "ExhaustionReport", "GHZ_CONSTRAINTS", "classical_assignment_exhaustion",
-        "ghz_allowed", "ghz_backward_model", "ghz_settings_grid", "verify_ghz_recovery",
+        "ghz_backward_model", "verify_ghz_recovery",
     ),
     "quantum": (
         "AXES", "BELL_STATES", "OUTCOMES", "bell_expectation", "bell_prob", "ghz_prob",
-        "pr_prob", "wing_marginal",
+        "pr_prob",
     ),
     "reports": ("CheckReport", "WitnessReport"),
     "sampling": (

@@ -128,7 +128,7 @@ class LambdaSpace:
         if isinstance(total, Fraction):
             if total != 1:
                 raise ConstructionError(f"priors sum to {total}, not 1")
-        elif abs(total - 1.0) > FLOAT_TOL:
+        elif not abs(total - 1.0) <= FLOAT_TOL:  # a NaN prior fails this too
             raise ConstructionError(f"priors sum to {total!r}, not 1")
 
     def prior(self, label: str) -> Prob:

@@ -88,36 +88,16 @@ def chsh_value(correlation: Callable[[object, object], Prob], c: ChshConfig):
     return abs(e_ab - e_abp) + abs(e_apb + e_apbp)
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """Fixed +/-1 responses for each of the four CHSH setting slots."""
-
-    responses: tuple[int, int, int, int]  # a1(alpha1), a1(alpha1'), a2(alpha2), a2(alpha2')
-
-    def correlation(self, slot1: int, slot2: int) -> int:
-        """E for wing-1 slot (0 or 1) versus wing-2 slot (0 or 1)."""
-        return self.responses[slot1] * self.responses[2 + slot2]
-
-
-def enumerate_strategies() -> list[DeterministicStrategy]:
-    """All sixteen deterministic strategies of the 2x2 scenario."""
-    return [
-        DeterministicStrategy(r) for r in itertools.product((1, -1), repeat=4)
-    ]
-
-
-def strategy_chsh_value(strategy: DeterministicStrategy) -> int:
-    return chsh_value(strategy.correlation, ChshConfig(0, 1, 0, 1))
-
-
 def lhv_max_chsh() -> int:
     """Maximum CHSH value over deterministic strategies: exactly 2.
 
-    Deterministic strategies are the extreme points of locally causal,
-    setting-independent models, so this integer enumeration is the full
-    bound, whatever angles the four setting slots stand for.
+    A strategy fixes responses r = (a1(alpha1), a1(alpha1'), a2(alpha2),
+    a2(alpha2')) in {+1, -1}**4.  The sixteen strategies are the extreme points
+    of locally causal, setting-independent models, so this integer enumeration
+    is the full bound, whatever angles the four setting slots stand for.
     """
-    return max(strategy_chsh_value(s) for s in enumerate_strategies())
+    return max(chsh_value(lambda x, y: r[x] * r[2 + y], ChshConfig(0, 1, 0, 1))
+               for r in itertools.product((1, -1), repeat=4))
 
 
 @dataclass(frozen=True)

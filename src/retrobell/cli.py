@@ -129,6 +129,8 @@ def _default_seed(value) -> int:
             raise UsageError(f"${ENV_SEED} must be an integer, got {env!r}") from None
     if value < 0:
         raise UsageError(f"the seed (--seed or ${ENV_SEED}) must be non-negative, got {value}")
+    if value >= 2**64:
+        raise UsageError(f"the seed (--seed or ${ENV_SEED}) must be below 2**64, got {value}")
     return value
 
 
@@ -200,11 +202,7 @@ def _render_human(obj, prefix: str = "") -> list[str]:
             lines.extend(_render_human(v, f"{prefix}{i}."))
         return lines
     key = prefix[:-1] if prefix.endswith(".") else prefix
-    if isinstance(obj, float):
-        rendered = repr(obj)
-    else:
-        rendered = str(obj)
-    lines.append(f"{key} = {rendered}")
+    lines.append(f"{key} = {obj}")
     return lines
 
 

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .quantum import AXES, OUTCOMES, ghz_prob
+from .quantum import OUTCOMES, ghz_prob
 from .reports import CheckReport
 
 if TYPE_CHECKING:
@@ -43,11 +43,6 @@ GHZ_CONSTRAINTS = (
 )
 
 
-def ghz_allowed(a1: int, a2: int, a3: int, s1: int, s2: int, s3: int) -> bool:
-    """Whether an outcome triple is allowed at the given axis settings."""
-    return ghz_prob(a1, a2, a3, s1, s2, s3) > 0
-
-
 def ghz_backward_model() -> BackwardModel:
     """The GHZ backward model.
 
@@ -62,20 +57,15 @@ def ghz_backward_model() -> BackwardModel:
     return _binary_collider("ghz", 3, GHZ_LABELS, ghz_prob)
 
 
-def ghz_settings_grid() -> list[tuple]:
-    """All eight binary setting combinations."""
-    return list(itertools.product(AXES, repeat=3))
-
-
-def verify_ghz_recovery(model: BackwardModel | None = None) -> CheckReport:
+def verify_ghz_recovery(model: BackwardModel) -> CheckReport:
     """Exact recovery of the GHZ statistics under the GHZ label.
 
     Runs the recovery check over all eight setting combinations on the
     rational backend; the deviation must be exactly zero.
     """
-    if model is None:
-        model = ghz_backward_model()
-    return model.verify_recovery(ghz_settings_grid())
+    from .backward import settings_grid
+
+    return model.verify_recovery(settings_grid(model))
 
 
 @dataclass(frozen=True)

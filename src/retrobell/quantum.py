@@ -3,9 +3,8 @@ particle experiments.
 
 These are the distributions the backward-conditional models must reproduce:
 the four Bell-pair outcome probabilities for coplanar measurement angles,
-the three-party GHZ parity correlations for binary axis choices, the
-Popescu-Rohrlich box, and the single-wing marginals (uniformly 1/2 for every
-maximally entangled target in scope).
+the three-party GHZ parity correlations for binary axis choices, and the
+Popescu-Rohrlich box.
 
 Angle-dependent quantities are floats; the GHZ and PR-box values are exact
 dyadic rationals and stay on the rational backend.  No state vectors or
@@ -114,11 +113,3 @@ def pr_prob(a1: int, a2: int, s1: int, s2: int) -> Fraction:
         return Fraction(1, 2)
     return Fraction(0)
 
-
-def wing_marginal(a: int) -> Fraction:
-    """Single-wing outcome probability: exactly 1/2, independent of setting.
-
-    Every maximally entangled target in scope has uniform wing marginals.
-    """
-    _check_outcome(a)
-    return Fraction(1, 2)

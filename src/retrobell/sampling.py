@@ -33,7 +33,6 @@ pre-postselection product sum follows from the draws per cell.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import os
@@ -88,7 +87,6 @@ class RunRecord:
     settings: tuple
     outcomes: tuple
     label: str
-    index: int = 0
 
 
 def make_rng(seed: int, shard: int | None = None) -> np.random.Generator:
@@ -128,7 +126,6 @@ def sample_run(
     model: BackwardModel,
     settings: Sequence,
     rng: np.random.Generator,
-    index: int = 0,
 ) -> RunRecord:
     """Draw one run: outcomes from the wing marginals, then the label.
 
@@ -150,7 +147,7 @@ def sample_run(
     # the label index is the number of row entries at or below u, as in the
     # batched sampler; the last entry is 1.0, so it stays below len(labels)
     label_idx = int(np.count_nonzero(cum[combos.index(outcomes)] <= rng.random()))
-    return RunRecord(settings, outcomes, model.lam.labels[label_idx], index)
+    return RunRecord(settings, outcomes, model.lam.labels[label_idx])
 
 
 def _label_bounds(cum: np.ndarray, target_idx: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,9 +276,6 @@ class SampleReport:
     passed: bool
 
     to_json_dict = fields_json(rng_algorithm="rng", passed="pass")
-
-    def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, allow_nan=False) + "\n"
 
     def csv_rows(self) -> list[list]:
         """One row per outcome cell: assignment, exact_p, empirical_p, count, z."""

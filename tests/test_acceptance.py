@@ -7,6 +7,7 @@ scanned quantum maximum, |z| <= 5 for statistical gates.
 """
 
 import itertools
+import json
 import math
 import time
 from fractions import Fraction
@@ -74,12 +75,12 @@ def test_criterion_1_recovery_identity(bell, grid):
 def test_criterion_2_statistical_independence(bell, ghz, grid):
     start = time.perf_counter()
     bell_si = bell.verify_si(grid)
-    ghz_si = ghz.verify_si(rb.ghz_settings_grid())
+    ghz_si = ghz.verify_si(rb.settings_grid(ghz))
     elapsed = time.perf_counter() - start
     ghz_marginals_exact = all(
         rb.marginalize(ghz.assemble_joint(s), ["lambda"]).prob(("lambda0",))
         == Fraction(1, 2)
-        for s in rb.ghz_settings_grid()
+        for s in rb.settings_grid(ghz)
     )
     ok = (
         bell_si.passed
@@ -104,7 +105,7 @@ def test_criterion_3_no_signalling(bell, ghz, prbox, grid):
     results = {}
     for model, model_grid in (
         (bell, grid),
-        (ghz, rb.ghz_settings_grid()),
+        (ghz, rb.settings_grid(ghz)),
         (prbox, rb.settings_grid(prbox)),
     ):
         report = rb.verify_no_signalling_all(model, model_grid)
@@ -188,7 +189,7 @@ def test_criterion_6_ghz_recovery(ghz):
     report = rb.verify_ghz_recovery(ghz)
     cellwise = all(
         ghz.condition_on_lambda("lambda0", s).prob(a) == rb.ghz_prob(*a, *s)
-        for s in rb.ghz_settings_grid()
+        for s in rb.settings_grid(ghz)
         for a in itertools.product((1, -1), repeat=3)
     )
     ok = (
@@ -228,7 +229,8 @@ def test_criterion_8_monte_carlo_consistency(bell, ghz, mc_bell_report):
     rep_again = rb.sample_postselected(bell, "lambda1", (0.0, PI / 3), N_MC, MC_SEED)
     ghz_rep = rb.sample_postselected(ghz, "lambda0", (0, 1, 1), N_MC, 7)
     elapsed = time.perf_counter() - start
-    byte_identical = rep.to_json_text() == rep_again.to_json_text()
+    byte_identical = (json.dumps(rep.to_json_dict(), indent=2, allow_nan=False)
+                      == json.dumps(rep_again.to_json_dict(), indent=2, allow_nan=False))
     ghz_disallowed = sum(
         c["count"] for c in ghz_rep.cells if c["exact_p"] == 0.0
     )

@@ -429,6 +429,11 @@ class TestLambdaSpaceInvariantsAndReports:
         with pytest.raises(ConstructionError):
             LambdaSpace(("a", "b"), (0.5, 0.6))
 
+    def test_nan_prior_rejected(self):
+        # NaN is neither <= 0 nor further than the tolerance from 1
+        with pytest.raises(ConstructionError, match="sum to nan"):
+            LambdaSpace(("a", "b"), (float("nan"), 0.5))
+
     def test_si_report_json_shape(self, bell_model, bell_grid):
         d = bell_model.verify_si(bell_grid).to_json_dict()
         assert set(d) == {

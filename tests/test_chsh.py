@@ -17,21 +17,28 @@ from retrobell import (
     STANDARD_BELL_CONFIG,
     TSIRELSON_BOUND,
     ChshConfig,
-    DeterministicStrategy,
     backward_model_chsh,
     bell_expectation,
     chsh_value,
-    enumerate_strategies,
     lhv_max_chsh,
     quantum_chsh_scan,
     angle_grid,
     settings_grid,
     verify_no_signalling_all,
 )
-from retrobell.chsh import _max_chsh, strategy_chsh_value
+from retrobell.chsh import _max_chsh
 
 PI = math.pi
 SQRT8 = 2.0 * math.sqrt(2.0)
+
+#: The sixteen deterministic response tuples (a1(alpha1), a1(alpha1'),
+#: a2(alpha2), a2(alpha2')).
+RESPONSES = list(itertools.product((1, -1), repeat=4))
+
+
+def deterministic_chsh(r):
+    """S of fixed responses ``r``, the four slots taking the CHSH settings."""
+    return chsh_value(lambda x, y: r[x] * r[2 + y], ChshConfig(0, 1, 0, 1))
 
 
 class TestChshValue:
@@ -57,11 +64,8 @@ class TestChshValue:
 
     def test_invariant_under_global_outcome_flip(self):
         # flipping all outcomes leaves every pair correlation unchanged
-        for strategy in enumerate_strategies():
-            flipped = DeterministicStrategy(
-                tuple(-r for r in strategy.responses)
-            )
-            assert strategy_chsh_value(strategy) == strategy_chsh_value(flipped)
+        for r in RESPONSES:
+            assert deterministic_chsh(r) == deterministic_chsh(tuple(-x for x in r))
 
 
 class TestLhvMax:
@@ -70,19 +74,14 @@ class TestLhvMax:
         assert value == 2
         assert isinstance(value, int)
 
-    def test_sixteen_strategies(self):
-        assert len(enumerate_strategies()) == 16
-
     def test_all_plus_strategy(self):
-        s = DeterministicStrategy((1, 1, 1, 1))
-        assert strategy_chsh_value(s) == 2
+        assert deterministic_chsh((1, 1, 1, 1)) == 2
 
     def test_one_flip_strategy(self):
-        s = DeterministicStrategy((1, 1, 1, -1))
-        assert strategy_chsh_value(s) == 2
+        assert deterministic_chsh((1, 1, 1, -1)) == 2
 
     def test_no_strategy_exceeds_two(self):
-        assert all(strategy_chsh_value(s) <= 2 for s in enumerate_strategies())
+        assert all(deterministic_chsh(r) <= 2 for r in RESPONSES)
 
 
 def bell_table(state, resolution):

@@ -408,7 +408,8 @@ class TestSampleCommand:
         assert code == 2
 
     @pytest.mark.parametrize("flag, value", [
-        ("--threads", "0"), ("--threads", "-2"), ("--seed", "-1"), ("--n", "0"),
+        ("--threads", "0"), ("--threads", "-2"), ("--seed", "-1"), ("--seed", str(2**64)),
+        ("--n", "0"),
         ("--n", "-5"), ("--alpha1", "nan"), ("--alpha2", "inf"),
         ("--cap-factor", "0"), ("--cap-factor", "-1"), ("--threads", str(MAX_THREADS + 1)),
     ])
@@ -420,7 +421,7 @@ class TestSampleCommand:
         assert out == ""
         assert err.startswith("error: ") and flag in err
 
-    @pytest.mark.parametrize("env", ["-3", "seven"])
+    @pytest.mark.parametrize("env", ["-3", "seven", str(2**64)])
     def test_bad_env_seed_is_usage_error(self, capsys, monkeypatch, env):
         monkeypatch.setenv("RETROBELL_SEED", env)
         code, _, err = run(

@@ -6,10 +6,9 @@ from fractions import Fraction
 from retrobell import (
     GHZ_CONSTRAINTS,
     classical_assignment_exhaustion,
-    ghz_allowed,
     ghz_prob,
-    ghz_settings_grid,
     marginalize,
+    settings_grid,
     verify_ghz_recovery,
     verify_no_signalling_all,
 )
@@ -20,16 +19,16 @@ AXES = (0, 1)
 
 class TestGhzAllowed:
     def test_all_plus_at_all_x(self):
-        assert ghz_allowed(1, 1, 1, 0, 0, 0)
+        assert ghz_prob(1, 1, 1, 0, 0, 0) > 0
 
     def test_all_minus_at_all_x(self):
-        assert not ghz_allowed(-1, -1, -1, 0, 0, 0)
+        assert not ghz_prob(-1, -1, -1, 0, 0, 0) > 0
 
     def test_four_of_eight_allowed_at_even_y_and_all_at_odd_y(self):
         for s in itertools.product(AXES, repeat=3):
             allowed = [
                 a for a in itertools.product(OUTCOMES, repeat=3)
-                if ghz_allowed(*a, *s)
+                if ghz_prob(*a, *s) > 0
             ]
             assert len(allowed) == (8 if sum(s) % 2 else 4)
 
@@ -58,23 +57,23 @@ class TestGhzBackwardModel:
         assert ghz_model.kernel.probability((1, 1, -1), (0, 0, 0), "lambda0") == 0
 
     def test_si_exact(self, ghz_model):
-        rep = ghz_model.verify_si(ghz_settings_grid())
+        rep = ghz_model.verify_si(settings_grid(ghz_model))
         assert rep.passed
         assert rep.max_deviation == 0
         assert isinstance(rep.max_deviation, Fraction)
 
     def test_lambda0_probability_is_half_everywhere(self, ghz_model):
-        for s in ghz_settings_grid():
+        for s in settings_grid(ghz_model):
             marg = marginalize(ghz_model.assemble_joint(s), ["lambda"])
             assert marg.prob(("lambda0",)) == Fraction(1, 2)
 
     def test_no_signalling_exact(self, ghz_model):
-        rep = verify_no_signalling_all(ghz_model, ghz_settings_grid())
+        rep = verify_no_signalling_all(ghz_model, settings_grid(ghz_model))
         assert rep.passed
         assert rep.max_deviation == 0
 
     def test_wing_conditionals_are_exactly_half(self, ghz_model):
-        for s in ghz_settings_grid():
+        for s in settings_grid(ghz_model):
             c = ghz_model.condition_on_lambda("lambda0", s)
             for w in ghz_model.wings:
                 m = marginalize(c, [w.outcome_name])
@@ -89,7 +88,7 @@ class TestGhzRecovery:
         assert rep.backend == "rational"
 
     def test_conditioned_equals_target_cell_by_cell(self, ghz_model):
-        for s in ghz_settings_grid():
+        for s in settings_grid(ghz_model):
             c = ghz_model.condition_on_lambda("lambda0", s)
             for a in itertools.product(OUTCOMES, repeat=3):
                 assert c.prob(a) == ghz_prob(*a, *s)

@@ -17,7 +17,6 @@ from retrobell import (
     bell_prob,
     ghz_prob,
     pr_prob,
-    wing_marginal,
 )
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
@@ -203,11 +202,3 @@ class TestPrProb:
             winning = 1 if (s1, s2) != (1, 1) else -1
             assert pr_prob(1, winning, s1, s2) == Fraction(1, 2)
 
-
-class TestWingMarginal:
-    def test_half_for_both_outcomes(self):
-        assert wing_marginal(1) == Fraction(1, 2)
-        assert wing_marginal(-1) == Fraction(1, 2)
-
-    def test_sums_to_one(self):
-        assert wing_marginal(1) + wing_marginal(-1) == 1

@@ -21,7 +21,7 @@ from retrobell import (
     Wing,
     Z_GATE,
     entry_table,
-    ghz_allowed,
+    ghz_prob,
     make_rng,
     sample_postselected,
     sample_run,
@@ -30,6 +30,11 @@ from retrobell.dist import FLOAT, expectation, make_joint, tv_distance
 
 PI = math.pi
 SETTINGS = (0.0, PI / 3)
+
+
+def report_json(rep) -> str:
+    """The report's JSON text in the CLI's strict form, NaN rejected."""
+    return json.dumps(rep.to_json_dict(), indent=2, allow_nan=False)
 
 
 class TestSampleRun:
@@ -46,11 +51,10 @@ class TestSampleRun:
         assert seq1[0].outcomes == firsts[0].outcomes
 
     def test_record_fields(self, bell_model):
-        r = sample_run(bell_model, SETTINGS, make_rng(0), index=3)
+        r = sample_run(bell_model, SETTINGS, make_rng(0))
         assert r.settings == SETTINGS
         assert all(a in (1, -1) for a in r.outcomes)
         assert r.label in bell_model.lam.labels
-        assert r.index == 3
 
     def test_outcome_frequencies_near_quarter(self, bell_model):
         rng = make_rng(11)
@@ -109,17 +113,17 @@ class TestPostselection:
     def test_reports_are_byte_identical_for_fixed_seed(self, bell_model):
         a = sample_postselected(bell_model, "lambda1", SETTINGS, 30_000, 5)
         b = sample_postselected(bell_model, "lambda1", SETTINGS, 30_000, 5)
-        assert a.to_json_text() == b.to_json_text()
+        assert report_json(a) == report_json(b)
 
     def test_different_seeds_differ(self, bell_model):
         a = sample_postselected(bell_model, "lambda1", SETTINGS, 10_000, 5)
         b = sample_postselected(bell_model, "lambda1", SETTINGS, 10_000, 6)
-        assert a.to_json_text() != b.to_json_text()
+        assert report_json(a) != report_json(b)
 
     def test_sharded_run_is_deterministic_and_passes(self, bell_model):
         a = sample_postselected(bell_model, "lambda1", SETTINGS, 80_000, 9, shards=4)
         b = sample_postselected(bell_model, "lambda1", SETTINGS, 80_000, 9, shards=4)
-        assert a.to_json_text() == b.to_json_text()
+        assert report_json(a) == report_json(b)
         assert a.passed
         assert a.shards == 4
         assert a.accepted == 80_000
@@ -144,7 +148,7 @@ class TestPostselection:
         for cell in rep.cells:
             if cell["exact_p"] == 0.0:
                 assert cell["count"] == 0
-                assert not ghz_allowed(*cell["assignment"], 0, 1, 1)
+                assert not ghz_prob(*cell["assignment"], 0, 1, 1) > 0
         assert rep.passed
 
     def test_invalid_requests_rejected(self, bell_model):
@@ -274,7 +278,7 @@ class TestShardWorkers:
         rep = sample_postselected(bell_model, "lambda1", SETTINGS, 9_000, 2, shards=6)
         assert started == pool_workers
         assert rep.shards == 6
-        assert rep.to_json_text() == expected.to_json_text()
+        assert report_json(rep) == report_json(expected)
 
     def test_shards_beyond_n_allocate_nothing(self, bell_model, monkeypatch):
         # only min(shards, n) quotas are built, so a huge shard count costs
@@ -283,7 +287,7 @@ class TestShardWorkers:
         rep = sample_postselected(bell_model, "lambda1", SETTINGS, 3, 2, shards=10**15)
         assert rep.shards == 3
         expected = sample_postselected(bell_model, "lambda1", SETTINGS, 3, 2, shards=3)
-        assert rep.to_json_text() == expected.to_json_text()
+        assert report_json(rep) == report_json(expected)
 
 
 class TestBatchMemory:
@@ -455,12 +459,12 @@ class TestStrictJson:
         def reject(token):
             raise AssertionError(f"non-standard JSON constant {token}")
 
-        doc = json.loads(broken.to_json_text(), parse_constant=reject)
+        doc = json.loads(report_json(broken), parse_constant=reject)
         assert doc["cells"][0]["z"] == "inf"
         assert doc["max_abs_z"] == "inf"
         assert doc["acceptance"]["z"] == "-inf"
         assert doc["unconditional"]["z"] == "nan"
-        assert doc["cells"][1] == json.loads(rep.to_json_text())["cells"][1]
+        assert doc["cells"][1] == json.loads(report_json(rep))["cells"][1]
 
 
 @pytest.mark.parametrize("shards", [1, 3])

@@ -26,7 +26,6 @@ from retrobell import (
     entry_table,
     ghz_backward_model,
     ghz_prob,
-    ghz_settings_grid,
     pr_backward_model,
     pr_prob,
     settings_grid,
@@ -170,7 +169,7 @@ def _collider_rule(target, label, norm):
 
 
 @pytest.mark.parametrize("build, target, label, norm, grid", [
-    (ghz_backward_model, ghz_prob, "lambda0", Fraction(4), ghz_settings_grid()),
+    (ghz_backward_model, ghz_prob, "lambda0", Fraction(4), settings_grid(ghz_backward_model())),
     (pr_backward_model, pr_prob, "lambda_pr", Fraction(2), list(itertools.product((0, 1), repeat=2))),
 ], ids=["ghz", "prbox"])
 def test_exact_collider_kernels_equal_their_scalar_rule(build, target, label, norm, grid):
@@ -190,7 +189,7 @@ def test_probability_is_one_entry_of_the_one_point_table():
                 p = bell.kernel.probability(cell, (a1, a2), label)
                 assert type(p) is float
                 assert np.float64(p).tobytes() == np.float64(bell_entry(cell, (a1, a2), label)).tobytes()
-    for s in ghz_settings_grid():
+    for s in settings_grid(ghz):
         for cell in itertools.product((1, -1), repeat=3):
             p = ghz.kernel.probability(cell, s, "lambda0")
             assert type(p) is Fraction and p == 4 * ghz_prob(*cell, *s)

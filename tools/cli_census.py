@@ -14,7 +14,7 @@ agree, so checking a change against its parent is a ``diff``:
 command of the benchmark's three workloads at seeds 1-3, each output format,
 the CHSH scan of every Bell state at resolutions 64 and 33, ``sample`` on
 every model at 1-3 threads, bell ``sample`` at the 64-bit seed edge (2^63
-and 2^64 - 1) on 1 and 3 threads, ``verify --checks nosignal`` on every model
+and 2^64 - 1) on 1 and 3 threads and just past it (2^64), ``verify --checks nosignal`` on every model
 (bell and counterexample at grids 1, 3 and 5), a cap failure and the
 usage-error paths.
 A full census takes a few seconds.
@@ -77,6 +77,7 @@ FAILING = [
     SAMPLE_BELL + ("--n", "10", "--threads", "257"),
     SAMPLE_BELL + ("--n", "10", "--cap-factor", "0"),
     SAMPLE_BELL + ("--n", "10", "--seed", "-1"),
+    SAMPLE_BELL + ("--n", "10", "--seed", str(2**64)),
     SAMPLE_BELL + ("--n", "10", "--settings", "0,1"),
     ("sample", "--model", "bell", "--label", "9", "--alpha1", "0", "--alpha2", "0", "--n", "10"),
     ("sample", "--model", "bell", "--label", "1", "--alpha1", "nan", "--alpha2", "0", "--n", "10"),
