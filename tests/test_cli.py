@@ -609,6 +609,21 @@ class TestFormatsAndConfig:
         assert (code, out) == (3, "")
         assert err.startswith("runtime failure: ") and "Is a directory" in err
 
+    @pytest.mark.parametrize("argv, what", [
+        (("verify", "--model", "ghz", "--format", "json"), "report"),
+        (("verify", "--model", "ghz", "--format", "human"), "report"),
+        (("verify", "--model", "ghz", "--format", "csv"), "report"),
+        (("emit-curve", "--points", "5"), "curve"),
+        (("sample", "--model", "prbox", "--label", "pr", "--settings", "1,1",
+          "--n", "50", "--seed", "3", "--format", "csv"), "report"),
+    ], ids=["verify-json", "verify-human", "verify-csv", "emit-curve", "sample-csv"])
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv, what):
+        _, expected, _ = run(capsys, *argv)
+        path = tmp_path / "out.txt"
+        code, out, err = run(capsys, *argv, "--output", str(path))
+        assert (code, out, err) == (0, f"{what} written to {path}\n", "")
+        assert expected and path.read_bytes() == expected.encode()
+
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")
         assert code == 0
