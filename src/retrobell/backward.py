@@ -99,7 +99,7 @@ class Wing:
                 raise ConstructionError(
                     f"{self.setting_name} must be 0 or 1, got {value!r}"
                 )
-            return value
+            return int(value)
         value = float(value)
         if not math.isfinite(value):
             raise ConstructionError(f"{self.setting_name} must be finite")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .quantum import bell_expectation, pr_prob
-from .reports import fields_json, jsonable
+from .reports import fields_json
 
 if TYPE_CHECKING:
     from .backward import BackwardModel
@@ -41,6 +41,10 @@ if TYPE_CHECKING:
 LHV_BOUND = 2
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 PR_BOUND = 4
+
+#: The three reference bounds every CHSH report carries for context.
+REFERENCE_BOUNDS = {"lhv_bound": LHV_BOUND, "tsirelson_bound": TSIRELSON_BOUND,
+                    "pr_bound": PR_BOUND}
 
 #: Allowed ``quantum_chsh_scan`` resolutions (angles per wing).  The scan's
 #: time grows as resolution**3; its memory as resolution**2.
@@ -200,9 +204,3 @@ def pr_backward_model() -> BackwardModel:
     from .backward import _binary_collider
 
     return _binary_collider("prbox", 2, PR_LABELS, pr_prob)
-
-
-def reference_bounds() -> dict:
-    """The three reference bounds every CHSH report carries for context."""
-    return jsonable({"lhv_bound": LHV_BOUND, "tsirelson_bound": TSIRELSON_BOUND,
-                     "pr_bound": PR_BOUND})

@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib
-import io
 import json
 import math
 import os
@@ -40,11 +39,11 @@ from .chsh import (
     MIN_SCAN_RESOLUTION,
     ChshConfig,
     PR_BOX_CONFIG,
+    REFERENCE_BOUNDS,
     backward_model_chsh,
     lhv_max_chsh,
     pr_backward_model,
     quantum_chsh_scan,
-    reference_bounds,
 )
 from .ghz import classical_assignment_exhaustion, ghz_backward_model
 from .quantum import bell_expectation
@@ -191,31 +190,30 @@ def _model_settings_from_args(model: BackwardModel, args) -> tuple:
     return tuple(_parse_list(args.settings, len(model.wings), "--settings", binary=True))
 
 
-def _render_human(obj, prefix: str = "") -> list[str]:
-    lines: list[str] = []
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            lines.extend(_render_human(v, f"{prefix}{k}." if prefix else f"{k}."))
-        return lines
-    if isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            lines.extend(_render_human(v, f"{prefix}{i}."))
-        return lines
-    key = prefix[:-1] if prefix.endswith(".") else prefix
-    lines.append(f"{key} = {obj}")
-    return lines
+def _render_human(obj, path: str = "") -> list[str]:
+    """One ``key = value`` line per leaf of a JSON value, the key its dotted
+    path; ``path`` holds a leading dot that the leaf line drops."""
+    if not isinstance(obj, (dict, list)):
+        return [f"{path[1:]} = {obj}"]
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    return [line for k, v in items for line in _render_human(v, f"{path}.{k}")]
 
 
-def _csv_text(rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write(args, what: str, write) -> None:
+    """Call ``write`` on the ``--output`` file, then say so on stdout; with no
+    ``--output``, call it on stdout."""
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        print(f"{what} written to {args.output}")
+    else:
+        write(sys.stdout)
 
 
-def _emit(args, command: str, config: dict, results, csv_rows: list[list], *,
+def _emit(args, command: str, config: dict, results, csv_rows, *,
           backend: str, tolerance, seed: int | None = None) -> None:
-    """Write the command's report in ``--format`` to ``--output`` or stdout."""
+    """Write the command's report in ``--format`` to ``--output`` or stdout;
+    ``csv_rows`` maps the report's JSON results to its CSV rows."""
     envelope = {
         "tool": "retrobell",
         "version": __version__,
@@ -226,18 +224,12 @@ def _emit(args, command: str, config: dict, results, csv_rows: list[list], *,
         "config": jsonable(config),
         "results": jsonable(results),
     }
-    if args.format == "json":
-        text = json.dumps(envelope, indent=2, allow_nan=False) + "\n"
-    elif args.format == "human":
-        text = "\n".join(_render_human(envelope)) + "\n"
-    else:
-        text = _csv_text(csv_rows)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        print(f"report written to {args.output}")
-    else:
-        sys.stdout.write(text)
+    if args.format == "csv":
+        rows = csv_rows(envelope["results"])
+        return _write(args, "report", lambda f: csv.writer(f, lineterminator="\n").writerows(rows))
+    text = (json.dumps(envelope, indent=2, allow_nan=False) if args.format == "json"
+            else "\n".join(_render_human(envelope))) + "\n"
+    _write(args, "report", lambda f: f.write(text))
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +273,12 @@ def cmd_verify(args) -> int:
     reports = [checks[c](grid) for c in requested]
 
     results = [r.to_json_dict() for r in reports]
-    csv_rows = [["check", "pass", "max_deviation", "tolerance", "backend"]]
-    for r in results:
-        csv_rows.append(
-            [r["check"], r["pass"], r["max_deviation"], r["tolerance"], r["backend"]]
-        )
+    columns = ["check", "pass", "max_deviation", "tolerance", "backend"]
     _emit(args, "verify",
           {"model": args.model, "checks": requested, "grid": args.grid,
            "grid_points": len(grid)},
-          results, csv_rows, backend=model.backend, tolerance=model.tolerance)
+          results, lambda rs: [columns] + [[r[c] for c in columns] for r in rs],
+          backend=model.backend, tolerance=model.tolerance)
     return 0 if all(r["pass"] for r in results) else 1
 
 
@@ -312,9 +301,10 @@ def cmd_chsh(args) -> int:
             "mode": "lhv_max",
             "S_max": value,
             "strategies": 16,
-            "bounds": reference_bounds(),
+            "bounds": REFERENCE_BOUNDS,
         }
-        _emit(args, "chsh", {"lhv": True}, result, [["mode", "S_max"], ["lhv_max", value]],
+        _emit(args, "chsh", {"lhv": True}, result,
+              lambda r: [["mode", "S_max"], ["lhv_max", r["S_max"]]],
               backend="rational", tolerance=0)
         return 0
 
@@ -350,13 +340,13 @@ def cmd_chsh(args) -> int:
 
             report = quantum_chsh_scan(state, args.resolution)
             result = report.to_json_dict()
-            result["bounds"] = reference_bounds()
+            result["bounds"] = REFERENCE_BOUNDS
             _emit(args, "chsh",
                   {"model": "bell", "state": state, "scan": True,
                    "resolution": args.resolution},
                   result,
-                  [["mode", "max_S", "argmax"],
-                   ["scan", result["max_S"], " ".join(map(repr, result["argmax"]))]],
+                  lambda r: [["mode", "max_S", "argmax"],
+                             ["scan", r["max_S"], " ".join(map(repr, r["argmax"]))]],
                   backend="float", tolerance=FLOAT_TOL)
             return 0
         if args.angles is None:
@@ -375,9 +365,9 @@ def cmd_chsh(args) -> int:
         "label": label,
         "config": list(config.as_tuple()),
         "S": value,
-        "bounds": reference_bounds(),
+        "bounds": REFERENCE_BOUNDS,
     }
-    _emit(args, "chsh", args_config, result, [["mode", "S"], ["backward_model", as_number(value)]],
+    _emit(args, "chsh", args_config, result, lambda r: [["mode", "S"], ["backward_model", r["S"]]],
           backend=model.backend, tolerance=model.tolerance)
     return 0
 
@@ -392,13 +382,11 @@ def cmd_ghz_exhaust(args) -> int:
     report = classical_assignment_exhaustion(
         include_near_misses=args.list_near_misses
     )
-    result = report.to_json_dict()
-    csv_rows = [["constraint", "satisfying_count"]]
-    for name, count in zip(result["constraints"], result["per_constraint"]):
-        csv_rows.append([name, count])
-    csv_rows.append(["ALL", result["satisfying_all"]])
     _emit(args, "ghz-exhaust", {"list_near_misses": bool(args.list_near_misses)},
-          result, csv_rows, backend="rational", tolerance=0)
+          report.to_json_dict(),
+          lambda r: [["constraint", "satisfying_count"],
+                     *zip(r["constraints"], r["per_constraint"]), ["ALL", r["satisfying_all"]]],
+          backend="rational", tolerance=0)
     return 0 if report.satisfying_all == 0 else 1
 
 
@@ -437,7 +425,10 @@ def cmd_sample(args) -> int:
     _emit(args, "sample",
           {"model": args.model, "label": label, "settings": list(settings), "n": args.n,
            "cap_factor": args.cap_factor, "threads": args.threads},
-          report.to_json_dict(), report.csv_rows(),
+          report.to_json_dict(),
+          lambda r: [["assignment", "exact_p", "empirical_p", "count", "z"]]
+          + [[" ".join(map(str, c["assignment"])), c["exact_p"], c["empirical_p"], c["count"],
+              c["z"]] for c in r["cells"]],
           backend=model.backend, tolerance=model.tolerance, seed=seed)
     return 0 if report.passed else 1
 
@@ -451,12 +442,7 @@ def cmd_emit_curve(args) -> int:
     if not 2 <= args.points <= MAX_CURVE_POINTS:
         raise UsageError(
             f"--points must be between 2 and {MAX_CURVE_POINTS}, got {args.points}")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            _write_curve(fh, args.state, args.points)
-        print(f"curve written to {args.output}")
-    else:
-        _write_curve(sys.stdout, args.state, args.points)
+    _write(args, "curve", lambda fh: _write_curve(fh, args.state, args.points))
     return 0
 
 
@@ -596,19 +582,12 @@ def _expand_config_tokens(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _expand_config_tokens(argv)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(
+            _expand_config_tokens(list(sys.argv[1:] if argv is None else argv)))
+        return args.func(args)
     except SystemExit as e:
         return int(e.code) if e.code else 0
-    try:
-        return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -277,21 +277,6 @@ class SampleReport:
 
     to_json_dict = fields_json(rng_algorithm="rng", passed="pass")
 
-    def csv_rows(self) -> list[list]:
-        """One row per outcome cell: assignment, exact_p, empirical_p, count, z."""
-        rows = [["assignment", "exact_p", "empirical_p", "count", "z"]]
-        for cell in self.cells:
-            rows.append(
-                [
-                    " ".join(str(v) for v in cell["assignment"]),
-                    repr(float(cell["exact_p"])),
-                    repr(float(cell["empirical_p"])),
-                    int(cell["count"]),
-                    repr(float(cell["z"])) if math.isfinite(cell["z"]) else "inf",
-                ]
-            )
-        return rows
-
 
 def sample_postselected(
     model: BackwardModel,
@@ -314,17 +299,19 @@ def sample_postselected(
     the postselected product against the exact conditioned correlation.
     ``passed`` requires every gate to clear ``Z_GATE``.
     """
+    checked = []
+    for name, value in (("n", n), ("seed", seed), ("shards", shards), ("cap_factor", cap_factor)):
+        try:
+            checked.append(operator.index(value))
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    n, seed, shards, cap_factor = checked
     if n <= 0:
         raise ValueError("need a positive number of postselected runs")
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    try:
-        cap_factor = operator.index(cap_factor)
-    except TypeError:
-        raise TypeError(f"cap_factor must be an integer, got {cap_factor!r}") from None
     if cap_factor < 1:
         raise ValueError("cap_factor must be >= 1")
-    seed = operator.index(seed)
     settings = model.check_settings(settings)
     if label not in model.lam.labels:
         raise ValueError(f"unknown label {label!r}")

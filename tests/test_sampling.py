@@ -176,6 +176,30 @@ class TestPostselection:
         with pytest.raises(TypeError, match="cap_factor"):
             sample_postselected(bell_model, "lambda1", SETTINGS, 100, 1, cap_factor=cap_factor)
 
+    @pytest.mark.parametrize("name, value", [
+        ("n", 2.5), ("n", 100.0), ("n", "100"), ("seed", 1.5), ("seed", "7"),
+        ("shards", 1.5), ("shards", "2"),
+    ])
+    def test_non_integer_n_seed_or_shards_rejected_before_tabulation(
+            self, bell_model, monkeypatch, name, value):
+        def no_tables(*args):
+            raise AssertionError("tabulated before the arguments were checked")
+
+        monkeypatch.setattr(BackwardModel, "tabulate", no_tables)
+        args = {"n": 100, "seed": 1, "shards": 1, name: value}
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
+            sample_postselected(bell_model, "lambda1", SETTINGS, args["n"], args["seed"],
+                                shards=args["shards"])
+
+    def test_bool_n_and_shards_run_as_one(self, bell_model):
+        as_bool = sample_postselected(bell_model, "lambda1", (0.3, 1.1), True, 1, shards=True)
+        as_int = sample_postselected(bell_model, "lambda1", (0.3, 1.1), 1, 1, shards=1)
+        assert report_json(as_bool) == report_json(as_int)
+
+    def test_binary_settings_are_reported_as_ints(self, ghz_model):
+        report = sample_postselected(ghz_model, "lambda_bar", (True, 0, 1.0), 10, 1)
+        assert json.dumps(report.to_json_dict()["settings"]) == "[1, 0, 1]"
+
     @pytest.mark.parametrize("seed", [1.5, 1.0, "7"])
     def test_non_integer_seed_rejected(self, bell_model, seed):
         with pytest.raises(TypeError):

@@ -323,3 +323,11 @@ def test_checked_binary_settings_keep_their_values(pr_model, ghz_model):
     grid = [(np.array(0), 1, 1), (1, 0, 1)]
     assert repr(ghz_model.tabulate(grid).points) == repr(
         [ghz_model.check_settings(s) for s in grid])
+
+
+def test_checked_binary_settings_are_ints(ghz_model):
+    assert repr(ghz_model.tabulate([(True, 0, 1.0)]).points) == "[(1, 0, 1)]"
+    values = [0, 1, False, True, 0.0, 1.0, np.int64(1), Fraction(0), np.array(0)]
+    points = ghz_model.tabulate([(v, v, v) for v in values]).points
+    assert [p[0] for p in points] == [0, 1, 0, 1, 0, 1, 1, 0, 0]
+    assert all(type(x) is int for p in points for x in p)
