@@ -17,8 +17,8 @@ import importlib
 __version__ = "0.1.0"
 
 #: Each public name, by the module that defines it.  Names resolve on first
-#: use, so ``import retrobell`` loads no module and numpy loads only with the
-#: array-backed modules (``backward``, ``dist``, ``sampling``).
+#: use, so ``import retrobell`` loads no module, and numpy loads only for
+#: float and ``Joint`` tables, the sampler (``sampling``) and the CHSH scan.
 _EXPORTS = {
     "backward": (
         "ANGLE", "BINARY", "BackwardModel", "ColliderKernel", "LambdaSpace", "Wing",

@@ -34,10 +34,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+from functools import cached_property, reduce
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .dist import (
     FLOAT,
@@ -55,6 +53,9 @@ from .dist import (
 from .quantum import OUTCOMES, _check_angle
 from .quantum import bell_prob  # bench/tracing.py counts bell_prob calls through this name
 from .reports import CheckReport, WitnessReport
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ANGLE = "angle"
 BINARY = "binary"
@@ -139,14 +140,15 @@ class LambdaSpace:
 class ColliderKernel:
     """The conditional distribution of the label given outcomes and settings.
 
-    ``table(points)[point, cell, label]`` is the kernel at checked setting
-    tuples, cells in canonical order and labels in ``labels`` order.  For
+    ``table(points)[point][cell][label]`` is the kernel at checked setting
+    tuples, cells in canonical order and labels in ``labels`` order: a float
+    array, or nested sequences of exact values on the rational backend.  For
     labels constructed as a normalization constant times a target outcome
     distribution, ``normalization`` records that constant.
     """
 
     labels: tuple[str, ...]
-    table: Callable[[list[tuple]], np.ndarray]
+    table: Callable[[list[tuple]], Sequence]
     normalization: Mapping[str, Prob] = field(default_factory=dict)
 
     def probability(self, outcomes: tuple, settings: tuple, label: str) -> Prob:
@@ -161,19 +163,20 @@ class ColliderKernel:
             raise ConstructionError(f"{len(outcomes)} outcomes for {len(settings)} settings")
         cell = list(itertools.product(OUTCOMES, repeat=len(outcomes))).index(tuple(outcomes))
         value = self.table([tuple(settings)])[0][cell][self.labels.index(label)]
-        return value.item() if isinstance(value, np.generic) else value
+        return value.item() if hasattr(value, "item") else value  # a numpy scalar
 
 
 def entry_table(
     func: Callable[[tuple, tuple, str], Prob], columns: Sequence[str]
-) -> Callable[[list[tuple]], np.ndarray]:
+) -> Callable[[list[tuple]], tuple]:
     """A table from a per-entry function, called once per entry:
-    ``table(points)[point, cell, column]`` is ``func(cell, settings, column)``."""
+    ``table(points)[point][cell][column]`` is ``func(cell, settings, column)``,
+    in nested tuples."""
 
-    def table(points: list[tuple]) -> np.ndarray:
+    def table(points: list[tuple]) -> tuple:
         cells = list(itertools.product(OUTCOMES, repeat=len(points[0])))
-        return np.array([[[func(cell, settings, column) for column in columns]
-                          for cell in cells] for settings in points], dtype=object)
+        return tuple(tuple(tuple(func(cell, settings, column) for column in columns)
+                           for cell in cells) for settings in points)
 
     return table
 
@@ -182,11 +185,12 @@ def entry_table(
 class Tabulation(Sequence):
     """A model's grid checked (``points``) and kernel tabulated (``K``) by ``tabulate``,
     and the tables derived from them: ``joint``, built on first use, and ``conditioned``.
-    A sequence of the checked points, it stands in for the grid anywhere."""
+    A sequence of the checked points, it stands in for the grid anywhere.  Each table
+    is a float64 array, or nested tuples of Fractions on the rational backend."""
 
     model: BackwardModel
     points: list[tuple]
-    K: np.ndarray
+    K: np.ndarray | tuple
 
     def __len__(self) -> int:
         return len(self.points)
@@ -195,23 +199,36 @@ class Tabulation(Sequence):
         return self.points[i]
 
     @cached_property
-    def joint(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(T, M)``: the joint ``T[point, cell, label]`` and its marginal ``M[point, label]``."""
-        base = np.array(self.model._outcome_weights(), dtype=self.K.dtype)[:, None]
-        W = self.K * base
+    def joint(self) -> tuple:
+        """``(T, M)``: the joint ``T[point][cell][label]`` and its marginal ``M[point][label]``."""
+        base = self.model._outcome_weights()
         # zero weights and zero-marginal cells are dropped unchecked
-        T = _normalized(np.where((base != 0) & (W != 0), W, 0), self.model.backend)
+        if self.model.backend == RATIONAL:
+            W = [[w if b != 0 and w != 0 else 0 for row, b in zip(cells, base)
+                  for w in (k * b for k in row)] for cells in self.K]
+            # each point's row of cells x labels, regrouped by cell
+            n = len(self.model.lam.labels)
+            T = tuple(tuple(zip(*[iter(t)] * n)) for t in _normalized(W, RATIONAL))
+            return T, tuple(tuple(map(sum, zip(*t))) for t in T)
+        import numpy as np
+
+        base = np.array(base, dtype=float)[:, None]
+        W = self.K * base
+        T = _normalized(np.where((base != 0) & (W != 0), W, 0), FLOAT)
         return T, _running_sum(T, axis=1)
 
-    def conditioned(self, label: str) -> np.ndarray:
-        """P(cell | settings, label) at every point, the label-conditioned outcome table."""
+    def conditioned(self, label: str):
+        """P(cell | settings, label) at every point, the label-conditioned outcome
+        table ``[point][cell]``."""
         T, M = self.joint
         labels = self.model.lam.labels
         if label not in labels:
             raise ConstructionError(f"unknown lambda label {label!r}")
         at = labels.index(label)
-        if (M[:, at] == 0).any():
+        if 0 in (M[:, at] if self.model.backend == FLOAT else [m[at] for m in M]):
             raise NullEvidenceError(f"label {label!r} has probability zero on the grid")
+        if self.model.backend == RATIONAL:
+            return tuple(tuple(row[at] / m[at] for row in t) for t, m in zip(T, M))
         return T[:, :, at] / M[:, at, None]
 
 
@@ -220,7 +237,7 @@ class BackwardModel:
     """An immutable backward-conditional model over two or three wings.
 
     ``quantum_targets`` names the labels that have a closed-form outcome
-    distribution, and ``target_table(points)[point, cell, target]`` gives
+    distribution, and ``target_table(points)[point][cell][target]`` gives
     those distributions in that order, as ``ColliderKernel.table``; the
     recovery check compares the label-conditioned model against them.
     """
@@ -231,7 +248,7 @@ class BackwardModel:
     kernel: ColliderKernel
     backend: str
     quantum_targets: tuple[str, ...] = ()
-    target_table: Callable[[list[tuple]], np.ndarray] | None = None
+    target_table: Callable[[list[tuple]], Sequence] | None = None
 
     def __post_init__(self):
         if not 2 <= len(self.wings) <= 3:
@@ -281,13 +298,12 @@ class BackwardModel:
         :attr:`Tabulation.joint`.
         """
         T, _ = self.tabulate([settings]).joint
-        variables = self.outcome_variables() + (self.lambda_variable(),)
-        return Joint(variables, T[0].reshape([len(v.domain) for v in variables]), self.backend)
+        return self._one_point(T[0], self.outcome_variables() + (self.lambda_variable(),))
 
     def lambda_marginal(self, settings: Sequence) -> Joint:
         """P(lambda | settings): outcomes summed out of the one-point joint."""
         _, M = self.tabulate([settings]).joint
-        return Joint((self.lambda_variable(),), M[0], self.backend)
+        return self._one_point(M[0], (self.lambda_variable(),))
 
     def condition_on_lambda(self, label: str, settings: Sequence) -> Joint:
         """P(outcomes | settings, label): the postselected outcome table.
@@ -296,8 +312,14 @@ class BackwardModel:
         probability at these settings.
         """
         P = self.tabulate([settings]).conditioned(label)[0]
-        variables = self.outcome_variables()
-        return Joint(variables, P.reshape([len(v.domain) for v in variables]), self.backend)
+        return self._one_point(P, self.outcome_variables())
+
+    def _one_point(self, rows, variables: tuple[Variable, ...]) -> Joint:
+        """One point's table as a ``Joint``: an ``object`` array of Fractions if rational."""
+        import numpy as np
+
+        table = np.array(rows, dtype=object if self.backend == RATIONAL else float)
+        return Joint(variables, table.reshape([len(v.domain) for v in variables]), self.backend)
 
     # -- checked properties --------------------------------------------------
     # Each check reads one :class:`Tabulation`, which checks may share, and
@@ -305,11 +327,12 @@ class BackwardModel:
     # floats match the single-point tables at every point.
 
     def tabulate(self, settings_grid: Iterable[Sequence]) -> Tabulation:
-        """The grid checked point by point and its kernel ``K[point, cell, label]`` filled
+        """The grid checked point by point and its kernel ``K[point][cell][label]`` filled
         once for any number of checks; this model's own tabulation comes back as is.
 
-        Cells are the outcome combos in canonical order.  The dtype is float64,
-        or ``object`` holding the kernel's own values on the rational backend.
+        Cells are the outcome combos in canonical order.  ``K`` is a float64
+        array, or nested tuples of the kernel's own values on the rational
+        backend.
         """
         if isinstance(settings_grid, Tabulation) and settings_grid.model is self:
             return settings_grid
@@ -320,18 +343,29 @@ class BackwardModel:
         K = self._fill(points, self.kernel.table, len(self.lam.labels))
         return Tabulation(self, points, K)
 
-    def _fill(self, points: list[tuple], table, width: int) -> np.ndarray:
-        """``table(points)`` as ``X[point, cell]`` of ``width`` values, in the
-        backend's dtype."""
-        dtype = object if self.backend == RATIONAL else float
+    def _fill(self, points: list[tuple], table, width: int):
+        """``table(points)`` as ``X[point][cell]`` of ``width`` values: a float64
+        array, or nested tuples on the rational backend."""
         shape = (len(points), 2 ** len(self.wings), width)
-        X = np.asarray(table(points), dtype=dtype)
-        if X.shape != shape:
-            raise ConstructionError(f"batched table has shape {X.shape}, not {shape}")
+        X = table(points)
+        if self.backend == RATIONAL:
+            found, level = (), [X]  # numpy's shape: levels of sequences of one length
+            while (len(found) <= len(shape) and all(hasattr(x, "__len__") for x in level)
+                   and len({len(x) for x in level}) == 1):
+                found += (len(level[0]),)
+                level = [y for x in level for y in x]
+            X = tuple(tuple(tuple(row) for row in cells) for cells in X) if found == shape else X
+        else:
+            import numpy as np
+
+            X = np.asarray(X, dtype=float)
+            found = X.shape
+        if found != shape:
+            raise ConstructionError(f"batched table has shape {found}, not {shape}")
         return X
 
-    def _sweep(self, check: str, devs, describe: Callable[[int], dict]) -> CheckReport:
-        """Report the first strict maximum of ``devs``, flattened in sweep order.
+    def _sweep(self, check: str, devs: list, describe: Callable[[int], dict]) -> CheckReport:
+        """Report the first strict maximum of ``devs``, a flat list in sweep order.
 
         ``describe(i)`` gives the worst case at deviation ``i``; there is none
         when no deviation exceeds zero.  The first NaN deviation is the worst
@@ -339,7 +373,7 @@ class BackwardModel:
         """
         max_dev: Prob = Fraction(0) if self.backend == RATIONAL else 0.0
         worst = None
-        for i, dev in enumerate(np.ravel(devs).tolist()):
+        for i, dev in enumerate(devs):
             if dev != dev:
                 max_dev, worst = dev, i
                 break
@@ -357,8 +391,9 @@ class BackwardModel:
         """
         tab = self.tabulate(settings_grid)
         _, M = tab.joint
-        labels = self.lam.labels
-        devs = abs(M - np.array(self.lam.priors, dtype=tab.K.dtype))
+        labels, priors = self.lam.labels, self.lam.priors
+        devs = ([abs(m - p) for row in M for m, p in zip(row, priors)] if self.backend == RATIONAL
+                else abs(M - [float(p) for p in priors]).ravel().tolist())
         return self._sweep("si", devs, lambda i: {
             "settings": tab.points[i // len(labels)], "label": labels[i % len(labels)]})
 
@@ -409,10 +444,13 @@ class BackwardModel:
                     })
         return self._sweep("no_signalling", devs, cases.__getitem__)
 
-    def _wing_marginal(self, cond: np.ndarray, i: int, outcome: int) -> list[Prob]:
-        """P(a_i = outcome | settings, label) at every point of ``cond[point, cell]``:
+    def _wing_marginal(self, cond, i: int, outcome: int) -> list[Prob]:
+        """P(a_i = outcome | settings, label) at every point of ``cond[point][cell]``:
         a left-to-right sum over wing ``i``'s cells in canonical order."""
-        return _running_sum(cond[:, [c[i] == outcome for c in self._cells()]], axis=1).tolist()
+        mask = [c[i] == outcome for c in self._cells()]
+        if self.backend == RATIONAL:
+            return [sum(p for p, m in zip(row, mask) if m) for row in cond]
+        return _running_sum(cond[:, mask], axis=1).tolist()
 
     def verify_kernel_normalization(
         self, settings_grid: Iterable[Sequence]
@@ -420,8 +458,17 @@ class BackwardModel:
         """Kernel rows sum to one over labels, with every value in [0, 1]."""
         tab = self.tabulate(settings_grid)
         points, K = tab.points, tab.K
-        range_excess = np.maximum(-K, K - 1).max(axis=2)
-        devs = np.maximum(abs(_running_sum(K, axis=2) - 1), range_excess)
+        if self.backend == RATIONAL:
+            # numpy's maximum of objects, folded left over the labels
+            def top(a, b):
+                return a if a >= b else b
+            devs = [top(abs(sum(row) - 1), reduce(top, [top(-k, k - 1) for k in row]))
+                    for cells in K for row in cells]
+        else:
+            import numpy as np
+
+            range_excess = np.maximum(-K, K - 1).max(axis=2)
+            devs = np.maximum(abs(_running_sum(K, axis=2) - 1), range_excess).ravel().tolist()
         cells = self._cells()
         return self._sweep("kernel_norm", devs, lambda i: {
             "settings": points[i // len(cells)], "outcomes": cells[i % len(cells)]})
@@ -437,13 +484,19 @@ class BackwardModel:
                 f"{self.name} has no quantum targets to recover"
             )
         tab = self.tabulate(settings_grid)
-        points, K = tab.points, tab.K
+        points = tab.points
         labels = self.quantum_targets
         W = self._fill(points, self.target_table, len(labels))
-        devs = np.empty((len(points), len(labels)), dtype=K.dtype)
+        tv = []  # per label, its distance at every point
         for t, label in enumerate(labels):
             P = tab.conditioned(label)
-            devs[:, t] = _running_sum(abs(P - _normalized(W[:, :, t], self.backend)), axis=1) / 2
+            if self.backend == RATIONAL:
+                Q = _normalized([[row[t] for row in cells] for cells in W], RATIONAL)
+                tv.append([sum(abs(p - q) for p, q in zip(*rows)) / 2 for rows in zip(P, Q)])
+            else:
+                Q = _normalized(W[:, :, t], FLOAT)
+                tv.append((_running_sum(abs(P - Q), axis=1) / 2).tolist())
+        devs = [d for row in zip(*tv) for d in row]
         return self._sweep("recovery", devs, lambda i: {
             "settings": points[i // len(labels)], "label": labels[i % len(labels)]})
 
@@ -462,7 +515,7 @@ class BackwardModel:
         if outcomes not in cells:
             raise ConstructionError(f"outcomes {outcomes!r} are not a cell of {self.name}")
         cond = self.tabulate([settings]).conditioned(label)
-        joint_p = cond[0].tolist()[cells.index(outcomes)]
+        joint_p = (cond[0] if self.backend == RATIONAL else cond[0].tolist())[cells.index(outcomes)]
         product: Prob = 1
         for i, outcome in enumerate(outcomes):
             product = product * self._wing_marginal(cond, i, outcome)[0]
@@ -539,11 +592,11 @@ def default_grid(model: BackwardModel, resolution: int = 16) -> list[tuple]:
 
 
 def collider_model(name: str, wings: tuple[Wing, ...], lam: LambdaSpace, targets: Sequence[str],
-                   target_table: Callable[[list[tuple]], np.ndarray], backend: str) -> BackwardModel:
+                   target_table: Callable[[list[tuple]], Sequence], backend: str) -> BackwardModel:
     """A model whose kernel is built from target outcome distributions.
 
     ``targets`` are the leading labels of ``lam``, and
-    ``target_table(points)[point, cell, target]`` their distributions.  Each
+    ``target_table(points)[point][cell][target]`` their distributions.  Each
     target label's kernel column is its prior over P(cell) times its target,
     so the label marginal is the prior at every setting and conditioning on
     the label recovers the target.  That scale is the label's
@@ -559,14 +612,18 @@ def collider_model(name: str, wings: tuple[Wing, ...], lam: LambdaSpace, targets
         raise ConstructionError("a collider of targets needs P(cell) equal for every cell")
     (weight,) = weights
     normalization = {t: lam.prior(t) / weight for t in targets}
-    dtype = object if backend == RATIONAL else float
-    scale = np.array(list(normalization.values()), dtype=dtype)
+    scale = list(normalization.values())
+    rest = len(lam.labels) > len(targets)
 
     def table(points):
-        K = np.asarray(target_table(points), dtype=dtype) * scale
-        if len(targets) == len(lam.labels):
-            return K
-        return np.concatenate([K, 1 - _running_sum(K, axis=2)[:, :, None]], axis=2)
+        if backend == RATIONAL:
+            K = [[[x * s for x, s in zip(row, scale, strict=True)] for row in cells]
+                 for cells in target_table(points)]
+            return [[row + [1 - sum(row)] if rest else row for row in cells] for cells in K]
+        import numpy as np
+
+        K = np.asarray(target_table(points), dtype=float) * [float(s) for s in scale]
+        return np.concatenate([K, 1 - _running_sum(K, axis=2)[:, :, None]], axis=2) if rest else K
 
     kernel = ColliderKernel(lam.labels, table, normalization)
     return BackwardModel(name, wings, lam, kernel, backend, targets, target_table)
@@ -588,7 +645,7 @@ def _binary_collider(name: str, wings: int, labels: tuple, prob: Callable) -> Ba
 #: ``a1 * a2`` times the sign ``quantum.bell_expectation`` puts on the cosine, per
 #: (outcome pair, state): rows are the pairs (1, 1), (1, -1), (-1, 1),
 #: (-1, -1), columns the states 1 to 4.
-_BELL_SIGNS = np.outer([1.0, -1.0, -1.0, 1.0], [1.0, -1.0, -1.0, 1.0])
+_BELL_SIGNS = [[r * c for c in (1.0, -1.0, -1.0, 1.0)] for r in (1.0, -1.0, -1.0, 1.0)]
 
 
 def bell_table(points: Iterable[Sequence[float]]) -> np.ndarray:
@@ -600,6 +657,8 @@ def bell_table(points: Iterable[Sequence[float]]) -> np.ndarray:
     arithmetic after them is the scalar formula's, with ``a1 * a2`` times the
     cosine's sign exactly +/-1.
     """
+    import numpy as np
+
     cosines = []
     for alpha1, alpha2 in points:
         alpha1, alpha2 = _check_angle(alpha1), _check_angle(alpha2)
@@ -650,6 +709,8 @@ def signalling_counterexample_model() -> BackwardModel:
     lam = LambdaSpace(COUNTEREXAMPLE_LABELS, (0.5, 0.5))
 
     def kernel_table(points):
+        import numpy as np
+
         # wing 1's outcome per canonical cell against sign_of(alpha2);
         # -0.0 >= 0 holds, as sign(0) = +1 needs
         sign2 = np.where(np.array([s[1] for s in points], dtype=float) >= 0, 1, -1)

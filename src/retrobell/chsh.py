@@ -20,8 +20,9 @@ the collider construction is flexible enough to cover superquantum
 correlations; nothing here explains why nature stops at 2*sqrt(2).
 
 The classical half (configurations, strategies and bounds) loads without
-numpy: the scan and the model functions import ``backward``, ``dist`` and
-numpy when they are called.
+numpy, and so does the exact PR-box model: its tables are tuples of
+Fractions.  The scan imports numpy when it is called, and so does a float
+model's first table.
 """
 
 from __future__ import annotations
@@ -186,8 +187,9 @@ def backward_model_chsh(model: BackwardModel, label: str, c: ChshConfig):
     pairs = [(c.alpha1, c.alpha2), (c.alpha1, c.alpha2_prime),
              (c.alpha1_prime, c.alpha2), (c.alpha1_prime, c.alpha2_prime)]
     cells = model._cells()
+    rows = model.tabulate(pairs).conditioned(label)
     correlations = iter([sum(a1 * a2 * p for (a1, a2), p in zip(cells, row) if p != 0)
-                         for row in model.tabulate(pairs).conditioned(label).tolist()])
+                         for row in (rows if isinstance(rows, tuple) else rows.tolist())])
     return chsh_value(lambda s1, s2: next(correlations), c)
 
 

@@ -54,8 +54,8 @@ if TYPE_CHECKING:
 
 
 def _on_call(module: str, name: str):
-    """``module.name``, imported when first called, so numpy loads only in the
-    commands that build an array-backed model or sample.  The entry points
+    """``module.name``, imported when first called, so the commands that build
+    no model never import ``backward`` or ``sampling``.  The entry points
     stay module globals that the handlers look up at call time, because
     ``bench/tracing.py`` replaces them here by name."""
     return lambda *args, **kwargs: getattr(
@@ -578,6 +578,9 @@ def _expand_config_tokens(argv: list[str]) -> list[str]:
     except (OSError, UnicodeDecodeError) as e:
         reason = getattr(e, "strerror", None) or e
         raise UsageError(f"cannot read config file {path}: {reason}") from None
+    # a second --config, on the command line or as a key of the file
+    if any(tok == "--config" or tok.startswith("--config=") for tok in argv + tokens):
+        raise UsageError("--config may be given only once")
     return argv[:1] + tokens + argv[1:]
 
 

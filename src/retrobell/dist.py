@@ -12,8 +12,9 @@ single table never mixes backends.
 Every total -- a normalization, a marginal, the mass of a condition, a
 total-variation distance -- is a left-to-right sum in canonical assignment
 order, so the float results do not depend on how a table was built.  The
-model checks in :mod:`retrobell.backward` normalize and sum through the same
-two helpers, over a leading axis of settings points.
+model checks in :mod:`retrobell.backward` normalize through the same
+normalizer over a leading axis of settings points, and it takes rational
+rows as plain sequences: a rational model's checks never load numpy.
 
 Everything here is immutable after construction and every operation returns
 a fresh table, so values may be shared freely across threads.
@@ -24,9 +25,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -124,7 +126,7 @@ class Joint:
         return self.variables == other.variables and bool((self._table == other._table).all())
 
     def __repr__(self) -> str:
-        entries = np.count_nonzero(self._table)
+        entries = sum(1 for _ in self.items())
         return f"Joint({[v.name for v in self.variables]}, {entries} entries, {self.backend})"
 
 
@@ -147,25 +149,32 @@ def _running_sum(x: np.ndarray, axis: int | None = None):
     along ``axis``, or over every entry when ``axis`` is None."""
     if axis is None:
         return sum(x.ravel().tolist())
-    return sum(np.moveaxis(x, axis, 0))
+    return sum(x.take(i, axis) for i in range(x.shape[axis]))
 
 
-def _normalized(W: np.ndarray, backend: str) -> np.ndarray:
+def _normalized(W, backend: str):
     """Each ``W[point]`` divided by its total: the one normalizer.
 
     Weights must be finite and non-negative, and exact (never float) on the
-    rational backend, where the result holds Fractions.  A point whose
-    weights sum to zero cannot be normalized.
+    rational backend, where ``W`` is a sequence of rows and each row comes
+    back as a tuple of Fractions.  A point whose weights sum to zero cannot be
+    normalized.
     """
     if backend == RATIONAL:
-        if any(isinstance(w, float) or w < 0 for w in W.flat):
+        if any(isinstance(w, float) or w < 0 for row in W for w in row):
             raise ConstructionError("rational weights must be non-negative and exact")
-        W = np.frompyfunc(Fraction, 1, 1)(W)
-    elif not (np.isfinite(W) & (W >= 0)).all():
-        raise ConstructionError("weights must be finite and non-negative")
-    total = _running_sum(W.reshape(len(W), -1), axis=1)
-    if (total <= 0).any():
+        W = [[Fraction(w) for w in row] for row in W]
+        total = [sum(row) for row in W]
+    else:
+        import numpy as np
+
+        if not (np.isfinite(W) & (W >= 0)).all():
+            raise ConstructionError("weights must be finite and non-negative")
+        total = _running_sum(W.reshape(len(W), -1), axis=1)
+    if 0 in total:  # no total is negative
         raise ConstructionError("weights sum to zero; nothing to normalize")
+    if backend == RATIONAL:
+        return tuple(tuple(w / t for w in row) for row, t in zip(W, total))
     return W / total.reshape((-1,) + (1,) * (W.ndim - 1))
 
 
@@ -190,6 +199,8 @@ def make_joint(
     if backend not in (RATIONAL, FLOAT):
         raise ConstructionError(f"unknown backend {backend!r}")
 
+    import numpy as np
+
     shape = tuple(len(v.domain) for v in vs)
     W = np.zeros(shape) if backend == FLOAT else np.full(shape, 0, dtype=object)
     for key, w in weights.items():
@@ -200,7 +211,8 @@ def make_joint(
             if value not in v.domain:
                 raise ConstructionError(f"value {value!r} not in domain of {v.name!r}")
         W[tuple(v.domain.index(value) for value, v in zip(key, vs))] = w
-    return Joint(vs, _normalized(W[None], backend)[0], backend)
+    table = np.array(_normalized(W.reshape(1, -1), backend)[0], dtype=W.dtype)
+    return Joint(vs, table.reshape(shape), backend)
 
 
 def marginalize(j: Joint, keep: Iterable[str]) -> Joint:
@@ -217,7 +229,7 @@ def marginalize(j: Joint, keep: Iterable[str]) -> Joint:
     idx = [i for i, v in enumerate(j.variables) if v.name in keep_set]
     if not idx:
         raise VariableMismatchError("cannot marginalize away every variable")
-    kept = np.moveaxis(j._table, idx, range(len(idx)))
+    kept = j._table.transpose(idx + [i for i in range(len(j.variables)) if i not in idx])
     table = _running_sum(kept.reshape(kept.shape[:len(idx)] + (-1,)), axis=-1)
     return Joint(tuple(j.variables[i] for i in idx), table, j.backend)
 
@@ -240,6 +252,8 @@ def condition(j: Joint, evidence: Mapping[str, object]) -> Joint:
         if value not in var.domain:
             raise VariableMismatchError(f"value {value!r} not in domain of {name!r}")
         at[name_to_pos[name]] = var.domain.index(value)
+
+    import numpy as np
 
     sliced = j._table[tuple(at) + (...,)]
     mass = _running_sum(sliced)

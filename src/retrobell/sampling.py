@@ -101,7 +101,7 @@ def make_rng(seed: int, shard: int | None = None) -> np.random.Generator:
         operator.index(seed), spawn_key=() if shard is None else (shard,))))
 
 
-def _sampling_tables(model: BackwardModel, K: np.ndarray):
+def _sampling_tables(model: BackwardModel, K):
     """Float lookup tables driving both scalar and batched sampling, from the
     kernel tensor ``K`` of a one-point ``model.tabulate``.
 
@@ -110,7 +110,7 @@ def _sampling_tables(model: BackwardModel, K: np.ndarray):
     uniform draw always lands on a label).
     """
     p_plus = np.array([float(w.p_plus) for w in model.wings], dtype=float)
-    cum = np.cumsum(K[0].astype(float), axis=1)
+    cum = np.cumsum(np.asarray(K[0], dtype=float), axis=1)
     cum[:, -1] = 1.0
     return p_plus, model._cells(), cum
 
@@ -326,9 +326,9 @@ def sample_postselected(
     # The exact reference is one row of the joint of the sampled tensor, built
     # before any draw; a label of probability zero stops at 0 draws.
     _, M = tab.joint
-    if M[0, target_idx] == 0:
+    if M[0][target_idx] == 0:
         raise AcceptanceCapError(label, 0, n, 0, sum(caps))
-    p_label = float(M[0, target_idx])
+    p_label = float(M[0][target_idx])
     exact = tab.conditioned(label)[0]
 
     def shard(i):
@@ -346,7 +346,6 @@ def sample_postselected(
     counts, _, total, uncond_sum = map(sum, zip(*shard_results))
 
     combos = tables[1]
-    exact_p = exact.tolist()
     cells = [
         {
             "assignment": combo,
@@ -355,7 +354,7 @@ def sample_postselected(
             "count": count,
             "z": _cell_z(count, n, float(p)),
         }
-        for combo, p, count in zip(combos, exact_p, counts.tolist())
+        for combo, p, count in zip(combos, exact, counts.tolist())
     ]
     max_abs_z = max(abs(cell["z"]) for cell in cells)
 
@@ -385,7 +384,7 @@ def sample_postselected(
         "z": z_uncond,
     }
 
-    e_exact = float(sum(c[0] * c[1] * p for c, p in zip(combos, exact_p)))
+    e_exact = float(sum(c[0] * c[1] * p for c, p in zip(combos, exact)))
     e_emp = float(sum(c[0] * c[1] * k for c, k in zip(combos, counts.tolist()))) / n
     z_cond = _correlation_z(e_emp, e_exact, n)
     conditioned = {
@@ -411,7 +410,8 @@ def sample_postselected(
         rng_algorithm=RNG_ALGORITHM,
         backend=model.backend,
         cells=tuple(cells),
-        tv_distance=float(_running_sum(abs(_normalized((counts / n)[None], FLOAT)[0] - exact)) / 2),
+        tv_distance=float(_running_sum(abs(
+            _normalized((counts / n)[None], FLOAT)[0] - np.asarray(exact, dtype=float))) / 2),
         max_abs_z=max_abs_z,
         z_gate=Z_GATE,
         acceptance=acceptance,

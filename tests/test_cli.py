@@ -565,6 +565,26 @@ class TestFormatsAndConfig:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("second", ["--config", "--config="])
+    @pytest.mark.parametrize("target", ["exists", "missing"])
+    def test_repeated_config_is_usage_error(self, capsys, tmp_path, second, target):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("grid=4\n")
+        path = str(cfg) if target == "exists" else "/nosuch/file"
+        again = [second, path] if second == "--config" else [second + path]
+        for first in (["--config", str(cfg)], [f"--config={cfg}"]):
+            for argv in ([*first, "verify", "--model", "bell", *again],
+                         ["verify", "--model", "bell", *first, *again]):
+                code, out, err = run(capsys, *argv)
+                assert (code, out, err) == (2, "", "error: --config may be given only once\n")
+
+    @pytest.mark.parametrize("line", ["config=/nosuch/file", "config=true"])
+    def test_config_key_in_a_config_file_is_usage_error(self, capsys, tmp_path, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"grid=4\n{line}\n")
+        code, out, err = run(capsys, "verify", "--model", "bell", "--config", str(cfg))
+        assert (code, out, err) == (2, "", "error: --config may be given only once\n")
+
     def test_missing_config_file_in_equals_form_is_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "--model", "bell", "--config=/nosuch/file")
         assert (code, out, err) == (2, "", "error: config file not found: /nosuch/file\n")

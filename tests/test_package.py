@@ -1,5 +1,7 @@
 """The package surface: lazy public exports and the numpy-free commands."""
 
+import contextlib
+import io
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import retrobell
+from retrobell.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -69,7 +72,7 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 # ---------------------------------------------------------------------------
-# numpy loads only in the commands that build a model, scan or sample
+# numpy loads only in the commands that build a float table, scan or sample
 # ---------------------------------------------------------------------------
 
 NUMPY_PROBE = """
@@ -101,10 +104,48 @@ def numpy_loaded(*argv: str) -> bool:
     ("chsh", "--lhv"),
     ("ghz-exhaust", "--list-near-misses"),
     ("emit-curve", "--points", "8"),
+    ("verify", "--model", "ghz", "--backend", "rational"),
+    ("verify", "--model", "prbox"),
+    ("chsh", "--model", "prbox"),
 ], ids=" ".join)
 def test_classical_commands_leave_numpy_unloaded(argv):
     assert numpy_loaded(*argv) is False
 
 
 def test_model_commands_load_numpy():
-    assert numpy_loaded("verify", "--model", "prbox") is True
+    assert numpy_loaded("verify", "--model", "bell", "--grid", "4") is True
+    assert numpy_loaded("sample", "--model", "prbox", "--label", "pr", "--settings", "1,1",
+                        "--n", "100") is True
+
+
+#: Runs the CLI with ``import numpy`` made to fail, and writes its exit code
+#: and stdout.
+BLOCKED_NUMPY_RUN = """
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+sys.modules["numpy"] = None
+from retrobell.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+print(code)
+sys.stdout.write(out.getvalue())
+"""
+
+
+@pytest.mark.parametrize("fmt", ["json", "human", "csv"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--model", "ghz", "--backend", "rational"),
+    ("verify", "--model", "prbox"),
+    ("chsh", "--model", "prbox"),
+], ids=" ".join)
+def test_exact_commands_run_with_numpy_blocked(argv, fmt):
+    argv = (*argv, "--format", fmt)
+    proc = subprocess.run([sys.executable, "-c", BLOCKED_NUMPY_RUN.format(src=str(SRC)), *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0
+    assert proc.stdout == f"0\n{out.getvalue()}"

@@ -146,7 +146,7 @@ def oracle_recovery(model, grid):
     for settings in grid:
         count += 1
         settings = model.check_settings(settings)
-        targets = model.target_table([settings]).tolist()[0]
+        targets = model.target_table([settings])[0]
         for t, label in enumerate(model.quantum_targets):
             conditioned = ref.condition_on_lambda(model, label, settings)
             weights = {
@@ -317,7 +317,7 @@ def test_recovery_deviation_is_the_public_tv_distance():
     variables = model.outcome_variables()
     cells = list(itertools.product(OUTCOMES, repeat=2))
     for settings in default_grid(model, 8):
-        target = model.target_table([settings]).tolist()[0]
+        target = model.target_table([settings])[0]
         target_joint = make_joint(
             variables, {c: target[i][0] for i, c in enumerate(cells)}, backend=model.backend)
         dev = tv_distance(model.condition_on_lambda("L1", settings), target_joint)

@@ -11,6 +11,7 @@ the target and 1 - k.
 
 import itertools
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -144,6 +145,26 @@ def test_batched_table_of_the_wrong_shape_is_rejected():
         wide.verify_recovery([(0.0, 0.0)])
 
 
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("table, found", [
+    (lambda points: [[[HALF] * 2] * 3 for _ in points], (4, 3, 2)),
+    (lambda points: [[HALF] * 4 for _ in points], (4, 4)),
+    (lambda points: [[[HALF] * 2] * 3 + [[HALF]] for _ in points], (4, 4)),
+    (lambda points: [[[(HALF,)] * 2] * 4 for _ in points], (4, 4, 2, 1)),
+], ids=["short", "flat", "ragged", "deep"])
+def test_rational_table_of_the_wrong_shape_is_rejected(table, found):
+    # the shape named is numpy's for the same nested lists
+    model = pr_backward_model()
+    grid = settings_grid(model)
+    bad_kernel = replace(model, kernel=replace(model.kernel, table=table))
+    with pytest.raises(ConstructionError, match=re.escape(f"shape {found}, not (4, 4, 2)")):
+        bad_kernel.verify_si(grid)
+    with pytest.raises(ConstructionError, match=re.escape(f"shape {found}, not (4, 4, 1)")):
+        replace(model, target_table=table).verify_recovery(grid)
+
+
 def test_custom_kernel_table_is_used_in_place_of_func(monkeypatch):
     # the checks read whole tables, never one kernel entry at a time
     model = bell_backward_model()
@@ -177,8 +198,30 @@ def test_exact_collider_kernels_equal_their_scalar_rule(build, target, label, no
     assert model.kernel.normalization == {label: norm}
     K = model.tabulate(grid).K
     ref = entry_table(_collider_rule(target, label, norm), model.lam.labels)(grid)
-    assert K.dtype == ref.dtype == object and K.shape == ref.shape
-    assert all(type(k) is Fraction and k == r for k, r in zip(K.flat, ref.flat))
+    # nested K[point][cell][label], every entry a Fraction equal to the scalar rule
+    cells, labels = 2 ** len(grid[0]), len(model.lam.labels)
+    assert [[len(row) for row in point] for point in K] == [[labels] * cells] * len(grid)
+    assert all(type(k) is Fraction and k == r
+               for point, ref_point in zip(K, ref, strict=True)
+               for row, ref_row in zip(point, ref_point, strict=True)
+               for k, r in zip(row, ref_row, strict=True))
+
+
+@pytest.mark.parametrize("build", [ghz_backward_model, pr_backward_model], ids=["ghz", "prbox"])
+def test_exact_tables_hold_fractions(build):
+    model = build()
+    tab = model.tabulate(settings_grid(model))
+    T, M = tab.joint
+    cells = list(itertools.product((1, -1), repeat=len(model.wings)))
+    assert all(type(p) is Fraction for point in T for row in point for p in row)
+    assert all(type(p) is Fraction for row in M for p in row)
+    for label in model.lam.labels:
+        cond = tab.conditioned(label)
+        assert [len(row) for row in cond] == [len(cells)] * len(tab)
+        assert all(type(p) is Fraction for row in cond for p in row)
+        for settings in tab:
+            for cell in cells:
+                assert type(model.kernel.probability(cell, settings, label)) is Fraction
 
 
 def test_probability_is_one_entry_of_the_one_point_table():

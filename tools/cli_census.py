@@ -61,6 +61,7 @@ FAILING = [
     (),
     ("nosuch",),
     ("--config", "/nonexistent/census.cfg", "verify", "--model", "bell"),
+    ("--config", "/dev/null", "verify", "--model", "bell", "--config", "/nonexistent/census.cfg"),
     ("verify", "--model", "bell", "--grid", "0"),
     ("verify", "--model", "bell", "--checks", "bogus"),
     ("verify", "--model", "bell", "--backend", "rational"),
