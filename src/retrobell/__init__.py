@@ -18,11 +18,12 @@ __version__ = "0.1.0"
 
 #: Each public name, by the module that defines it.  Names resolve on first
 #: use, so ``import retrobell`` loads no module, and numpy loads only for
-#: float and ``Joint`` tables, the sampler (``sampling``) and the CHSH scan.
+#: float tables of more than four points, ``Joint`` tables and the sampler
+#: (``sampling``).
 _EXPORTS = {
     "backward": (
         "ANGLE", "BINARY", "BackwardModel", "ColliderKernel", "LambdaSpace", "Wing",
-        "angle_grid", "bell_backward_model", "bell_table", "collider_model",
+        "bell_backward_model", "bell_table", "collider_model",
         "default_grid", "entry_table", "settings_grid", "sign_of",
         "signalling_counterexample_model", "verify_no_signalling_all",
     ),
@@ -41,8 +42,8 @@ _EXPORTS = {
         "ghz_backward_model", "verify_ghz_recovery",
     ),
     "quantum": (
-        "AXES", "BELL_STATES", "OUTCOMES", "bell_expectation", "bell_prob", "ghz_prob",
-        "pr_prob",
+        "AXES", "BELL_STATES", "OUTCOMES", "angle_grid", "bell_expectation", "bell_prob",
+        "ghz_prob", "pr_prob",
     ),
     "reports": ("CheckReport", "WitnessReport"),
     "sampling": (

@@ -50,7 +50,7 @@ from .dist import (
     _running_sum,
     make_joint,  # bench/tracing.py counts make_joint calls through this name
 )
-from .quantum import OUTCOMES, _check_angle
+from .quantum import OUTCOMES, _check_angle, angle_grid
 from .quantum import bell_prob  # bench/tracing.py counts bell_prob calls through this name
 from .reports import CheckReport, WitnessReport
 
@@ -64,6 +64,12 @@ BINARY = "binary"
 LAMBDA = "lambda"
 
 BELL_LABELS = ("lambda1", "lambda2", "lambda3", "lambda4")
+
+#: A float tabulation of at most this many points (CHSH's four setting pairs,
+#: the one point of the sampler and the witness) is nested tuples of floats,
+#: reduced by the rational backend's plain-Python code; a larger float grid is
+#: a float64 array.  Read at call time.
+TUPLE_POINTS = 4
 
 
 def sign_of(x) -> int:
@@ -141,8 +147,8 @@ class ColliderKernel:
     """The conditional distribution of the label given outcomes and settings.
 
     ``table(points)[point][cell][label]`` is the kernel at checked setting
-    tuples, cells in canonical order and labels in ``labels`` order: a float
-    array, or nested sequences of exact values on the rational backend.  For
+    tuples, cells in canonical order and labels in ``labels`` order: nested
+    sequences (of exact values on the rational backend) or an array.  For
     labels constructed as a normalization constant times a target outcome
     distribution, ``normalization`` records that constant.
     """
@@ -186,7 +192,8 @@ class Tabulation(Sequence):
     """A model's grid checked (``points``) and kernel tabulated (``K``) by ``tabulate``,
     and the tables derived from them: ``joint``, built on first use, and ``conditioned``.
     A sequence of the checked points, it stands in for the grid anywhere.  Each table
-    is a float64 array, or nested tuples of Fractions on the rational backend."""
+    is nested tuples (of Fractions on the rational backend, of floats at up to
+    ``TUPLE_POINTS`` points), or else a float64 array."""
 
     model: BackwardModel
     points: list[tuple]
@@ -203,12 +210,12 @@ class Tabulation(Sequence):
         """``(T, M)``: the joint ``T[point][cell][label]`` and its marginal ``M[point][label]``."""
         base = self.model._outcome_weights()
         # zero weights and zero-marginal cells are dropped unchecked
-        if self.model.backend == RATIONAL:
+        if isinstance(self.K, tuple):
             W = [[w if b != 0 and w != 0 else 0 for row, b in zip(cells, base)
                   for w in (k * b for k in row)] for cells in self.K]
             # each point's row of cells x labels, regrouped by cell
             n = len(self.model.lam.labels)
-            T = tuple(tuple(zip(*[iter(t)] * n)) for t in _normalized(W, RATIONAL))
+            T = tuple(tuple(zip(*[iter(t)] * n)) for t in _normalized(W, self.model.backend))
             return T, tuple(tuple(map(sum, zip(*t))) for t in T)
         import numpy as np
 
@@ -225,9 +232,9 @@ class Tabulation(Sequence):
         if label not in labels:
             raise ConstructionError(f"unknown lambda label {label!r}")
         at = labels.index(label)
-        if 0 in (M[:, at] if self.model.backend == FLOAT else [m[at] for m in M]):
+        if 0 in ([m[at] for m in M] if isinstance(M, tuple) else M[:, at]):
             raise NullEvidenceError(f"label {label!r} has probability zero on the grid")
-        if self.model.backend == RATIONAL:
+        if isinstance(M, tuple):
             return tuple(tuple(row[at] / m[at] for row in t) for t, m in zip(T, M))
         return T[:, :, at] / M[:, at, None]
 
@@ -330,9 +337,9 @@ class BackwardModel:
         """The grid checked point by point and its kernel ``K[point][cell][label]`` filled
         once for any number of checks; this model's own tabulation comes back as is.
 
-        Cells are the outcome combos in canonical order.  ``K`` is a float64
-        array, or nested tuples of the kernel's own values on the rational
-        backend.
+        Cells are the outcome combos in canonical order.  ``K`` is nested
+        tuples of the kernel's own values on the rational backend, of floats at
+        up to ``TUPLE_POINTS`` points, and a float64 array otherwise.
         """
         if isinstance(settings_grid, Tabulation) and settings_grid.model is self:
             return settings_grid
@@ -344,25 +351,32 @@ class BackwardModel:
         return Tabulation(self, points, K)
 
     def _fill(self, points: list[tuple], table, width: int):
-        """``table(points)`` as ``X[point][cell]`` of ``width`` values: a float64
-        array, or nested tuples on the rational backend."""
+        """``table(points)`` as ``X[point][cell]`` of ``width`` values: nested
+        tuples on the rational backend and at up to ``TUPLE_POINTS`` points,
+        else a float64 array."""
         shape = (len(points), 2 ** len(self.wings), width)
         X = table(points)
-        if self.backend == RATIONAL:
+        tuples = self.backend == RATIONAL or len(points) <= TUPLE_POINTS
+        if not tuples:
+            import numpy as np
+
+            X = np.asarray(X, dtype=float)
+        if hasattr(X, "shape"):
+            found = X.shape
+        else:
             found, level = (), [X]  # numpy's shape: levels of sequences of one length
             while (len(found) <= len(shape) and all(hasattr(x, "__len__") for x in level)
                    and len({len(x) for x in level}) == 1):
                 found += (len(level[0]),)
                 level = [y for x in level for y in x]
-            X = tuple(tuple(tuple(row) for row in cells) for cells in X) if found == shape else X
-        else:
-            import numpy as np
-
-            X = np.asarray(X, dtype=float)
-            found = X.shape
         if found != shape:
             raise ConstructionError(f"batched table has shape {found}, not {shape}")
-        return X
+        if not tuples:
+            return X
+        X = X.tolist() if hasattr(X, "tolist") else X
+        exact = self.backend == RATIONAL  # exact values stay as given, others become floats
+        return tuple(tuple(tuple(row) if exact else tuple(map(float, row)) for row in cells)
+                     for cells in X)
 
     def _sweep(self, check: str, devs: list, describe: Callable[[int], dict]) -> CheckReport:
         """Report the first strict maximum of ``devs``, a flat list in sweep order.
@@ -392,7 +406,7 @@ class BackwardModel:
         tab = self.tabulate(settings_grid)
         _, M = tab.joint
         labels, priors = self.lam.labels, self.lam.priors
-        devs = ([abs(m - p) for row in M for m, p in zip(row, priors)] if self.backend == RATIONAL
+        devs = ([abs(m - p) for row in M for m, p in zip(row, priors)] if isinstance(M, tuple)
                 else abs(M - [float(p) for p in priors]).ravel().tolist())
         return self._sweep("si", devs, lambda i: {
             "settings": tab.points[i // len(labels)], "label": labels[i % len(labels)]})
@@ -448,7 +462,7 @@ class BackwardModel:
         """P(a_i = outcome | settings, label) at every point of ``cond[point][cell]``:
         a left-to-right sum over wing ``i``'s cells in canonical order."""
         mask = [c[i] == outcome for c in self._cells()]
-        if self.backend == RATIONAL:
+        if isinstance(cond, tuple):
             return [sum(p for p, m in zip(row, mask) if m) for row in cond]
         return _running_sum(cond[:, mask], axis=1).tolist()
 
@@ -458,10 +472,11 @@ class BackwardModel:
         """Kernel rows sum to one over labels, with every value in [0, 1]."""
         tab = self.tabulate(settings_grid)
         points, K = tab.points, tab.K
-        if self.backend == RATIONAL:
-            # numpy's maximum of objects, folded left over the labels
+        if isinstance(K, tuple):
+            # np.maximum, folded left over the labels: a NaN wins, else the
+            # first of equal values
             def top(a, b):
-                return a if a >= b else b
+                return a if a >= b or a != a else b
             devs = [top(abs(sum(row) - 1), reduce(top, [top(-k, k - 1) for k in row]))
                     for cells in K for row in cells]
         else:
@@ -490,8 +505,8 @@ class BackwardModel:
         tv = []  # per label, its distance at every point
         for t, label in enumerate(labels):
             P = tab.conditioned(label)
-            if self.backend == RATIONAL:
-                Q = _normalized([[row[t] for row in cells] for cells in W], RATIONAL)
+            if isinstance(W, tuple):
+                Q = _normalized([[row[t] for row in cells] for cells in W], self.backend)
                 tv.append([sum(abs(p - q) for p, q in zip(*rows)) / 2 for rows in zip(P, Q)])
             else:
                 Q = _normalized(W[:, :, t], FLOAT)
@@ -515,7 +530,7 @@ class BackwardModel:
         if outcomes not in cells:
             raise ConstructionError(f"outcomes {outcomes!r} are not a cell of {self.name}")
         cond = self.tabulate([settings]).conditioned(label)
-        joint_p = (cond[0] if self.backend == RATIONAL else cond[0].tolist())[cells.index(outcomes)]
+        joint_p = (cond[0] if isinstance(cond, tuple) else cond[0].tolist())[cells.index(outcomes)]
         product: Prob = 1
         for i, outcome in enumerate(outcomes):
             product = product * self._wing_marginal(cond, i, outcome)[0]
@@ -543,19 +558,6 @@ def verify_no_signalling_all(
 # ---------------------------------------------------------------------------
 # Settings grids
 # ---------------------------------------------------------------------------
-
-
-def angle_grid(resolution: int = 16, *, centered: bool = False) -> tuple[float, ...]:
-    """Evenly spaced angles: [0, 2pi) by default, [-pi, pi) when centered.
-
-    The centered variant matters for models sensitive to the sign of an
-    angle; the default never produces a negative setting.
-    """
-    if resolution < 1:
-        raise ValueError("resolution must be positive")
-    step = 2.0 * math.pi / resolution
-    offset = -math.pi if centered else 0.0
-    return tuple(offset + step * k for k in range(resolution))
 
 
 def settings_grid(
@@ -616,8 +618,9 @@ def collider_model(name: str, wings: tuple[Wing, ...], lam: LambdaSpace, targets
     rest = len(lam.labels) > len(targets)
 
     def table(points):
-        if backend == RATIONAL:
-            K = [[[x * s for x, s in zip(row, scale, strict=True)] for row in cells]
+        if backend == RATIONAL or len(points) <= TUPLE_POINTS:
+            factors = scale if backend == RATIONAL else [float(s) for s in scale]
+            K = [[[x * s for x, s in zip(row, factors, strict=True)] for row in cells]
                  for cells in target_table(points)]
             return [[row + [1 - sum(row)] if rest else row for row in cells] for cells in K]
         import numpy as np
@@ -648,8 +651,9 @@ def _binary_collider(name: str, wings: int, labels: tuple, prob: Callable) -> Ba
 _BELL_SIGNS = [[r * c for c in (1.0, -1.0, -1.0, 1.0)] for r in (1.0, -1.0, -1.0, 1.0)]
 
 
-def bell_table(points: Iterable[Sequence[float]]) -> np.ndarray:
-    """:func:`bell_prob` over many angle pairs: ``P[point, pair, state - 1]``.
+def bell_table(points: Iterable[Sequence[float]]) -> np.ndarray | list:
+    """:func:`bell_prob` over many angle pairs: ``P[point][pair][state - 1]``, nested
+    lists at up to ``TUPLE_POINTS`` points and a float64 array beyond.
 
     Outcome pairs run (1, 1), (1, -1), (-1, 1), (-1, -1).  Every entry equals
     the scalar call bit for bit: the two cosines of a point come from
@@ -657,13 +661,16 @@ def bell_table(points: Iterable[Sequence[float]]) -> np.ndarray:
     arithmetic after them is the scalar formula's, with ``a1 * a2`` times the
     cosine's sign exactly +/-1.
     """
-    import numpy as np
-
     cosines = []
     for alpha1, alpha2 in points:
         alpha1, alpha2 = _check_angle(alpha1), _check_angle(alpha2)
         c_diff, c_sum = math.cos(alpha1 - alpha2), math.cos(alpha1 + alpha2)
         cosines.append((c_diff, c_diff, c_sum, c_sum))
+    if len(cosines) <= TUPLE_POINTS:
+        return [[[0.25 * (1.0 + s * c) for s, c in zip(signs, cs)] for signs in _BELL_SIGNS]
+                for cs in cosines]
+    import numpy as np
+
     c = np.array(cosines, dtype=float).reshape(-1, 1, 4)
     return 0.25 * (1.0 + _BELL_SIGNS * c)
 
@@ -709,10 +716,13 @@ def signalling_counterexample_model() -> BackwardModel:
     lam = LambdaSpace(COUNTEREXAMPLE_LABELS, (0.5, 0.5))
 
     def kernel_table(points):
-        import numpy as np
-
         # wing 1's outcome per canonical cell against sign_of(alpha2);
         # -0.0 >= 0 holds, as sign(0) = +1 needs
+        if len(points) <= TUPLE_POINTS:
+            return [[(1.0, 0.0) if a1 == sign_of(s[1]) else (0.0, 1.0) for a1 in (1, 1, -1, -1)]
+                    for s in points]
+        import numpy as np
+
         sign2 = np.where(np.array([s[1] for s in points], dtype=float) >= 0, 1, -1)
         pinned = (np.repeat(OUTCOMES, 2) == sign2[:, None]).astype(float)
         return np.stack([pinned, 1.0 - pinned], axis=2)

@@ -19,10 +19,11 @@ independence and no-signalling yet yields S = 4 is the demonstration that
 the collider construction is flexible enough to cover superquantum
 correlations; nothing here explains why nature stops at 2*sqrt(2).
 
-The classical half (configurations, strategies and bounds) loads without
-numpy, and so does the exact PR-box model: its tables are tuples of
-Fractions.  The scan imports numpy when it is called, and so does a float
-model's first table.
+Nothing here loads numpy: the classical half (configurations, strategies
+and bounds), the scan, which is plain Python over a table of floats, and the
+backward-model CHSH value, whose four setting pairs tabulate as nested tuples
+(of Fractions for the PR box, of floats for the Bell pair).  numpy loads only
+for a float grid of more than four points and for sampling.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add, sub
 from typing import TYPE_CHECKING, Callable
 
-from .quantum import bell_expectation, pr_prob
+from .quantum import angle_grid, bell_expectation, pr_prob
 from .reports import fields_json
 
 if TYPE_CHECKING:
@@ -135,8 +137,6 @@ def quantum_chsh_scan(state: int, resolution: int = 16) -> ScanReport:
     if resolution > MAX_SCAN_RESOLUTION:
         raise ValueError(
             f"scan time grows as resolution**3; {MAX_SCAN_RESOLUTION} is the cap")
-    from .backward import angle_grid
-
     grid = angle_grid(resolution)
     max_value, idx = _max_chsh([[bell_expectation(state, a, b) for b in grid] for a in grid])
     if max_value > TSIRELSON_BOUND + TSIRELSON_TOL:
@@ -152,26 +152,32 @@ def _max_chsh(e) -> tuple[float, tuple[int, int, int, int]]:
     """Largest S = |e[i1,i2] - e[i1,i2p]| + |e[i1p,i2] + e[i1p,i2p]| over the table
     ``e``, and the first (i1, i1p, i2, i2p) in C order that reaches it.
 
-    The terms D (row i1) and P (row i1p) split: x -> fl(d + x) is monotone, so the
-    max over i1p of fl(D + P) is fl(D + B), B the elementwise max of P, in O(n**3)
-    time and O(n**2) memory.  A rounding tie lets fl(d + b) reach the maximum with
-    d below its own, so the argmax is looked for in the sums, not in D and B.
+    The terms split by column pair (j, k): x -> fl(d + x) is monotone, so the max
+    over i1 and i1p is fl(D + P), D and P the max over rows of |e[i,j] - e[i,k]|
+    and of |e[i,j] + e[i,k]|, both symmetric in (j, k): O(n**3) time, O(n**2)
+    memory, plain Python.  A rounding tie lets fl(d + p) reach the maximum with d
+    or p below its own, so the argmax is looked for in the sums: the first i1
+    whose d reaches it with some P, then the first i1p and (j, k) whose sum does.
     """
-    import numpy as np
-
-    e = np.asarray(e)
     n = len(e)
-    b = np.full((n, n), -math.inf)
-    for row in e:
-        np.maximum(b, np.abs(row[:, None] + row), out=b)
-    row_max = [(np.abs(row[:, None] - row) + b).max() for row in e]
-    i1 = int(np.argmax(row_max))
-    d = np.abs(e[i1, :, None] - e[i1])
+    cols = list(zip(*e))
+    P = [[0.0] * n for _ in range(n)]
+    S = [[0.0] * n for _ in range(n)]
+    for j, cj in enumerate(cols):
+        for k in range(j, n):
+            ck = cols[k]
+            P[j][k] = P[k][j] = max(map(abs, map(add, cj, ck)))
+            S[j][k] = S[k][j] = max(map(abs, map(sub, cj, ck))) + P[j][k]
+    best = max(map(max, S))
+    # only these pairs can reach the maximum, from any i1 and i1p
+    pairs = [(j, k) for j in range(n) for k in range(n) if S[j][k] == best]
+    i1 = next(i for i, row in enumerate(e)
+              if any(abs(row[j] - row[k]) + P[j][k] == best for j, k in pairs))
+    d = [abs(e[i1][j] - e[i1][k]) for j, k in pairs]
     for i1p, row in enumerate(e):
-        s = d + np.abs(row[:, None] + row)
-        flat_index = int(np.argmax(s))
-        if s.flat[flat_index] == row_max[i1]:
-            return float(row_max[i1]), (i1, i1p, *divmod(flat_index, n))
+        for (j, k), dj in zip(pairs, d):
+            if dj + abs(row[j] + row[k]) == best:
+                return float(best), (i1, i1p, j, k)
 
 
 def backward_model_chsh(model: BackwardModel, label: str, c: ChshConfig):

@@ -13,8 +13,9 @@ Every total -- a normalization, a marginal, the mass of a condition, a
 total-variation distance -- is a left-to-right sum in canonical assignment
 order, so the float results do not depend on how a table was built.  The
 model checks in :mod:`retrobell.backward` normalize through the same
-normalizer over a leading axis of settings points, and it takes rational
-rows as plain sequences: a rational model's checks never load numpy.
+normalizer over a leading axis of settings points, and it takes rows as
+plain sequences: a rational model's checks never load numpy, nor do a float
+model's on a few points.
 
 Everything here is immutable after construction and every operation returns
 a fresh table, so values may be shared freely across threads.
@@ -23,6 +24,7 @@ a fresh table, so values may be shared freely across threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
@@ -156,24 +158,27 @@ def _normalized(W, backend: str):
     """Each ``W[point]`` divided by its total: the one normalizer.
 
     Weights must be finite and non-negative, and exact (never float) on the
-    rational backend, where ``W`` is a sequence of rows and each row comes
-    back as a tuple of Fractions.  A point whose weights sum to zero cannot be
-    normalized.
+    rational backend.  ``W`` is a float array, or a sequence of rows, each of
+    which comes back as a tuple (of Fractions on the rational backend).  A
+    point whose weights sum to zero cannot be normalized.
     """
+    rows = backend == RATIONAL or not hasattr(W, "ndim")
     if backend == RATIONAL:
         if any(isinstance(w, float) or w < 0 for row in W for w in row):
             raise ConstructionError("rational weights must be non-negative and exact")
         W = [[Fraction(w) for w in row] for row in W]
-        total = [sum(row) for row in W]
+    elif rows:
+        if not all(w >= 0 and math.isfinite(w) for row in W for w in row):
+            raise ConstructionError("weights must be finite and non-negative")
     else:
         import numpy as np
 
         if not (np.isfinite(W) & (W >= 0)).all():
             raise ConstructionError("weights must be finite and non-negative")
-        total = _running_sum(W.reshape(len(W), -1), axis=1)
+    total = [sum(row) for row in W] if rows else _running_sum(W.reshape(len(W), -1), axis=1)
     if 0 in total:  # no total is negative
         raise ConstructionError("weights sum to zero; nothing to normalize")
-    if backend == RATIONAL:
+    if rows:
         return tuple(tuple(w / t for w in row) for row, t in zip(W, total))
     return W / total.reshape((-1,) + (1,) * (W.ndim - 1))
 

@@ -9,6 +9,8 @@ Popescu-Rohrlich box.
 Angle-dependent quantities are floats; the GHZ and PR-box values are exact
 dyadic rationals and stay on the rational backend.  No state vectors or
 operators appear anywhere: each function is a direct formula.
+``angle_grid`` gives the evenly spaced angles that the CHSH scan and the
+models' settings grids read.
 """
 
 from __future__ import annotations
@@ -49,6 +51,19 @@ def _check_angle(alpha) -> float:
     if not math.isfinite(alpha):
         raise ValueError(f"angle must be finite, got {alpha!r}")
     return alpha
+
+
+def angle_grid(resolution: int = 16, *, centered: bool = False) -> tuple[float, ...]:
+    """Evenly spaced angles: [0, 2pi) by default, [-pi, pi) when centered.
+
+    The centered variant matters for models sensitive to the sign of an
+    angle; the default never produces a negative setting.
+    """
+    if resolution < 1:
+        raise ValueError("resolution must be positive")
+    step = 2.0 * math.pi / resolution
+    offset = -math.pi if centered else 0.0
+    return tuple(offset + step * k for k in range(resolution))
 
 
 def bell_prob(state: int, a1: int, a2: int, alpha1: float, alpha2: float) -> float:

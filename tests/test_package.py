@@ -17,7 +17,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PUBLIC = {
     "backward": [
         "ANGLE", "BINARY", "BackwardModel", "ColliderKernel", "LambdaSpace", "Wing",
-        "angle_grid", "bell_backward_model", "bell_table", "collider_model",
+        "bell_backward_model", "bell_table", "collider_model",
         "default_grid", "entry_table", "settings_grid", "sign_of",
         "signalling_counterexample_model", "verify_no_signalling_all",
     ],
@@ -36,8 +36,8 @@ PUBLIC = {
         "ghz_backward_model", "verify_ghz_recovery",
     ],
     "quantum": [
-        "AXES", "BELL_STATES", "OUTCOMES", "bell_expectation", "bell_prob", "ghz_prob",
-        "pr_prob",
+        "AXES", "BELL_STATES", "OUTCOMES", "angle_grid", "bell_expectation", "bell_prob",
+        "ghz_prob", "pr_prob",
     ],
     "reports": ["CheckReport", "WitnessReport"],
     "sampling": [
@@ -72,7 +72,8 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 # ---------------------------------------------------------------------------
-# numpy loads only in the commands that build a float table, scan or sample
+# numpy loads only in the commands that tabulate a float grid of more than
+# four points or sample
 # ---------------------------------------------------------------------------
 
 NUMPY_PROBE = """
@@ -91,6 +92,11 @@ print("numpy" in sys.modules)
 """
 
 
+#: The Bell CHSH commands: four setting pairs, and a 64 x 64 table of floats.
+BELL_ANGLES = ("chsh", "--model", "bell", "--state", "2", "--angles", "0.1,1.2,0.7,2.9")
+BELL_SCAN = ("chsh", "--model", "bell", "--scan", "--resolution", "64")
+
+
 def numpy_loaded(*argv: str) -> bool:
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE.format(src=str(SRC)), *argv],
                           capture_output=True, text=True, timeout=120)
@@ -107,6 +113,8 @@ def numpy_loaded(*argv: str) -> bool:
     ("verify", "--model", "ghz", "--backend", "rational"),
     ("verify", "--model", "prbox"),
     ("chsh", "--model", "prbox"),
+    BELL_ANGLES,
+    BELL_SCAN,
 ], ids=" ".join)
 def test_classical_commands_leave_numpy_unloaded(argv):
     assert numpy_loaded(*argv) is False
@@ -138,6 +146,8 @@ sys.stdout.write(out.getvalue())
     ("verify", "--model", "ghz", "--backend", "rational"),
     ("verify", "--model", "prbox"),
     ("chsh", "--model", "prbox"),
+    BELL_ANGLES,
+    BELL_SCAN,
 ], ids=" ".join)
 def test_exact_commands_run_with_numpy_blocked(argv, fmt):
     argv = (*argv, "--format", fmt)

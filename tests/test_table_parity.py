@@ -2,7 +2,8 @@
 
 A stock float model's ``kernel.table`` (and bell's ``target_table``) must
 give the tensor a per-entry reference gives, bit for bit: ``tobytes()``
-equality, so ``-0.0`` and ``0.0`` count as different.  The reference is the
+equality, so ``-0.0`` and ``0.0`` count as different, and in the same form:
+nested tuples at up to ``TUPLE_POINTS`` points, float64 arrays beyond.  The reference is the
 same model with its tables built by ``entry_table`` from one scalar call per
 entry: ``bell_prob`` for bell, the sign rule for the counterexample.  The
 exact ghz and prbox kernels must equal their scalar collider rules, k times
@@ -34,6 +35,7 @@ from retrobell import (
     signalling_counterexample_model,
     verify_no_signalling_all,
 )
+from retrobell.backward import TUPLE_POINTS
 
 MODELS = {"bell": bell_backward_model, "counterexample": signalling_counterexample_model}
 
@@ -67,6 +69,7 @@ def _grids():
 
 
 def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
     assert a.dtype == b.dtype == np.float64
     assert a.shape == b.shape
     assert a.tobytes() == b.tobytes()
@@ -83,6 +86,7 @@ def test_kernel_table_matches_scalar_loop(name, res, centered):
     grid = settings_grid(model, res, centered=centered)
     tab, ref = model.tabulate(grid), _scalar(model).tabulate(grid)
     assert tab.points == ref.points
+    assert isinstance(tab.K, tuple) == isinstance(ref.K, tuple) == (len(grid) <= TUPLE_POINTS)
     _same_bits(tab.K, ref.K)
 
 
@@ -97,7 +101,9 @@ def test_kernel_table_matches_scalar_loop_on_edge_angles(name):
 def test_bell_target_table_matches_quantum_targets(res, centered):
     model = bell_backward_model()
     points = model.tabulate(settings_grid(model, res, centered=centered)).points
-    _same_bits(model.target_table(points), _reference_targets(model, points))
+    table = model.target_table(points)
+    assert isinstance(table, np.ndarray) == (len(points) > TUPLE_POINTS)
+    _same_bits(table, _reference_targets(model, points))
 
 
 def test_bell_target_table_on_edge_angles():
@@ -137,7 +143,7 @@ def test_checks_report_the_same_with_and_without_tables(name):
 def test_batched_table_of_the_wrong_shape_is_rejected():
     model = bell_backward_model()
     short = replace(model, kernel=replace(
-        model.kernel, table=lambda points: bell_table(points)[:, :3]))
+        model.kernel, table=lambda points: np.asarray(bell_table(points))[:, :3]))
     with pytest.raises(ConstructionError, match="shape"):
         short.verify_si([(0.0, 0.0)])
     wide = replace(model, target_table=lambda points: np.zeros((len(points), 4, 5)))

@@ -15,8 +15,9 @@ command of the benchmark's three workloads at seeds 1-3, each output format,
 the CHSH scan of every Bell state at resolutions 64 and 33, ``sample`` on
 every model at 1-3 threads, bell ``sample`` at the 64-bit seed edge (2^63
 and 2^64 - 1) on 1 and 3 threads and just past it (2^64), ``verify --checks nosignal`` on every model
-(bell and counterexample at grids 1, 3 and 5), a cap failure and the
-usage-error paths.
+(bell and counterexample at grids 1, 3 and 5), ``verify`` on bell and
+counterexample at grids 2 and 3 (4 points, tabulated as tuples, and 9, as
+arrays), a cap failure and the usage-error paths.
 A full census takes a few seconds.
 """
 
@@ -111,6 +112,8 @@ def argvs() -> list[tuple[str, ...]]:
                  for seed in (str(2**63), str(2**64 - 1)) for t in ("1", "3")]
     commands += [("verify", "--model", m, "--grid", g, "--checks", "nosignal")
                  for m in ("bell", "counterexample") for g in "135"]
+    commands += [("verify", "--model", m, "--grid", g)
+                 for m in ("bell", "counterexample") for g in "23"]
     commands += [("verify", "--model", m, "--checks", "nosignal", "--format", "human")
                  for m in ("ghz", "prbox")]
     commands += FAILING
