@@ -45,7 +45,7 @@ _EXPORTS = {
         "AXES", "BELL_STATES", "OUTCOMES", "angle_grid", "bell_expectation", "bell_prob",
         "ghz_prob", "pr_prob",
     ),
-    "reports": ("CheckReport", "WitnessReport"),
+    "reports": ("CheckReport",),
     "sampling": (
         "AcceptanceCapError", "RNG_ALGORITHM", "RunRecord", "SampleReport", "Z_GATE",
         "make_rng", "sample_postselected", "sample_run",

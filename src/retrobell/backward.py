@@ -52,7 +52,7 @@ from .dist import (
 )
 from .quantum import OUTCOMES, _check_angle, angle_grid
 from .quantum import bell_prob  # bench/tracing.py counts bell_prob calls through this name
-from .reports import CheckReport, WitnessReport
+from .reports import CheckReport
 
 if TYPE_CHECKING:
     import numpy as np
@@ -360,7 +360,10 @@ class BackwardModel:
         if not tuples:
             import numpy as np
 
-            X = np.asarray(X, dtype=float)
+            try:
+                X = np.asarray(X, dtype=float)
+            except ValueError:  # ragged or not numbers: the tuple path names which
+                tuples = True
         if hasattr(X, "shape"):
             found = X.shape
         else:
@@ -515,14 +518,13 @@ class BackwardModel:
         return self._sweep("recovery", devs, lambda i: {
             "settings": points[i // len(labels)], "label": labels[i % len(labels)]})
 
-    def lc_violation_witness(
-        self, label: str, settings: Sequence, outcomes: Sequence
-    ) -> WitnessReport:
+    def lc_violation_witness(self, label: str, settings: Sequence,
+                             outcomes: Sequence) -> CheckReport:
         """Compare the product of wing conditionals against the joint one.
 
         Local causality would make P(outcomes | settings, label) factorize
-        into per-wing conditionals; the witness reports both numbers and
-        whether they differ beyond tolerance.
+        into per-wing conditionals; the "lc_witness" report holds both numbers
+        and passes when they differ beyond tolerance.
         """
         settings = self.check_settings(settings)
         outcomes = tuple(outcomes)
@@ -535,17 +537,10 @@ class BackwardModel:
         for i, outcome in enumerate(outcomes):
             product = product * self._wing_marginal(cond, i, outcome)[0]
         difference = abs(joint_p - product)
-        return WitnessReport(
-            product_value=product,
-            joint_value=joint_p,
-            difference=difference,
-            violated=difference > self.tolerance,
-            tolerance=self.tolerance,
-            backend=self.backend,
-            label=label,
-            settings=settings,
-            outcomes=outcomes,
-        )
+        return CheckReport("lc_witness", difference > self.tolerance, difference, {
+            "label": label, "settings": settings, "outcomes": outcomes,
+            "product_of_wing_conditionals": product, "joint_conditional": joint_p,
+        }, self.tolerance, self.backend)
 
 
 def verify_no_signalling_all(

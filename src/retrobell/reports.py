@@ -1,15 +1,16 @@
-"""Shared report containers for the verification surfaces.
+"""The one report of every check, and its JSON.
 
 Checks never raise on failure: a failed property is an outcome, carried in a
-report together with the worst-case deviation and where it occurred, so a
-falsified claim is diagnosable rather than just red.
+report with the worst-case deviation and where it occurred, so a falsified
+claim is diagnosable rather than just red; the LC witness passes when the
+violation it looks for shows.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Mapping
 
@@ -60,9 +61,10 @@ def fields_json(**renames):
 class CheckReport:
     """Outcome of one verification sweep over a settings grid.
 
-    ``check`` is one of "si", "no_signalling", "recovery", "kernel_norm".
-    ``max_deviation`` is the largest deviation encountered and ``worst_case``
-    records where it happened.
+    ``check`` is one of "si", "no_signalling", "recovery", "kernel_norm" or
+    "lc_witness".  ``max_deviation`` is the largest deviation encountered and
+    ``worst_case`` records where it happened.  An "lc_witness" report passes
+    when the violation it looks for shows.
     """
 
     check: str
@@ -74,41 +76,3 @@ class CheckReport:
 
     to_json_dict = fields_json(passed="pass")
 
-
-@dataclass(frozen=True)
-class WitnessReport:
-    """Side-by-side comparison of a factorized and a joint conditional.
-
-    ``violated`` is True when the product of single-wing conditionals differs
-    from the joint conditional by more than the tolerance.  In JSON the
-    "pass" field carries ``violated``: the witness "passes" when it actually
-    exhibits the factorization failure it was built to show.
-    """
-
-    product_value: Fraction | float
-    joint_value: Fraction | float
-    difference: Fraction | float
-    violated: bool
-    tolerance: Fraction | float
-    backend: str
-    label: str
-    settings: tuple
-    outcomes: tuple
-
-    check: str = field(default="lc_witness", init=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "pass": bool(self.violated),
-            "max_deviation": as_number(self.difference),
-            "worst_case": {
-                "label": self.label,
-                "settings": jsonable(self.settings),
-                "outcomes": jsonable(self.outcomes),
-                "product_of_wing_conditionals": as_number(self.product_value),
-                "joint_conditional": as_number(self.joint_value),
-            },
-            "tolerance": as_number(self.tolerance),
-            "backend": self.backend,
-        }

@@ -143,18 +143,20 @@ def test_criterion_3_no_signalling(bell, ghz, prbox, grid):
 
 def test_criterion_4_lc_violation_witness(bell):
     witness = bell.lc_violation_witness("lambda1", (0.0, 0.0), (1, 1))
+    product = witness.worst_case["product_of_wing_conditionals"]
+    joint = witness.worst_case["joint_conditional"]
     ok = (
-        witness.violated
-        and witness.product_value == pytest.approx(0.25, abs=1e-12)
-        and witness.joint_value == pytest.approx(0.5, abs=1e-12)
-        and witness.difference >= 0.25 - 1e-12
+        witness.passed
+        and product == pytest.approx(0.25, abs=1e-12)
+        and joint == pytest.approx(0.5, abs=1e-12)
+        and witness.max_deviation >= 0.25 - 1e-12
     )
     _gate(
         4,
         ok,
         f"at equal angles the product of wing conditionals is "
-        f"{float(witness.product_value)} but the joint conditional is "
-        f"{float(witness.joint_value)}; difference >= 0.25 - 1e-12",
+        f"{float(product)} but the joint conditional is "
+        f"{float(joint)}; difference >= 0.25 - 1e-12",
     )
 
 

@@ -190,20 +190,26 @@ class TestVerifyNoSignalling:
         assert d["tolerance"] == 1e-12
 
 
+def _witness_values(w):
+    """The witness's product of wing conditionals, joint conditional and difference."""
+    return (w.worst_case["product_of_wing_conditionals"], w.worst_case["joint_conditional"],
+            w.max_deviation)
+
+
 class TestLcViolationWitness:
     def test_violation_at_zero_angles(self, bell_model):
         w = bell_model.lc_violation_witness("lambda1", (0.0, 0.0), (1, 1))
-        assert w.product_value == pytest.approx(0.25, abs=1e-12)
-        assert w.joint_value == pytest.approx(0.5, abs=1e-12)
-        assert w.violated
+        assert w.worst_case["product_of_wing_conditionals"] == pytest.approx(0.25, abs=1e-12)
+        assert w.worst_case["joint_conditional"] == pytest.approx(0.5, abs=1e-12)
+        assert w.passed
 
     def test_no_violation_at_orthogonal_angles(self, bell_model):
         for outcomes in itertools.product((1, -1), repeat=2):
             w = bell_model.lc_violation_witness(
                 "lambda1", (0.0, PI / 2), outcomes
             )
-            assert not w.violated
-            assert w.difference <= 1e-12
+            assert not w.passed
+            assert w.max_deviation <= 1e-12
 
     def test_factorizing_kernel_never_violates(self):
         # every label's kernel is a per-wing product, so conditioning can
@@ -235,7 +241,7 @@ class TestLcViolationWitness:
         for outcomes in itertools.product((1, -1), repeat=2):
             for label in labels:
                 w = model.lc_violation_witness(label, (0.1, 0.2), outcomes)
-                assert not w.violated
+                assert not w.passed
 
     @pytest.mark.parametrize("label", ["lambda_pr", "lambda_bar"])
     def test_prbox_witness_is_exact(self, pr_model, label):
@@ -247,10 +253,10 @@ class TestLcViolationWitness:
                 w = pr_model.lc_violation_witness(label, settings, outcomes)
                 box = pr_prob(*outcomes, *settings)
                 joint = box if label == "lambda_pr" else Fraction(1, 2) - box
-                values = (w.product_value, w.joint_value, w.difference)
+                values = _witness_values(w)
                 assert all(type(v) is Fraction for v in values)
                 assert values == (Fraction(1, 4), joint, Fraction(1, 4))
-                assert w.violated
+                assert w.passed
 
     @pytest.mark.parametrize("label", ["lambda0", "lambda_bar"])
     def test_ghz_witness_is_exact_with_its_json(self, ghz_model, label):
@@ -262,10 +268,10 @@ class TestLcViolationWitness:
                 ghz = ghz_prob(*outcomes, *settings)
                 joint = ghz if label == "lambda0" else Fraction(1, 4) - ghz
                 difference = abs(joint - Fraction(1, 8))
-                values = (w.product_value, w.joint_value, w.difference)
+                values = _witness_values(w)
                 assert all(type(v) is Fraction for v in values)
                 assert values == (Fraction(1, 8), joint, difference)
-                assert w.violated == (sum(settings) % 2 == 0)
+                assert w.passed == (sum(settings) % 2 == 0)
                 expected = {
                     "check": "lc_witness",
                     "pass": sum(settings) % 2 == 0,

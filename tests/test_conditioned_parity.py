@@ -19,12 +19,12 @@ import pytest
 from retrobell import (
     ANGLE,
     BackwardModel,
+    CheckReport,
     ChshConfig,
     ColliderKernel,
     ConstructionError,
     LambdaSpace,
     Wing,
-    WitnessReport,
     backward_model_chsh,
     bell_backward_model,
     chsh_value,
@@ -80,6 +80,8 @@ def exact(x):
     """``x`` as its type and exact content, so equal means bit for bit."""
     if isinstance(x, tuple):
         return tuple(exact(v) for v in x)
+    if isinstance(x, dict):
+        return tuple((k, exact(v)) for k, v in x.items())
     return type(x), x.hex() if isinstance(x, float) else x
 
 
@@ -106,8 +108,10 @@ def oracle_witness(model, label, settings, outcomes):
     for wing, outcome in zip(model.wings, outcomes):
         product = product * marginalize(cond, [wing.outcome_name]).prob((outcome,))
     difference = abs(joint_p - product)
-    return WitnessReport(product, joint_p, difference, difference > model.tolerance,
-                         model.tolerance, model.backend, label, settings, outcomes)
+    return CheckReport("lc_witness", difference > model.tolerance, difference, {
+        "label": label, "settings": settings, "outcomes": outcomes,
+        "product_of_wing_conditionals": product, "joint_conditional": joint_p,
+    }, model.tolerance, model.backend)
 
 
 def oracle_lambda_marginal(model, settings):

@@ -1,16 +1,18 @@
 """Report bytes pinned across versions.
 
 The other reproducibility tests compare two runs of the same code.  These
-compare SHA-256 digests of whole reports against values recorded from an
-earlier version, so a change to any byte of them fails here.  Only the
-rational models appear: their tables are dyadic, so the bytes do not depend
-on the platform's libm.
+compare SHA-256 digests of whole reports, or their whole JSON, against values
+recorded from an earlier version, so a change to any byte of them fails here.
+Only dyadic values appear (the rational models, and Bell at angle 0, where
+the cosine is 1), so the bytes do not depend on the platform's libm.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from retrobell import bell_backward_model, ghz_backward_model, pr_backward_model
 from retrobell.cli import main
 
 
@@ -53,3 +55,30 @@ def test_sample_report_bytes(capsys, argv, digest):
     assert main(argv) == 0
     assert _sha256(capsys.readouterr().out) == digest
 
+
+WITNESSES = {
+    # int-given settings are reported checked, as floats
+    "bell": (bell_backward_model, "lambda1", (0, 0), (1, 1), {
+        "check": "lc_witness", "pass": True, "max_deviation": 0.25,
+        "worst_case": {"label": "lambda1", "settings": [0.0, 0.0], "outcomes": [1, 1],
+                       "product_of_wing_conditionals": 0.25, "joint_conditional": 0.5},
+        "tolerance": 1e-12, "backend": "float"}),
+    # an exact zero is the literal 0
+    "prbox": (pr_backward_model, "lambda_pr", (1, 1), (1, 1), {
+        "check": "lc_witness", "pass": True, "max_deviation": 0.25,
+        "worst_case": {"label": "lambda_pr", "settings": [1, 1], "outcomes": [1, 1],
+                       "product_of_wing_conditionals": 0.25, "joint_conditional": 0},
+        "tolerance": 0, "backend": "rational"}),
+    "ghz": (ghz_backward_model, "lambda0", (0, 1, 1), (1, 1, -1), {
+        "check": "lc_witness", "pass": True, "max_deviation": 0.125,
+        "worst_case": {"label": "lambda0", "settings": [0, 1, 1], "outcomes": [1, 1, -1],
+                       "product_of_wing_conditionals": 0.125, "joint_conditional": 0.25},
+        "tolerance": 0, "backend": "rational"}),
+}
+
+
+@pytest.mark.parametrize("name", WITNESSES)
+def test_witness_report_bytes(name):
+    build, label, settings, outcomes, expected = WITNESSES[name]
+    report = build().lc_violation_witness(label, settings, outcomes)
+    assert json.dumps(report.to_json_dict()) == json.dumps(expected)

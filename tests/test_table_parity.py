@@ -25,6 +25,7 @@ from retrobell import (
     bell_backward_model,
     bell_prob,
     bell_table,
+    default_grid,
     entry_table,
     ghz_backward_model,
     ghz_prob,
@@ -149,6 +150,17 @@ def test_batched_table_of_the_wrong_shape_is_rejected():
     wide = replace(model, target_table=lambda points: np.zeros((len(points), 4, 5)))
     with pytest.raises(ConstructionError, match="shape"):
         wide.verify_recovery([(0.0, 0.0)])
+
+
+@pytest.mark.parametrize("resolution, n", [(1, 1), (3, 9)])
+def test_ragged_float_table_is_rejected_on_both_forms(resolution, n):
+    # one short row: the tuple form (1 point) and the array form (9 points)
+    # name the same nested shape, where numpy would raise its own ValueError
+    model = bell_backward_model()
+    ragged = replace(model, kernel=replace(
+        model.kernel, table=lambda points: [[[0.25] * 4] * 3 + [[0.25]] for _ in points]))
+    with pytest.raises(ConstructionError, match=re.escape(f"shape ({n}, 4), not ({n}, 4, 4)")):
+        ragged.verify_si(default_grid(model, resolution))
 
 
 HALF = Fraction(1, 2)
