@@ -26,12 +26,17 @@ factorization of the joint conditional (the local-causality witness).  The
 signalling counterexample model deliberately satisfies neither: its kernel
 pins wing 1's outcome to the sign of wing 2's setting, so conditioning on
 its label lets a remote setting choose a local outcome.
+
+Each check reads one :class:`Tabulation`, which checks may share.  Its tables
+take the one form :func:`_form` picks, nested tuples or a float64 array, and
+each check and stock table is one formula over their rows (``dist._rows``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -46,11 +51,15 @@ from .dist import (
     NullEvidenceError,
     Prob,
     Variable,
+    _all,
     _normalized,
-    _running_sum,
+    _point_major,
+    _rows,
+    _table,
+    _top,
     make_joint,  # bench/tracing.py counts make_joint calls through this name
 )
-from .quantum import OUTCOMES, _check_angle, angle_grid
+from .quantum import OUTCOMES, angle_grid, bell_expectation
 from .quantum import bell_prob  # bench/tracing.py counts bell_prob calls through this name
 from .reports import CheckReport
 
@@ -65,11 +74,27 @@ LAMBDA = "lambda"
 
 BELL_LABELS = ("lambda1", "lambda2", "lambda3", "lambda4")
 
-#: A float tabulation of at most this many points (CHSH's four setting pairs,
-#: the one point of the sampler and the witness) is nested tuples of floats,
-#: reduced by the rational backend's plain-Python code; a larger float grid is
-#: a float64 array.  Read at call time.
+#: The most points a float table holds as nested tuples (CHSH's four); read per call.
 TUPLE_POINTS = 4
+
+
+def _form(X, backend: str):
+    """``X[point]...`` in its one form: nested tuples of exact entries (rational
+    backend) or of floats (up to ``TUPLE_POINTS`` points), else a float64 array."""
+    if backend == FLOAT and len(X) > TUPLE_POINTS:
+        import numpy as np
+
+        return np.asarray(X, dtype=float)
+
+    def nested(x):
+        x = x.tolist() if hasattr(x, "tolist") else x
+        if isinstance(x, (list, tuple)):
+            return tuple(map(nested, x))
+        if backend == RATIONAL and not isinstance(x, numbers.Rational):
+            raise ConstructionError(f"rational tables take exact entries, got {x!r}")
+        return x if backend == RATIONAL else float(x)
+
+    return nested(X)
 
 
 def sign_of(x) -> int:
@@ -148,9 +173,10 @@ class ColliderKernel:
 
     ``table(points)[point][cell][label]`` is the kernel at checked setting
     tuples, cells in canonical order and labels in ``labels`` order: nested
-    sequences (of exact values on the rational backend) or an array.  For
-    labels constructed as a normalization constant times a target outcome
-    distribution, ``normalization`` records that constant.
+    sequences (of exact values on the rational backend) or an array, which
+    ``tabulate`` puts in the one :func:`_form`.  For labels constructed as a
+    normalization constant times a target outcome distribution,
+    ``normalization`` records that constant.
     """
 
     labels: tuple[str, ...]
@@ -192,8 +218,8 @@ class Tabulation(Sequence):
     """A model's grid checked (``points``) and kernel tabulated (``K``) by ``tabulate``,
     and the tables derived from them: ``joint``, built on first use, and ``conditioned``.
     A sequence of the checked points, it stands in for the grid anywhere.  Each table
-    is nested tuples (of Fractions on the rational backend, of floats at up to
-    ``TUPLE_POINTS`` points), or else a float64 array."""
+    is in ``K``'s form (:func:`_form`) and computed by one formula over the rows of
+    the tables it reads, nested tuples or a float64 array."""
 
     model: BackwardModel
     points: list[tuple]
@@ -209,20 +235,12 @@ class Tabulation(Sequence):
     def joint(self) -> tuple:
         """``(T, M)``: the joint ``T[point][cell][label]`` and its marginal ``M[point][label]``."""
         base = self.model._outcome_weights()
-        # zero weights and zero-marginal cells are dropped unchecked
-        if isinstance(self.K, tuple):
-            W = [[w if b != 0 and w != 0 else 0 for row, b in zip(cells, base)
-                  for w in (k * b for k in row)] for cells in self.K]
-            # each point's row of cells x labels, regrouped by cell
-            n = len(self.model.lam.labels)
-            T = tuple(tuple(zip(*[iter(t)] * n)) for t in _normalized(W, self.model.backend))
-            return T, tuple(tuple(map(sum, zip(*t))) for t in T)
-        import numpy as np
-
-        base = np.array(base, dtype=float)[:, None]
-        W = self.K * base
-        T = _normalized(np.where((base != 0) & (W != 0), W, 0), FLOAT)
-        return T, _running_sum(T, axis=1)
+        # 0 + w turns -0.0 into 0.0; a zero-marginal cell weighs 0 (k ** 0 is 1, NaN too)
+        W = [[0 + k * b if b else k ** 0 * b for row, b in zip(cells, base) for k in row]
+             for cells in _rows(self.K)]
+        n = len(self.model.lam.labels)  # each row of cells x labels, regrouped by cell
+        T = [tuple(zip(*[iter(t)] * n)) for t in _normalized(W, self.model.backend)]
+        return _table(T), _table([tuple(map(sum, zip(*t))) for t in T])
 
     def conditioned(self, label: str):
         """P(cell | settings, label) at every point, the label-conditioned outcome
@@ -232,11 +250,10 @@ class Tabulation(Sequence):
         if label not in labels:
             raise ConstructionError(f"unknown lambda label {label!r}")
         at = labels.index(label)
-        if 0 in ([m[at] for m in M] if isinstance(M, tuple) else M[:, at]):
+        rows = list(zip(_rows(T), _rows(M)))
+        if not _all(m[at] != 0 for _, m in rows):
             raise NullEvidenceError(f"label {label!r} has probability zero on the grid")
-        if isinstance(M, tuple):
-            return tuple(tuple(row[at] / m[at] for row in t) for t, m in zip(T, M))
-        return T[:, :, at] / M[:, at, None]
+        return _table([tuple(row[at] / m[at] for row in t) for t, m in rows])
 
 
 @dataclass(frozen=True)
@@ -264,6 +281,9 @@ class BackwardModel:
             raise ConstructionError("kernel and lambda space disagree on labels")
         if self.backend not in (RATIONAL, FLOAT):
             raise ConstructionError(f"unknown backend {self.backend!r}")
+        if self.backend == RATIONAL and not all(isinstance(p, numbers.Rational) for p in (
+                *self.lam.priors, *(w.p_plus for w in self.wings))):
+            raise ConstructionError("the rational backend takes exact priors and wing marginals")
         if self.quantum_targets and self.target_table is None:
             raise ConstructionError("quantum targets need a target table")
 
@@ -292,8 +312,9 @@ class BackwardModel:
         return list(itertools.product(OUTCOMES, repeat=len(self.wings)))
 
     def _outcome_weights(self) -> list[Prob]:
-        """P(cell) per canonical cell: the product of the wing marginals."""
-        return [math.prod(w.marginal(o) for w, o in zip(self.wings, c)) for c in self._cells()]
+        """P(cell) per canonical cell, the wing marginals' product: a float if FLOAT."""
+        weights = [math.prod(w.marginal(o) for w, o in zip(self.wings, c)) for c in self._cells()]
+        return [float(w) for w in weights] if self.backend == FLOAT else weights
 
     # -- assembly and conditioning ------------------------------------------
 
@@ -329,17 +350,12 @@ class BackwardModel:
         return Joint(variables, table.reshape([len(v.domain) for v in variables]), self.backend)
 
     # -- checked properties --------------------------------------------------
-    # Each check reads one :class:`Tabulation`, which checks may share, and
-    # reduces it with the normalizer and the left-to-right sums of ``dist``, so
-    # floats match the single-point tables at every point.
 
     def tabulate(self, settings_grid: Iterable[Sequence]) -> Tabulation:
         """The grid checked point by point and its kernel ``K[point][cell][label]`` filled
         once for any number of checks; this model's own tabulation comes back as is.
 
-        Cells are the outcome combos in canonical order.  ``K`` is nested
-        tuples of the kernel's own values on the rational backend, of floats at
-        up to ``TUPLE_POINTS`` points, and a float64 array otherwise.
+        Cells are the outcome combos in canonical order; ``K`` is in the form of :func:`_form`.
         """
         if isinstance(settings_grid, Tabulation) and settings_grid.model is self:
             return settings_grid
@@ -351,19 +367,10 @@ class BackwardModel:
         return Tabulation(self, points, K)
 
     def _fill(self, points: list[tuple], table, width: int):
-        """``table(points)`` as ``X[point][cell]`` of ``width`` values: nested
-        tuples on the rational backend and at up to ``TUPLE_POINTS`` points,
-        else a float64 array."""
+        """``table(points)`` as ``X[point][cell]`` of ``width`` values, its shape checked,
+        in the one form :func:`_form` gives (of exact entries on the rational backend)."""
         shape = (len(points), 2 ** len(self.wings), width)
         X = table(points)
-        tuples = self.backend == RATIONAL or len(points) <= TUPLE_POINTS
-        if not tuples:
-            import numpy as np
-
-            try:
-                X = np.asarray(X, dtype=float)
-            except ValueError:  # ragged or not numbers: the tuple path names which
-                tuples = True
         if hasattr(X, "shape"):
             found = X.shape
         else:
@@ -374,20 +381,12 @@ class BackwardModel:
                 level = [y for x in level for y in x]
         if found != shape:
             raise ConstructionError(f"batched table has shape {found}, not {shape}")
-        if not tuples:
-            return X
-        X = X.tolist() if hasattr(X, "tolist") else X
-        exact = self.backend == RATIONAL  # exact values stay as given, others become floats
-        return tuple(tuple(tuple(row) if exact else tuple(map(float, row)) for row in cells)
-                     for cells in X)
+        return _form(X, self.backend)
 
-    def _sweep(self, check: str, devs: list, describe: Callable[[int], dict]) -> CheckReport:
-        """Report the first strict maximum of ``devs``, a flat list in sweep order.
-
-        ``describe(i)`` gives the worst case at deviation ``i``; there is none
-        when no deviation exceeds zero.  The first NaN deviation is the worst
-        case, and it fails the check.
-        """
+    def _sweep(self, check: str, devs: list, cases: list, points=None) -> CheckReport:
+        """Report the first strict maximum of ``devs``, a flat list in sweep order, with worst
+        case ``cases[i]``, or with ``points``, ``points[i // n]`` and ``cases[i % n]`` (n cases);
+        none if no deviation exceeds zero, and the first NaN if any (which fails the check)."""
         max_dev: Prob = Fraction(0) if self.backend == RATIONAL else 0.0
         worst = None
         for i, dev in enumerate(devs):
@@ -397,7 +396,8 @@ class BackwardModel:
             if dev > max_dev:
                 max_dev, worst = dev, i
         tol = self.tolerance
-        worst_case = None if worst is None else describe(worst)
+        worst_case = None if worst is None else cases[worst] if points is None else {
+            "settings": points[worst // len(cases)], **cases[worst % len(cases)]}
         return CheckReport(check, max_dev <= tol, max_dev, worst_case, tol, self.backend)
 
     def verify_si(self, settings_grid: Iterable[Sequence]) -> CheckReport:
@@ -408,11 +408,10 @@ class BackwardModel:
         """
         tab = self.tabulate(settings_grid)
         _, M = tab.joint
-        labels, priors = self.lam.labels, self.lam.priors
-        devs = ([abs(m - p) for row in M for m, p in zip(row, priors)] if isinstance(M, tuple)
-                else abs(M - [float(p) for p in priors]).ravel().tolist())
-        return self._sweep("si", devs, lambda i: {
-            "settings": tab.points[i // len(labels)], "label": labels[i % len(labels)]})
+        priors = [float(p) for p in self.lam.priors] if self.backend == FLOAT else self.lam.priors
+        devs = _point_major([[abs(m - p) for m, p in zip(row, priors)] for row in _rows(M)])
+        return self._sweep("si", devs, [{"label": label} for label in self.lam.labels],
+                           tab.points)
 
     def verify_no_signalling(
         self, label: str, settings_grid: Iterable[Sequence]
@@ -459,37 +458,23 @@ class BackwardModel:
                         "min_at_settings": points[lo],
                         "max_at_settings": points[hi],
                     })
-        return self._sweep("no_signalling", devs, cases.__getitem__)
+        return self._sweep("no_signalling", devs, cases)
 
     def _wing_marginal(self, cond, i: int, outcome: int) -> list[Prob]:
         """P(a_i = outcome | settings, label) at every point of ``cond[point][cell]``:
         a left-to-right sum over wing ``i``'s cells in canonical order."""
         mask = [c[i] == outcome for c in self._cells()]
-        if isinstance(cond, tuple):
-            return [sum(p for p, m in zip(row, mask) if m) for row in cond]
-        return _running_sum(cond[:, mask], axis=1).tolist()
+        return _point_major([[sum(p for p, m in zip(row, mask) if m)] for row in _rows(cond)])
 
     def verify_kernel_normalization(
         self, settings_grid: Iterable[Sequence]
     ) -> CheckReport:
         """Kernel rows sum to one over labels, with every value in [0, 1]."""
         tab = self.tabulate(settings_grid)
-        points, K = tab.points, tab.K
-        if isinstance(K, tuple):
-            # np.maximum, folded left over the labels: a NaN wins, else the
-            # first of equal values
-            def top(a, b):
-                return a if a >= b or a != a else b
-            devs = [top(abs(sum(row) - 1), reduce(top, [top(-k, k - 1) for k in row]))
-                    for cells in K for row in cells]
-        else:
-            import numpy as np
-
-            range_excess = np.maximum(-K, K - 1).max(axis=2)
-            devs = np.maximum(abs(_running_sum(K, axis=2) - 1), range_excess).ravel().tolist()
-        cells = self._cells()
-        return self._sweep("kernel_norm", devs, lambda i: {
-            "settings": points[i // len(cells)], "outcomes": cells[i % len(cells)]})
+        devs = _point_major([[_top(abs(sum(row) - 1), reduce(_top, [_top(-k, k - 1) for k in row]))
+                              for row in cells] for cells in _rows(tab.K)])
+        return self._sweep("kernel_norm", devs, [{"outcomes": c} for c in self._cells()],
+                           tab.points)
 
     def verify_recovery(self, settings_grid: Iterable[Sequence]) -> CheckReport:
         """Label-conditioned model equals its closed-form target distribution.
@@ -502,21 +487,15 @@ class BackwardModel:
                 f"{self.name} has no quantum targets to recover"
             )
         tab = self.tabulate(settings_grid)
-        points = tab.points
         labels = self.quantum_targets
-        W = self._fill(points, self.target_table, len(labels))
-        tv = []  # per label, its distance at every point
+        W = _rows(self._fill(tab.points, self.target_table, len(labels)))
+        tv = []  # per label, its distance in every row
         for t, label in enumerate(labels):
-            P = tab.conditioned(label)
-            if isinstance(W, tuple):
-                Q = _normalized([[row[t] for row in cells] for cells in W], self.backend)
-                tv.append([sum(abs(p - q) for p, q in zip(*rows)) / 2 for rows in zip(P, Q)])
-            else:
-                Q = _normalized(W[:, :, t], FLOAT)
-                tv.append((_running_sum(abs(P - Q), axis=1) / 2).tolist())
-        devs = [d for row in zip(*tv) for d in row]
-        return self._sweep("recovery", devs, lambda i: {
-            "settings": points[i // len(labels)], "label": labels[i % len(labels)]})
+            Q = _normalized([[row[t] for row in cells] for cells in W], self.backend)
+            tv.append([sum(abs(p - q) for p, q in zip(*rows)) / 2
+                       for rows in zip(_rows(tab.conditioned(label)), Q)])
+        return self._sweep("recovery", _point_major(list(zip(*tv))),
+                           [{"label": label} for label in labels], tab.points)
 
     def lc_violation_witness(self, label: str, settings: Sequence,
                              outcomes: Sequence) -> CheckReport:
@@ -532,10 +511,8 @@ class BackwardModel:
         if outcomes not in cells:
             raise ConstructionError(f"outcomes {outcomes!r} are not a cell of {self.name}")
         cond = self.tabulate([settings]).conditioned(label)
-        joint_p = (cond[0] if isinstance(cond, tuple) else cond[0].tolist())[cells.index(outcomes)]
-        product: Prob = 1
-        for i, outcome in enumerate(outcomes):
-            product = product * self._wing_marginal(cond, i, outcome)[0]
+        joint_p = _point_major(_rows(cond))[cells.index(outcomes)]
+        product = math.prod(self._wing_marginal(cond, i, o)[0] for i, o in enumerate(outcomes))
         difference = abs(joint_p - product)
         return CheckReport("lc_witness", difference > self.tolerance, difference, {
             "label": label, "settings": settings, "outcomes": outcomes,
@@ -609,19 +586,14 @@ def collider_model(name: str, wings: tuple[Wing, ...], lam: LambdaSpace, targets
         raise ConstructionError("a collider of targets needs P(cell) equal for every cell")
     (weight,) = weights
     normalization = {t: lam.prior(t) / weight for t in targets}
-    scale = list(normalization.values())
+    scale = [float(s) if backend == FLOAT else s for s in normalization.values()]
     rest = len(lam.labels) > len(targets)
 
     def table(points):
-        if backend == RATIONAL or len(points) <= TUPLE_POINTS:
-            factors = scale if backend == RATIONAL else [float(s) for s in scale]
-            K = [[[x * s for x, s in zip(row, factors, strict=True)] for row in cells]
-                 for cells in target_table(points)]
-            return [[row + [1 - sum(row)] if rest else row for row in cells] for cells in K]
-        import numpy as np
-
-        K = np.asarray(target_table(points), dtype=float) * [float(s) for s in scale]
-        return np.concatenate([K, 1 - _running_sum(K, axis=2)[:, :, None]], axis=2) if rest else K
+        K = [[tuple(x * s for x, s in zip(row, scale, strict=True)) for row in cells]
+             for cells in _rows(_form(target_table(points), backend))]
+        return _table([tuple(row + (1 - sum(row),) if rest else row for row in cells)
+                       for cells in K])
 
     kernel = ColliderKernel(lam.labels, table, normalization)
     return BackwardModel(name, wings, lam, kernel, backend, targets, target_table)
@@ -646,28 +618,23 @@ def _binary_collider(name: str, wings: int, labels: tuple, prob: Callable) -> Ba
 _BELL_SIGNS = [[r * c for c in (1.0, -1.0, -1.0, 1.0)] for r in (1.0, -1.0, -1.0, 1.0)]
 
 
-def bell_table(points: Iterable[Sequence[float]]) -> np.ndarray | list:
-    """:func:`bell_prob` over many angle pairs: ``P[point][pair][state - 1]``, nested
-    lists at up to ``TUPLE_POINTS`` points and a float64 array beyond.
+def bell_table(points: Iterable[Sequence[float]]) -> np.ndarray | tuple:
+    """:func:`bell_prob` over many angle pairs: ``P[point][pair][state - 1]``, one formula
+    over the rows of the float :func:`_form` (tuples at up to ``TUPLE_POINTS`` points).
 
     Outcome pairs run (1, 1), (1, -1), (-1, 1), (-1, -1).  Every entry equals
-    the scalar call bit for bit: the two cosines of a point come from
-    ``math.cos`` (``np.cos`` may differ from libm in the last ulp), and the
+    the scalar call bit for bit: the two cosines of a point are
+    :func:`~retrobell.quantum.bell_expectation`'s (``math.cos``, which ``np.cos``
+    may differ from in the last ulp; an angle sum that overflows raises), and the
     arithmetic after them is the scalar formula's, with ``a1 * a2`` times the
     cosine's sign exactly +/-1.
     """
     cosines = []
     for alpha1, alpha2 in points:
-        alpha1, alpha2 = _check_angle(alpha1), _check_angle(alpha2)
-        c_diff, c_sum = math.cos(alpha1 - alpha2), math.cos(alpha1 + alpha2)
+        c_diff, c_sum = bell_expectation(1, alpha1, alpha2), bell_expectation(4, alpha1, alpha2)
         cosines.append((c_diff, c_diff, c_sum, c_sum))
-    if len(cosines) <= TUPLE_POINTS:
-        return [[[0.25 * (1.0 + s * c) for s, c in zip(signs, cs)] for signs in _BELL_SIGNS]
-                for cs in cosines]
-    import numpy as np
-
-    c = np.array(cosines, dtype=float).reshape(-1, 1, 4)
-    return 0.25 * (1.0 + _BELL_SIGNS * c)
+    return _table([tuple(tuple(0.25 * (1.0 + s * c) for s, c in zip(signs, cs))
+                         for signs in _BELL_SIGNS) for cs in _rows(_form(cosines, FLOAT))])
 
 
 def bell_backward_model() -> BackwardModel:
@@ -711,16 +678,10 @@ def signalling_counterexample_model() -> BackwardModel:
     lam = LambdaSpace(COUNTEREXAMPLE_LABELS, (0.5, 0.5))
 
     def kernel_table(points):
-        # wing 1's outcome per canonical cell against sign_of(alpha2);
-        # -0.0 >= 0 holds, as sign(0) = +1 needs
-        if len(points) <= TUPLE_POINTS:
-            return [[(1.0, 0.0) if a1 == sign_of(s[1]) else (0.0, 1.0) for a1 in (1, 1, -1, -1)]
-                    for s in points]
-        import numpy as np
-
-        sign2 = np.where(np.array([s[1] for s in points], dtype=float) >= 0, 1, -1)
-        pinned = (np.repeat(OUTCOMES, 2) == sign2[:, None]).astype(float)
-        return np.stack([pinned, 1.0 - pinned], axis=2)
+        # wing 1's outcome per canonical cell against sign_of(alpha2): k is 1.0
+        # where alpha2 >= 0 (-0.0 >= 0 holds, as sign(0) = +1 needs), else 0.0
+        return _table([tuple((k, 1.0 - k) if a1 == 1 else (1.0 - k, k) for a1 in (1, 1, -1, -1))
+                       for k in ((s[1] >= 0) * 1.0 for s in _rows(_form(points, FLOAT)))])
 
     return BackwardModel(
         name="counterexample",

@@ -22,8 +22,9 @@ correlations; nothing here explains why nature stops at 2*sqrt(2).
 Nothing here loads numpy: the classical half (configurations, strategies
 and bounds), the scan, which is plain Python over a table of floats, and the
 backward-model CHSH value, whose four setting pairs tabulate as nested tuples
-(of Fractions for the PR box, of floats for the Bell pair).  numpy loads only
-for a float grid of more than four points and for sampling.
+(of Fractions for the PR box, of floats for the Bell pair), one row of numbers
+per pair, by the formula that reads a float64 table's row of columns alike.
+numpy loads only for a float grid of more than four points and for sampling.
 """
 
 from __future__ import annotations
@@ -192,10 +193,11 @@ def backward_model_chsh(model: BackwardModel, label: str, c: ChshConfig):
     # the setting pairs in the order chsh_value asks for them
     pairs = [(c.alpha1, c.alpha2), (c.alpha1, c.alpha2_prime),
              (c.alpha1_prime, c.alpha2), (c.alpha1_prime, c.alpha2_prime)]
-    cells = model._cells()
-    rows = model.tabulate(pairs).conditioned(label)
-    correlations = iter([sum(a1 * a2 * p for (a1, a2), p in zip(cells, row) if p != 0)
-                         for row in (rows if isinstance(rows, tuple) else rows.tolist())])
+    from .dist import _point_major, _rows
+
+    cond = model.tabulate(pairs).conditioned(label)
+    e = [[sum(a1 * a2 * p for (a1, a2), p in zip(model._cells(), row))] for row in _rows(cond)]
+    correlations = iter(_point_major(e))
     return chsh_value(lambda s1, s2: next(correlations), c)
 
 

@@ -167,6 +167,13 @@ def _parse_list(text: str, count: int, what: str, binary: bool = False) -> list:
     return values
 
 
+def _check_bell_pairs(pairs, flags: str) -> None:
+    """bell takes cos(a1 - a2) and cos(a1 + a2); an overflowing pair is a usage error."""
+    for a1, a2 in pairs:
+        if not (math.isfinite(a1 - a2) and math.isfinite(a1 + a2)):
+            raise UsageError(f"{flags}: the difference or sum of {a1!r} and {a2!r} overflows")
+
+
 def _model_settings_from_args(model: BackwardModel, args) -> tuple:
     angle_wings = all(w.setting_kind == "angle" for w in model.wings)
     if angle_wings:
@@ -179,6 +186,8 @@ def _model_settings_from_args(model: BackwardModel, args) -> tuple:
             raise UsageError(f"{model.name} needs --alpha1 and --alpha2 (radians)")
         if not (math.isfinite(args.alpha1) and math.isfinite(args.alpha2)):
             raise UsageError("--alpha1 and --alpha2 must be finite")
+        if model.name == "bell":
+            _check_bell_pairs([(args.alpha1, args.alpha2)], "--alpha1 and --alpha2")
         return (args.alpha1, args.alpha2)
     if args.alpha1 is not None or args.alpha2 is not None:
         raise UsageError(
@@ -353,6 +362,7 @@ def cmd_chsh(args) -> int:
             raise UsageError("chsh --model bell needs --angles a1,a1p,a2,a2p or "
                              "--scan")
         vals = _parse_list(args.angles, 4, "--angles")
+        _check_bell_pairs([(a1, a2) for a1 in vals[:2] for a2 in vals[2:]], "--angles")
         config = ChshConfig(*vals)
         model = bell_backward_model()
         label = f"lambda{state}"

@@ -13,9 +13,9 @@ Every total -- a normalization, a marginal, the mass of a condition, a
 total-variation distance -- is a left-to-right sum in canonical assignment
 order, so the float results do not depend on how a table was built.  The
 model checks in :mod:`retrobell.backward` normalize through the same
-normalizer over a leading axis of settings points, and it takes rows as
-plain sequences: a rational model's checks never load numpy, nor do a float
-model's on a few points.
+normalizer, over the rows (:func:`_rows`) of tables of settings points: a
+rational model's checks never load numpy, nor do a float model's on a few
+points.
 
 Everything here is immutable after construction and every operation returns
 a fresh table, so values may be shared freely across threads.
@@ -155,32 +155,61 @@ def _running_sum(x: np.ndarray, axis: int | None = None):
 
 
 def _normalized(W, backend: str):
-    """Each ``W[point]`` divided by its total: the one normalizer.
+    """Each row of ``W`` divided by its total: the one normalizer.
 
-    Weights must be finite and non-negative, and exact (never float) on the
-    rational backend.  ``W`` is a float array, or a sequence of rows, each of
-    which comes back as a tuple (of Fractions on the rational backend).  A
-    point whose weights sum to zero cannot be normalized.
+    ``W`` is rows (:func:`_rows`) of weights, finite and non-negative, and exact
+    (never float) on the rational backend; each comes back as a tuple (of Fractions
+    if rational).  A row whose weights sum to zero anywhere cannot be normalized.
     """
-    rows = backend == RATIONAL or not hasattr(W, "ndim")
     if backend == RATIONAL:
         if any(isinstance(w, float) or w < 0 for row in W for w in row):
             raise ConstructionError("rational weights must be non-negative and exact")
         W = [[Fraction(w) for w in row] for row in W]
-    elif rows:
-        if not all(w >= 0 and math.isfinite(w) for row in W for w in row):
-            raise ConstructionError("weights must be finite and non-negative")
-    else:
+    elif not _all((w >= 0) & (w < math.inf) for row in W for w in row):
+        raise ConstructionError("weights must be finite and non-negative")
+    total = [sum(row) for row in W]
+    if not _all(t != 0 for t in total):  # no total is negative
+        raise ConstructionError("weights sum to zero; nothing to normalize")
+    return tuple(tuple(w / t for w in row) for row, t in zip(W, total))
+
+
+def _rows(X):
+    """The rows of a table ``X[point]...``, over which a formula is written once: a row
+    of numbers per point of nested tuples, or one row of float64 columns for an array.
+    ``+ - * / abs`` and a left-to-right ``sum`` from 0 give the same bits on both."""
+    return X if isinstance(X, tuple) else (X.transpose(*range(1, X.ndim), 0),)
+
+
+def _table(rows):
+    """Rows back as a table with points first: a tuple of rows of numbers, or an array."""
+    x = rows[0]
+    while isinstance(x, (list, tuple)):
+        x = x[0]
+    if not getattr(x, "ndim", 0):
+        return tuple(rows)
+    import numpy as np
+
+    return np.moveaxis(np.asarray(rows[0], dtype=float), -1, 0)
+
+
+def _point_major(rows) -> list:
+    """The entries of ``rows``, each row a flat sequence, as one list point by point."""
+    X = _table(rows)
+    return [x for row in X for x in row] if isinstance(X, tuple) else X.ravel().tolist()
+
+
+def _all(tests) -> bool:
+    """Whether every test holds, each a bool or a column of bools."""
+    return all(t.all() if hasattr(t, "all") else t for t in tests)
+
+
+def _top(a, b):
+    """``np.maximum`` of numbers or columns: NaN if either is, else the larger (or a)."""
+    if getattr(a, "ndim", 0) or getattr(b, "ndim", 0):
         import numpy as np
 
-        if not (np.isfinite(W) & (W >= 0)).all():
-            raise ConstructionError("weights must be finite and non-negative")
-    total = [sum(row) for row in W] if rows else _running_sum(W.reshape(len(W), -1), axis=1)
-    if 0 in total:  # no total is negative
-        raise ConstructionError("weights sum to zero; nothing to normalize")
-    if rows:
-        return tuple(tuple(w / t for w in row) for row, t in zip(W, total))
-    return W / total.reshape((-1,) + (1,) * (W.ndim - 1))
+        return np.maximum(a, b)
+    return a if a >= b or a != a else b
 
 
 def make_joint(

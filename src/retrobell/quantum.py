@@ -85,13 +85,11 @@ def bell_expectation(state: int, alpha1: float, alpha2: float) -> float:
     state 4.
     """
     _check_state(state)
-    alpha1 = _check_angle(alpha1)
-    alpha2 = _check_angle(alpha2)
-    if state in (1, 2):
-        c = math.cos(alpha1 - alpha2)
-        return c if state == 1 else -c
-    c = math.cos(alpha1 + alpha2)
-    return -c if state == 3 else c
+    alpha1, alpha2 = _check_angle(alpha1), _check_angle(alpha2)
+    op, x = ("-", alpha1 - alpha2) if state in (1, 2) else ("+", alpha1 + alpha2)
+    if not math.isfinite(x):  # finite angles whose difference or sum overflows
+        raise ValueError(f"alpha1 {op} alpha2 overflows at angles {alpha1!r}, {alpha2!r}")
+    return math.cos(x) if state in (1, 4) else -math.cos(x)
 
 
 def ghz_prob(a1: int, a2: int, a3: int, s1: int, s2: int, s3: int) -> Fraction:

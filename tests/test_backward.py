@@ -496,6 +496,27 @@ class TestColliderModel:
                           ("lambda_box",))
 
 
+    @pytest.mark.parametrize("wing_p, prior", [(0.5, Fraction(1, 2)), (Fraction(1, 2), 0.5)],
+                             ids=["wing-marginal", "prior"])
+    def test_rational_model_rejects_float_constants(self, wing_p, prior):
+        model = self._noisy_pr()
+        wings = (Wing("a1", "s1", BINARY, wing_p), model.wings[1])
+        lam = LambdaSpace(model.lam.labels, (prior, 1 - prior))
+        with pytest.raises(ConstructionError, match="exact priors and wing marginals"):
+            BackwardModel("x", wings, lam, model.kernel, "rational")
+
+    def test_rational_tables_reject_float_entries(self):
+        # every check reads the table, kernel-norm too, which reports on entries
+        model = self._noisy_pr()
+        floats = entry_table(lambda cell, settings, _: 0.5, model.lam.labels)
+        model = BackwardModel("x", model.wings, model.lam, ColliderKernel(model.lam.labels, floats),
+                              "rational")
+        for check in (model.verify_si, model.verify_kernel_normalization,
+                      lambda g: verify_no_signalling_all(model, g)):
+            with pytest.raises(ConstructionError, match="exact entries, got 0.5"):
+                check([(0, 1)])
+
+
 class TestMalformedOutcomes:
     @pytest.mark.parametrize("outcomes", [(1,), (1, 1, 1), (), (2, 1)])
     def test_witness_rejects_a_non_cell(self, bell_model, outcomes):

@@ -400,6 +400,25 @@ class TestSampleCommand:
         assert err.startswith("sampling failure: ")
         assert "accepted only" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("chsh", "--model", "bell", "--state", "1", "--angles", "1e308,1e308,1e308,1e308"),
+         "--angles"),
+        (("chsh", "--model", "bell", "--state", "3", "--angles", "1e308,0,1e308,0"), "--angles"),
+        (("sample", "--model", "bell", "--label", "1", "--alpha1", "1e308", "--alpha2", "1e308",
+          "--n", "10"), "--alpha1 and --alpha2"),
+    ], ids=["chsh-state-1", "chsh-state-3", "sample"])
+    def test_finite_angles_whose_sum_overflows_are_usage_errors(self, capsys, argv, flag):
+        # each angle is finite, but bell takes cos(alpha1 + alpha2) and it is cos(inf)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag}: ") and "overflows" in err
+
+    def test_counterexample_takes_angles_whose_sum_overflows(self, capsys):
+        # its kernel reads the sign of alpha2 only
+        code, _, err = run(capsys, "sample", "--model", "counterexample", "--label", "1",
+                           "--alpha1", "1e308", "--alpha2", "1e308", "--n", "10", "--seed", "1")
+        assert code in (0, 1), err
+
     def test_angle_flags_with_ghz_is_usage_error(self, capsys):
         code, _, _ = run(
             capsys, "sample", "--model", "ghz", "--label", "0",

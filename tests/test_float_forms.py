@@ -1,15 +1,18 @@
 """A float tabulation reads the same in both of its forms.
 
-At up to ``TUPLE_POINTS`` points a float tabulation is nested tuples, reduced
-by the same plain-Python code as the rational backend; beyond, it is float64
-arrays.  With the bound patched to 0 every grid takes the array form, so each
-model below is read twice on grids of one and four points: every check
+At up to ``TUPLE_POINTS`` points a float tabulation is nested tuples, one row
+of Python floats per point; beyond, it is float64 arrays, one row of columns
+over every point, and the same formulas reduce both.  With the bound patched
+to 0 every grid takes the array form, so each model below is read twice on
+grids of one and four points; with it patched to 10**9 every grid takes the
+tuple form, so each is read twice on a grid of nine points too.  Every check
 report (with its worst case), the witness, and every entry of ``joint`` and
 ``conditioned`` must agree by ``float.hex``, and every error by class and
 message.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -51,6 +54,20 @@ def _tied_model():
                          ColliderKernel(labels, entry_table(kernel, labels)), "float")
 
 
+def _fraction_model():
+    """Exact wing marginals and priors (wing 2's marginal is ``Wing``'s default
+    1/2) on the float backend."""
+
+    def kernel(o, s, label):
+        k = 0.5 + 0.25 * math.sin(s[0] + 2 * s[1]) * o[0] * o[1]
+        return k if label == "L1" else 1.0 - k
+
+    labels = ("L1", "L2")
+    wings = (Wing("a1", "s1", ANGLE, Fraction(1, 3)), Wing("a2", "s2", ANGLE))
+    return BackwardModel("fractions", wings, LambdaSpace(labels, (Fraction(1, 3), Fraction(2, 3))),
+                         ColliderKernel(labels, entry_table(kernel, labels)), "float")
+
+
 def _first_nan(o, s, label):
     if s[0] == 0.0:
         return 3.0
@@ -71,6 +88,7 @@ MODELS = {
     "first-nan": lambda: sweep._two_label_model(_first_nan),
     "zero-mass": lambda: sweep._two_label_model(
         lambda o, s, label: float((s[0] < 1) == (label == "L1"))),
+    "fractions": _fraction_model,
 }
 
 #: One point either side of the sign flips and the zero-mass edge, and four
@@ -80,6 +98,10 @@ GRIDS = {
     "1-point-flipped": [(2.0, -0.0)],
     "4-points": [(0.0, 0.0), (0.5, 1.0), (2.0, -0.0), (-0.0, 3.0)],
 }
+
+#: Nine points, beyond ``TUPLE_POINTS``: signed zeros, +/-pi, large angles.
+NINE_POINTS = [(0.0, 0.0), (0.5, 1.0), (2.0, -0.0), (-0.0, 3.0), (math.pi, -math.pi),
+               (-1.0, 0.25), (1e6, -1e6), (0.5, -0.5), (6.0, 1.5)]
 
 
 def _hex(x):
@@ -129,5 +151,15 @@ def test_tuple_and_array_forms_read_the_same(monkeypatch, name, grid):
     tuples = _readings(model, points)
     monkeypatch.setattr(backward, "TUPLE_POINTS", 0)
     arrays = _readings(model, points)
+    assert (tuples.pop("form"), arrays.pop("form")) == ("tuple", "ndarray")
+    assert tuples == arrays
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_nine_points_read_the_same_as_tuples(monkeypatch, name):
+    model = MODELS[name]()
+    arrays = _readings(model, NINE_POINTS)
+    monkeypatch.setattr(backward, "TUPLE_POINTS", 10**9)
+    tuples = _readings(model, NINE_POINTS)
     assert (tuples.pop("form"), arrays.pop("form")) == ("tuple", "ndarray")
     assert tuples == arrays

@@ -87,7 +87,8 @@ elif argv == ["import retrobell.cli"]:
 else:
     from retrobell.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
+        # the counterexample's checks fail, as they should
+        assert main(argv) == (1 if "counterexample" in argv else 0)
 print("numpy" in sys.modules)
 """
 
@@ -95,6 +96,11 @@ print("numpy" in sys.modules)
 #: The Bell CHSH commands: four setting pairs, and a 64 x 64 table of floats.
 BELL_ANGLES = ("chsh", "--model", "bell", "--state", "2", "--angles", "0.1,1.2,0.7,2.9")
 BELL_SCAN = ("chsh", "--model", "bell", "--scan", "--resolution", "64")
+
+#: ``verify`` on four points (grid 2), tuples: bell passes (exit 0), the
+#: counterexample fails (exit 1).
+FEW_POINT_VERIFY = [("verify", "--model", "bell", "--grid", "2"),
+                    ("verify", "--model", "counterexample", "--grid", "2")]
 
 
 def numpy_loaded(*argv: str) -> bool:
@@ -115,6 +121,7 @@ def numpy_loaded(*argv: str) -> bool:
     ("chsh", "--model", "prbox"),
     BELL_ANGLES,
     BELL_SCAN,
+    *FEW_POINT_VERIFY,
 ], ids=" ".join)
 def test_classical_commands_leave_numpy_unloaded(argv):
     assert numpy_loaded(*argv) is False
@@ -122,6 +129,8 @@ def test_classical_commands_leave_numpy_unloaded(argv):
 
 def test_model_commands_load_numpy():
     assert numpy_loaded("verify", "--model", "bell", "--grid", "4") is True
+    # nine points, one more grid step than FEW_POINT_VERIFY: a float64 array
+    assert numpy_loaded("verify", "--model", "bell", "--grid", "3") is True
     assert numpy_loaded("sample", "--model", "prbox", "--label", "pr", "--settings", "1,1",
                         "--n", "100") is True
 
@@ -148,6 +157,7 @@ sys.stdout.write(out.getvalue())
     ("chsh", "--model", "prbox"),
     BELL_ANGLES,
     BELL_SCAN,
+    *FEW_POINT_VERIFY,
 ], ids=" ".join)
 def test_exact_commands_run_with_numpy_blocked(argv, fmt):
     argv = (*argv, "--format", fmt)
@@ -157,5 +167,5 @@ def test_exact_commands_run_with_numpy_blocked(argv, fmt):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(list(argv))
-    assert code == 0
-    assert proc.stdout == f"0\n{out.getvalue()}"
+    assert code == (1 if "counterexample" in argv else 0)  # its checks fail, as they should
+    assert proc.stdout == f"{code}\n{out.getvalue()}"

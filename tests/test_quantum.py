@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from retrobell import (
     OUTCOMES,
     bell_expectation,
     bell_prob,
+    bell_table,
     ghz_prob,
     pr_prob,
 )
@@ -60,6 +62,16 @@ class TestBellProb:
             bell_prob(1, 0, 1, 0.0, 0.0)
         with pytest.raises(ValueError):
             bell_prob(1, 1, 1, math.inf, 0.0)
+
+    def test_overflowing_angle_sum_or_difference_is_named(self):
+        # finite angles whose sum (states 3, 4) or difference (states 1, 2) is not
+        for state, a, b, named in [(3, 1e308, 1e308, "alpha1 + alpha2"),
+                                   (2, 1e308, -1e308, "alpha1 - alpha2")]:
+            with pytest.raises(ValueError, match=re.escape(named)):
+                bell_expectation(state, a, b)
+        assert bell_expectation(1, 1e308, 1e308) == 1.0
+        with pytest.raises(ValueError, match=re.escape("alpha1 + alpha2")):
+            bell_table([(0.0, 0.0), (1e308, 1e308)])
 
     @given(angles, angles)
     def test_states_sum_to_one_for_every_outcome(self, a, b):

@@ -17,7 +17,8 @@ every model at 1-3 threads, bell ``sample`` at the 64-bit seed edge (2^63
 and 2^64 - 1) on 1 and 3 threads and just past it (2^64), ``verify --checks nosignal`` on every model
 (bell and counterexample at grids 1, 3 and 5), ``verify`` on bell and
 counterexample at grids 2 and 3 (4 points, tabulated as tuples, and 9, as
-arrays), a cap failure and the usage-error paths.
+arrays), a cap failure and the usage-error paths, finite bell angles whose
+sum overflows among them.
 A full census takes a few seconds.
 """
 
@@ -92,6 +93,10 @@ FAILING = [
     SAMPLE_BELL + ("--n", "1000", "--cap-factor", "1", "--seed", "1"),
     ("chsh", "--model", "bell", "--angles", "0 1,2,3"),
     ("chsh", "--model", "prbox", "--settings", "1 0,0,1"),
+    ("chsh", "--model", "bell", "--state", "1", "--angles", "1e308,1e308,1e308,1e308"),
+    ("chsh", "--model", "bell", "--state", "3", "--angles", "1e308,0,1e308,0"),
+    ("sample", "--model", "bell", "--label", "1", "--alpha1", "1e308", "--alpha2", "1e308",
+     "--n", "10"),
 ]
 
 
