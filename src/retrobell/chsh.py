@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import add, sub
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from .quantum import MAX_SCAN_RESOLUTION, MIN_SCAN_RESOLUTION
 from .quantum import angle_grid, bell_expectation, pr_prob
 from .reports import fields_json
 
@@ -50,19 +50,13 @@ PR_BOUND = 4
 REFERENCE_BOUNDS = {"lhv_bound": LHV_BOUND, "tsirelson_bound": TSIRELSON_BOUND,
                     "pr_bound": PR_BOUND}
 
-#: Allowed ``quantum_chsh_scan`` resolutions (angles per wing).  The scan's
-#: time grows as resolution**3; its memory as resolution**2.
-MIN_SCAN_RESOLUTION = 8
-MAX_SCAN_RESOLUTION = 64
-
 #: Float headroom on the scan assertion, absorbing accumulated cosine
 #: rounding across grid configurations (looser than the 1e-12 used for
 #: single identities).
 TSIRELSON_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ChshConfig:
+class ChshConfig(NamedTuple):
     """The four measurement settings entering the CHSH combination.
 
     Angles in radians for Bell-pair models; 0/1 axis choices for box
@@ -74,9 +68,6 @@ class ChshConfig:
     alpha1_prime: float | int
     alpha2: float | int
     alpha2_prime: float | int
-
-    def as_tuple(self) -> tuple:
-        return (self.alpha1, self.alpha1_prime, self.alpha2, self.alpha2_prime)
 
 
 #: Angles achieving the quantum maximum for Bell pair 1.
@@ -108,8 +99,7 @@ def lhv_max_chsh() -> int:
                for r in itertools.product((1, -1), repeat=4))
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Result of a dense CHSH angle scan for one Bell pair."""
 
     max_value: float

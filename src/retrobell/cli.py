@@ -25,7 +25,6 @@ supplies the default seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
 import json
 import math
@@ -34,30 +33,20 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .chsh import (
-    MAX_SCAN_RESOLUTION,
-    MIN_SCAN_RESOLUTION,
-    ChshConfig,
-    PR_BOX_CONFIG,
-    REFERENCE_BOUNDS,
-    backward_model_chsh,
-    lhv_max_chsh,
-    pr_backward_model,
-    quantum_chsh_scan,
-)
-from .ghz import classical_assignment_exhaustion, ghz_backward_model
-from .quantum import bell_expectation
-from .reports import as_number, jsonable
+from .quantum import MAX_SCAN_RESOLUTION, MIN_SCAN_RESOLUTION, bell_expectation
+from .reports import FLOAT_TOL, as_number, jsonable
 
 if TYPE_CHECKING:
     from .backward import BackwardModel
 
 
 def _on_call(module: str, name: str):
-    """``module.name``, imported when first called, so the commands that build
-    no model never import ``backward`` or ``sampling``.  The entry points
-    stay module globals that the handlers look up at call time, because
-    ``bench/tracing.py`` replaces them here by name."""
+    """``module.name``, imported when first called, so each command loads only
+    the modules it runs: the commands that build no model never load
+    ``backward``, ``dist`` or ``sampling``, and a command loads ``chsh`` or
+    ``ghz`` only when it calls into it.  The entry points stay module globals
+    that the handlers look up at call time, because ``bench/tracing.py``
+    replaces them here by name."""
     return lambda *args, **kwargs: getattr(
         importlib.import_module(module, __package__), name)(*args, **kwargs)
 
@@ -66,6 +55,12 @@ bell_backward_model = _on_call(".backward", "bell_backward_model")
 default_grid = _on_call(".backward", "default_grid")
 signalling_counterexample_model = _on_call(".backward", "signalling_counterexample_model")
 verify_no_signalling_all = _on_call(".backward", "verify_no_signalling_all")
+backward_model_chsh = _on_call(".chsh", "backward_model_chsh")
+lhv_max_chsh = _on_call(".chsh", "lhv_max_chsh")
+pr_backward_model = _on_call(".chsh", "pr_backward_model")
+quantum_chsh_scan = _on_call(".chsh", "quantum_chsh_scan")
+classical_assignment_exhaustion = _on_call(".ghz", "classical_assignment_exhaustion")
+ghz_backward_model = _on_call(".ghz", "ghz_backward_model")
 sample_postselected = _on_call(".sampling", "sample_postselected")
 
 ENV_SEED = "RETROBELL_SEED"
@@ -234,6 +229,8 @@ def _emit(args, command: str, config: dict, results, csv_rows, *,
         "results": jsonable(results),
     }
     if args.format == "csv":
+        import csv
+
         rows = csv_rows(envelope["results"])
         return _write(args, "report", lambda f: csv.writer(f, lineterminator="\n").writerows(rows))
     text = (json.dumps(envelope, indent=2, allow_nan=False) if args.format == "json"
@@ -297,6 +294,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_chsh(args) -> int:
+    from .chsh import PR_BOX_CONFIG, REFERENCE_BOUNDS, ChshConfig
+
     if args.lhv:
         given = {"--model": args.model, "--state": args.state, "--angles": args.angles,
                  "--settings": args.settings, "--scan": args.scan or None}
@@ -345,8 +344,6 @@ def cmd_chsh(args) -> int:
                 raise UsageError(
                     f"--resolution must be between {MIN_SCAN_RESOLUTION} and "
                     f"{MAX_SCAN_RESOLUTION}, got {args.resolution}")
-            from .dist import FLOAT_TOL
-
             report = quantum_chsh_scan(state, args.resolution)
             result = report.to_json_dict()
             result["bounds"] = REFERENCE_BOUNDS
@@ -373,7 +370,7 @@ def cmd_chsh(args) -> int:
         "mode": "backward_model",
         "model": args.model,
         "label": label,
-        "config": list(config.as_tuple()),
+        "config": list(config),
         "S": value,
         "bounds": REFERENCE_BOUNDS,
     }
@@ -458,6 +455,8 @@ def cmd_emit_curve(args) -> int:
 
 def _write_curve(fh, state: int, points: int) -> None:
     """Stream the curve's CSV rows to ``fh``, one row at a time."""
+    import csv
+
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["alpha1", "alpha2", "alpha_diff", "expectation"])
     for k in range(points):

@@ -29,16 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 
+from .reports import FLOAT_TOL  # noqa: F401 (a public name of this module)
+
 if TYPE_CHECKING:
     import numpy as np
 
 RATIONAL = "rational"
 FLOAT = "float"
-
-#: Absolute tolerance for probability identities in the float backend.
-#: All computations in this package are short chains of arithmetic on
-#: well-conditioned values, so 1e-12 leaves ample headroom.
-FLOAT_TOL = 1e-12
 
 Prob = Fraction | float
 

@@ -19,8 +19,7 @@ called.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .quantum import OUTCOMES, ghz_prob
 from .reports import CheckReport
@@ -68,8 +67,7 @@ def verify_ghz_recovery(model: BackwardModel) -> CheckReport:
     return model.verify_recovery(settings_grid(model))
 
 
-@dataclass(frozen=True)
-class ExhaustionReport:
+class ExhaustionReport(NamedTuple):
     """Result of enumerating all 64 classical per-axis assignments."""
 
     total: int

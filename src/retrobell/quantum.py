@@ -10,13 +10,17 @@ Angle-dependent quantities are floats; the GHZ and PR-box values are exact
 dyadic rationals and stay on the rational backend.  No state vectors or
 operators appear anywhere: each function is a direct formula.
 ``angle_grid`` gives the evenly spaced angles that the CHSH scan and the
-models' settings grids read.
+models' settings grids read; the scan's resolution bounds stand beside it for
+the CLI's help text.  ``fractions`` loads only when ``ghz_prob`` or ``pr_prob`` runs.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Valid Bell-pair labels.  Measured with A(alpha) = cos(alpha) Z + sin(alpha) X,
 #: outcome +1 on |0>: 1 is Phi+ = (|00> + |11>)/sqrt(2), 2 is Psi- =
@@ -66,6 +70,12 @@ def angle_grid(resolution: int = 16, *, centered: bool = False) -> tuple[float, 
     return tuple(offset + step * k for k in range(resolution))
 
 
+#: Allowed ``chsh.quantum_chsh_scan`` resolutions (angles per wing).  The
+#: scan's time grows as resolution**3; its memory as resolution**2.
+MIN_SCAN_RESOLUTION = 8
+MAX_SCAN_RESOLUTION = 64
+
+
 def bell_prob(state: int, a1: int, a2: int, alpha1: float, alpha2: float) -> float:
     """Outcome probability for one Bell pair at coplanar angles.
 
@@ -100,6 +110,8 @@ def ghz_prob(a1: int, a2: int, a3: int, s1: int, s2: int, s3: int) -> Fraction:
     a1*a2*a3 == (-1)**(#Y/2) and 0 on the others; an odd #Y gives 1/8 on
     every triple.
     """
+    from fractions import Fraction
+
     for a in (a1, a2, a3):
         _check_outcome(a)
     for s in (s1, s2, s3):
@@ -118,6 +130,8 @@ def pr_prob(a1: int, a2: int, s1: int, s2: int) -> Fraction:
     In bit encoding this is the XOR game condition; here outcomes are +/-1
     and settings binary.
     """
+    from fractions import Fraction
+
     _check_outcome(a1)
     _check_outcome(a2)
     _check_axis(s1)

@@ -4,15 +4,25 @@ Checks never raise on failure: a failed property is an outcome, carried in a
 report with the worst-case deviation and where it occurred, so a falsified
 claim is diagnosable rather than just red; the LC witness passes when the
 violation it looks for shows.
+
+Every report record is a ``typing.NamedTuple``, immutable and equal to the
+tuple of its values; this module loads neither ``dataclasses`` nor ``fractions``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
-from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+#: Absolute tolerance for probability identities in the float backend.
+#: All computations in this package are short chains of arithmetic on
+#: well-conditioned values, so 1e-12 leaves ample headroom.  ``dist``
+#: re-exports it; the CHSH scan reports it without loading ``dist``.
+FLOAT_TOL = 1e-12
 
 
 def as_number(x):
@@ -21,11 +31,9 @@ def as_number(x):
     Integral rationals become ints (so exact-zero deviations serialize as a
     literal 0); other rationals and floats become floats.
     """
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return float(x)
     if isinstance(x, numbers.Integral):
+        return int(x)
+    if isinstance(x, numbers.Rational) and x.denominator == 1:
         return int(x)
     return float(x)
 
@@ -48,17 +56,16 @@ def jsonable(obj):
 
 
 def fields_json(**renames):
-    """A ``to_json_dict`` method writing each dataclass field, in field
-    order and through :func:`jsonable`, under its name or its rename."""
+    """A ``to_json_dict`` method writing each record field, in field order
+    and through :func:`jsonable`, under its name or its rename."""
 
     def to_json_dict(self) -> dict:
-        return {renames.get(f.name, f.name): jsonable(getattr(self, f.name)) for f in fields(self)}
+        return {renames.get(f, f): jsonable(v) for f, v in zip(self._fields, self)}
 
     return to_json_dict
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one verification sweep over a settings grid.
 
     ``check`` is one of "si", "no_signalling", "recovery", "kernel_norm" or

@@ -37,8 +37,7 @@ import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,8 +79,7 @@ class AcceptanceCapError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """One sampled experiment run."""
 
     settings: tuple
@@ -251,8 +249,7 @@ def _cell_z(count: int, n: int, p: float) -> float:
     return (count - n * p) / math.sqrt(n * p * (1.0 - p))
 
 
-@dataclass(frozen=True)
-class SampleReport:
+class SampleReport(NamedTuple):
     """Empirical-versus-exact comparison of one postselection experiment."""
 
     model: str

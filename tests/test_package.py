@@ -1,6 +1,7 @@
-"""The package surface: lazy public exports and the numpy-free commands."""
+"""The package surface: lazy public exports and the modules each command loads."""
 
 import contextlib
+import functools
 import io
 import subprocess
 import sys
@@ -72,11 +73,17 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 # ---------------------------------------------------------------------------
-# numpy loads only in the commands that tabulate a float grid of more than
-# four points or sample
+# Each command loads only the modules it runs: numpy only for a float grid of
+# more than four points or sampling, the model stack (``backward``, ``dist``,
+# ``dataclasses``, ``fractions``) only for a model, ``chsh`` and ``ghz`` only
+# for their own commands, and ``csv`` only for CSV output
 # ---------------------------------------------------------------------------
 
-NUMPY_PROBE = """
+#: The modules whose loading the tests below pin.
+WATCHED = ("numpy", "dataclasses", "fractions", "decimal", "csv",
+           "retrobell.backward", "retrobell.chsh", "retrobell.dist", "retrobell.ghz")
+
+MODULE_PROBE = """
 import contextlib, io, sys
 sys.path.insert(0, {src!r})
 argv = sys.argv[1:]
@@ -89,7 +96,7 @@ else:
     with contextlib.redirect_stdout(io.StringIO()):
         # the counterexample's checks fail, as they should
         assert main(argv) == (1 if "counterexample" in argv else 0)
-print("numpy" in sys.modules)
+print(*(m for m in {watched!r} if m in sys.modules))
 """
 
 
@@ -102,12 +109,24 @@ BELL_SCAN = ("chsh", "--model", "bell", "--scan", "--resolution", "64")
 FEW_POINT_VERIFY = [("verify", "--model", "bell", "--grid", "2"),
                     ("verify", "--model", "counterexample", "--grid", "2")]
 
+VERIFY_GHZ = ("verify", "--model", "ghz", "--backend", "rational")
+SAMPLE_BELL = ("sample", "--model", "bell", "--label", "1", "--alpha1", "0.3", "--alpha2", "1.1",
+               "--n", "100")
 
-def numpy_loaded(*argv: str) -> bool:
-    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE.format(src=str(SRC)), *argv],
+#: The commands that build no model.
+NO_MODEL = [("chsh", "--lhv"), ("chsh", "--model", "bell", "--scan", "--resolution", "8"),
+            ("ghz-exhaust",), ("emit-curve", "--points", "8")]
+MODEL_STACK = {"dataclasses", "fractions", "decimal", "retrobell.backward", "retrobell.dist"}
+
+
+@functools.cache
+def loaded(*argv: str) -> frozenset[str]:
+    """The ``WATCHED`` modules loaded after running ``argv`` in a fresh interpreter."""
+    probe = MODULE_PROBE.format(src=str(SRC), watched=WATCHED)
+    proc = subprocess.run([sys.executable, "-c", probe, *argv],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return {"True\n": True, "False\n": False}[proc.stdout]
+    return frozenset(proc.stdout.split())
 
 
 @pytest.mark.parametrize("argv", [
@@ -116,7 +135,7 @@ def numpy_loaded(*argv: str) -> bool:
     ("chsh", "--lhv"),
     ("ghz-exhaust", "--list-near-misses"),
     ("emit-curve", "--points", "8"),
-    ("verify", "--model", "ghz", "--backend", "rational"),
+    VERIFY_GHZ,
     ("verify", "--model", "prbox"),
     ("chsh", "--model", "prbox"),
     BELL_ANGLES,
@@ -124,15 +143,44 @@ def numpy_loaded(*argv: str) -> bool:
     *FEW_POINT_VERIFY,
 ], ids=" ".join)
 def test_classical_commands_leave_numpy_unloaded(argv):
-    assert numpy_loaded(*argv) is False
+    assert "numpy" not in loaded(*argv)
 
 
 def test_model_commands_load_numpy():
-    assert numpy_loaded("verify", "--model", "bell", "--grid", "4") is True
+    assert "numpy" in loaded("verify", "--model", "bell", "--grid", "4")
     # nine points, one more grid step than FEW_POINT_VERIFY: a float64 array
-    assert numpy_loaded("verify", "--model", "bell", "--grid", "3") is True
-    assert numpy_loaded("sample", "--model", "prbox", "--label", "pr", "--settings", "1,1",
-                        "--n", "100") is True
+    assert "numpy" in loaded("verify", "--model", "bell", "--grid", "3")
+    assert "numpy" in loaded("sample", "--model", "prbox", "--label", "pr", "--settings", "1,1",
+                             "--n", "100")
+
+
+@pytest.mark.parametrize("argv", [("import retrobell.cli",), *NO_MODEL], ids=" ".join)
+def test_commands_without_a_model_leave_the_model_stack_unloaded(argv):
+    assert loaded(*argv) & MODEL_STACK == set()
+
+
+@pytest.mark.parametrize("argv", [("chsh", "--lhv"), ("chsh", "--model", "prbox"), BELL_ANGLES,
+                                  BELL_SCAN], ids=" ".join)
+def test_chsh_commands_leave_ghz_unloaded(argv):
+    assert "retrobell.chsh" in loaded(*argv)
+    assert "retrobell.ghz" not in loaded(*argv)
+
+
+@pytest.mark.parametrize("argv", [*FEW_POINT_VERIFY, VERIFY_GHZ, ("ghz-exhaust",), SAMPLE_BELL],
+                         ids=" ".join)
+def test_commands_outside_chsh_leave_chsh_unloaded(argv):
+    assert "retrobell.chsh" not in loaded(*argv)
+
+
+@pytest.mark.parametrize("argv", [
+    *NO_MODEL, VERIFY_GHZ, BELL_ANGLES,
+    ("chsh", "--lhv", "--format", "csv"),
+    ("ghz-exhaust", "--format", "csv"),
+    (*VERIFY_GHZ, "--format", "csv"),
+    (*VERIFY_GHZ, "--format", "human"),
+], ids=" ".join)
+def test_csv_loads_only_for_csv_output(argv):
+    assert ("csv" in loaded(*argv)) == (argv[0] == "emit-curve" or "csv" in argv)
 
 
 #: Runs the CLI with ``import numpy`` made to fail, and writes its exit code
@@ -152,7 +200,7 @@ sys.stdout.write(out.getvalue())
 
 @pytest.mark.parametrize("fmt", ["json", "human", "csv"])
 @pytest.mark.parametrize("argv", [
-    ("verify", "--model", "ghz", "--backend", "rational"),
+    VERIFY_GHZ,
     ("verify", "--model", "prbox"),
     ("chsh", "--model", "prbox"),
     BELL_ANGLES,

@@ -1,6 +1,5 @@
 """Monte Carlo harness: determinism, postselection semantics, gates."""
 
-import dataclasses
 import json
 import math
 import sys
@@ -471,8 +470,7 @@ class TestRng:
 class TestStrictJson:
     def test_non_finite_z_scores_serialize_as_strings(self, bell_model):
         rep = sample_postselected(bell_model, "lambda1", SETTINGS, 1000, 0)
-        broken = dataclasses.replace(
-            rep,
+        broken = rep._replace(
             cells=(dict(rep.cells[0], z=math.inf),) + rep.cells[1:],
             max_abs_z=math.inf,
             acceptance=dict(rep.acceptance, z=-math.inf),
