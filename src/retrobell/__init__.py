@@ -24,18 +24,18 @@ _EXPORTS = {
     "backward": (
         "ANGLE", "BINARY", "BackwardModel", "ColliderKernel", "LambdaSpace", "Wing",
         "bell_backward_model", "bell_table", "collider_model",
-        "default_grid", "entry_table", "settings_grid", "sign_of",
+        "default_grid", "entry_table", "pr_backward_model", "settings_grid", "sign_of",
         "signalling_counterexample_model", "verify_no_signalling_all",
     ),
     "chsh": (
         "LHV_BOUND", "PR_BOUND", "PR_BOX_CONFIG", "STANDARD_BELL_CONFIG",
         "TSIRELSON_BOUND", "ChshConfig", "ScanReport", "backward_model_chsh",
-        "chsh_value", "lhv_max_chsh", "pr_backward_model", "quantum_chsh_scan",
+        "chsh_value", "lhv_max_chsh", "quantum_chsh_scan",
     ),
     "dist": (
         "FLOAT", "FLOAT_TOL", "RATIONAL", "ConstructionError", "DistributionError",
         "Joint", "NullEvidenceError", "Variable", "VariableMismatchError", "condition",
-        "expectation", "make_joint", "marginalize", "tv_distance",
+        "make_joint", "marginalize", "tv_distance",
     ),
     "ghz": (
         "ExhaustionReport", "GHZ_CONSTRAINTS", "classical_assignment_exhaustion",

@@ -59,7 +59,7 @@ from .dist import (
     _top,
     make_joint,  # bench/tracing.py counts make_joint calls through this name
 )
-from .quantum import OUTCOMES, angle_grid, bell_expectation
+from .quantum import OUTCOMES, angle_grid, bell_expectation, pr_prob
 from .quantum import bell_prob  # bench/tracing.py counts bell_prob calls through this name
 from .reports import CheckReport
 
@@ -610,6 +610,19 @@ def _binary_collider(name: str, wings: int, labels: tuple, prob: Callable) -> Ba
     lam = LambdaSpace(labels, (half, half))
     target = entry_table(lambda cell, settings, _: prob(*cell, *settings), labels[:1])
     return collider_model(name, wing_list, lam, labels[:1], target, RATIONAL)
+
+
+PR_LABELS = ("lambda_pr", "lambda_bar")
+
+
+def pr_backward_model() -> BackwardModel:
+    """Backward model reproducing the Popescu-Rohrlich box.
+
+    Binary settings, wing marginals 1/2, prior 1/2 on the box label, and a
+    deterministic kernel: normalization (1/2)/(1/4) = 2 turns the box's
+    1/2-or-0 probabilities into 0/1.
+    """
+    return _binary_collider("prbox", 2, PR_LABELS, pr_prob)
 
 
 #: ``a1 * a2`` times the sign ``quantum.bell_expectation`` puts on the cosine, per

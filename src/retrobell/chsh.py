@@ -11,8 +11,9 @@ Bell-pair correlations reach 2*sqrt(2) and never exceed it (checked by a
 dense angle scan); and the Popescu-Rohrlich box reaches the algebraic
 maximum 4 while still satisfying no-signalling.
 
-A backward model for the PR box is included: the same collider recipe as
-the Bell-pair model, applied to the box distribution.  With binary settings
+The backward model for the PR box (``backward.pr_backward_model``) is the
+same collider recipe as the Bell-pair model, applied to the box
+distribution.  With binary settings
 and a prior of 1/2 the normalization constant is (1/2) / (1/4) = 2 and the
 kernel is deterministic 0/1.  That this model passes statistical
 independence and no-signalling yet yields S = 4 is the demonstration that
@@ -35,7 +36,7 @@ from operator import add, sub
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .quantum import MAX_SCAN_RESOLUTION, MIN_SCAN_RESOLUTION
-from .quantum import angle_grid, bell_expectation, pr_prob
+from .quantum import angle_grid, bell_expectation
 from .reports import fields_json
 
 if TYPE_CHECKING:
@@ -190,17 +191,3 @@ def backward_model_chsh(model: BackwardModel, label: str, c: ChshConfig):
     correlations = iter(_point_major(e))
     return chsh_value(lambda s1, s2: next(correlations), c)
 
-
-PR_LABELS = ("lambda_pr", "lambda_bar")
-
-
-def pr_backward_model() -> BackwardModel:
-    """Backward model reproducing the Popescu-Rohrlich box.
-
-    Binary settings, wing marginals 1/2, prior 1/2 on the box label, and a
-    deterministic kernel: normalization (1/2)/(1/4) = 2 turns the box's
-    1/2-or-0 probabilities into 0/1.
-    """
-    from .backward import _binary_collider
-
-    return _binary_collider("prbox", 2, PR_LABELS, pr_prob)

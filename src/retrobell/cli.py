@@ -53,11 +53,11 @@ def _on_call(module: str, name: str):
 
 bell_backward_model = _on_call(".backward", "bell_backward_model")
 default_grid = _on_call(".backward", "default_grid")
+pr_backward_model = _on_call(".backward", "pr_backward_model")
 signalling_counterexample_model = _on_call(".backward", "signalling_counterexample_model")
 verify_no_signalling_all = _on_call(".backward", "verify_no_signalling_all")
 backward_model_chsh = _on_call(".chsh", "backward_model_chsh")
 lhv_max_chsh = _on_call(".chsh", "lhv_max_chsh")
-pr_backward_model = _on_call(".chsh", "pr_backward_model")
 quantum_chsh_scan = _on_call(".chsh", "quantum_chsh_scan")
 classical_assignment_exhaustion = _on_call(".ghz", "classical_assignment_exhaustion")
 ghz_backward_model = _on_call(".ghz", "ghz_backward_model")
@@ -534,8 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="postselected runs to accept")
     p.add_argument("--seed", type=int,
                    help=f"64-bit seed (default ${ENV_SEED} or 0)")
+    # sampling.DEFAULT_CAP_FACTOR, which a test pins: start-up does not import sampling
     p.add_argument("--cap-factor", type=int, default=100,
-                   help="total-draw cap as a multiple of n (default 100)")
+                   help="total-draw cap as a multiple of n (default %(default)s)")
     p.add_argument("--threads", type=int, default=1,
                    help=f"sampling shards, 1 to {MAX_THREADS}, run on at most one "
                         "thread per usable CPU; 1 is the bit-exact baseline")

@@ -1,6 +1,8 @@
 """Exact finite discrete probability tables.
 
-Joint distributions over named variables with small finite domains.  A
+Joint distributions over named variables with small finite domains: the
+one-point tables that ``BackwardModel.assemble_joint``, ``lambda_marginal``
+and ``condition_on_lambda`` return, and the operations on them.  A
 table is dense: an array with one axis per variable, indexed by domain
 position, so every assignment of the Cartesian product has an entry and a
 zero entry means probability zero.  Two numeric backends share one code
@@ -27,7 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .reports import FLOAT_TOL  # noqa: F401 (a public name of this module)
 
@@ -85,7 +87,7 @@ class Joint:
     weights; the constructor takes an already normalized array.  The array
     has one axis per variable, in the order of ``variables``, indexed by
     domain position: float64, or ``object`` holding Fractions on the
-    rational backend.
+    rational backend.  Read it through ``items()``.
     """
 
     __slots__ = ("variables", "backend", "_table")
@@ -103,30 +105,10 @@ class Joint:
         """All assignments in the full Cartesian product, canonical order."""
         return itertools.product(*(v.domain for v in self.variables))
 
-    def prob(self, assignment: tuple) -> Prob:
-        """Probability of a full assignment (zero outside the domains)."""
-        try:
-            at = tuple(v.domain.index(x) for v, x in zip(self.variables, assignment, strict=True))
-        except ValueError:
-            return Fraction(0) if self.backend == RATIONAL else 0.0
-        return self._table.item(at)
-
     def items(self) -> Iterator[tuple[tuple, Prob]]:
         """Nonzero (assignment, probability) pairs in canonical order."""
         entries = zip(self.assignments(), self._table.ravel().tolist())
         return ((a, p) for a, p in entries if p)
-
-    def total(self) -> Prob:
-        return _running_sum(self._table)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Joint):
-            return NotImplemented
-        return self.variables == other.variables and bool((self._table == other._table).all())
-
-    def __repr__(self) -> str:
-        entries = sum(1 for _ in self.items())
-        return f"Joint({[v.name for v in self.variables]}, {entries} entries, {self.backend})"
 
 
 def _check_variables(variables: Iterable[Variable]) -> tuple[Variable, ...]:
@@ -137,10 +119,6 @@ def _check_variables(variables: Iterable[Variable]) -> tuple[Variable, ...]:
     if len(set(names)) != len(names):
         raise ConstructionError(f"duplicate variable names: {names}")
     return vs
-
-
-def _infer_backend(values) -> str:
-    return FLOAT if any(isinstance(v, float) for v in values) else RATIONAL
 
 
 def _running_sum(x: np.ndarray, axis: int | None = None):
@@ -212,21 +190,18 @@ def _top(a, b):
 def make_joint(
     variables: Iterable[Variable],
     weights: Mapping[tuple, int | Fraction | float],
-    backend: str | None = None,
+    backend: str,
 ) -> Joint:
-    """Build a normalized joint table from non-negative weights.
+    """Build a normalized joint table on ``backend`` from non-negative weights.
 
     Weights are scattered into a dense table (absent assignments weigh zero)
-    and divided by their total, taken in canonical order.  The backend is
-    inferred from the weight types when not given: any float weight selects
-    the float backend, otherwise exact rationals are used.
+    and divided by their total, taken in canonical order; the rational backend
+    takes exact weights only.
 
     Raises :class:`ConstructionError` for negative, non-finite, or all-zero
     weights, and for assignments outside the variables' domains.
     """
     vs = _check_variables(variables)
-    if backend is None:
-        backend = _infer_backend(weights.values())
     if backend not in (RATIONAL, FLOAT):
         raise ConstructionError(f"unknown backend {backend!r}")
 
@@ -293,20 +268,6 @@ def condition(j: Joint, evidence: Mapping[str, object]) -> Joint:
     rest = tuple(v for v in j.variables if v.name not in evidence)
     # a 0-d quotient is a scalar; the table stays an array
     return Joint(rest, np.asarray(sliced / mass), j.backend)
-
-
-def expectation(j: Joint, f: Callable[[Mapping[str, object]], int | Fraction | float]):
-    """Expected value of ``f`` under the joint.
-
-    ``f`` receives a name-to-value mapping for each assignment of nonzero
-    probability.  The result stays exact when the backend is rational and
-    ``f`` returns rationals.
-    """
-    names = j.names
-    total = 0
-    for assignment, p in j.items():
-        total = total + f(dict(zip(names, assignment))) * p
-    return total
 
 
 def tv_distance(j1: Joint, j2: Joint) -> Prob:

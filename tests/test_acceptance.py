@@ -77,11 +77,8 @@ def test_criterion_2_statistical_independence(bell, ghz, grid):
     bell_si = bell.verify_si(grid)
     ghz_si = ghz.verify_si(rb.settings_grid(ghz))
     elapsed = time.perf_counter() - start
-    ghz_marginals_exact = all(
-        rb.marginalize(ghz.assemble_joint(s), ["lambda"]).prob(("lambda0",))
-        == Fraction(1, 2)
-        for s in rb.settings_grid(ghz)
-    )
+    _, ghz_marginals = ghz.tabulate(rb.settings_grid(ghz)).joint
+    ghz_marginals_exact = all(m[0] == Fraction(1, 2) for m in ghz_marginals)  # lambda0
     ok = (
         bell_si.passed
         and bell_si.max_deviation <= 1e-12
@@ -111,10 +108,9 @@ def test_criterion_3_no_signalling(bell, ghz, prbox, grid):
         report = rb.verify_no_signalling_all(model, model_grid)
         # the spread check plus one absolute anchor pins every conditional
         # to 1/2 within tolerance
-        anchor = rb.marginalize(
-            model.condition_on_lambda(model.lam.labels[0], model_grid[0]),
-            [model.wings[0].outcome_name],
-        ).prob((1,))
+        cells = itertools.product((1, -1), repeat=len(model.wings))
+        conditioned = model.tabulate(model_grid[:1]).conditioned(model.lam.labels[0])[0]
+        anchor = sum(p for cell, p in zip(cells, conditioned) if cell[0] == 1)
         results[model.name] = (
             report.passed
             and report.max_deviation <= 1e-12
@@ -189,10 +185,11 @@ def test_criterion_5_chsh_bounds(bell, prbox):
 
 def test_criterion_6_ghz_recovery(ghz):
     report = rb.verify_ghz_recovery(ghz)
+    grid = rb.settings_grid(ghz)
     cellwise = all(
-        ghz.condition_on_lambda("lambda0", s).prob(a) == rb.ghz_prob(*a, *s)
-        for s in rb.settings_grid(ghz)
-        for a in itertools.product((1, -1), repeat=3)
+        p == rb.ghz_prob(*a, *s)
+        for s, row in zip(grid, ghz.tabulate(grid).conditioned("lambda0"))
+        for a, p in zip(itertools.product((1, -1), repeat=3), row)
     )
     ok = (
         report.passed

@@ -24,18 +24,32 @@ from retrobell import (
     condition,
     default_grid,
     entry_table,
-    expectation,
     ghz_prob,
-    make_joint,
-    marginalize,
     pr_prob,
     sign_of,
     settings_grid,
-    tv_distance,
     verify_no_signalling_all,
 )
 
 PI = math.pi
+
+#: Outcome pairs in canonical cell order, as the model's tables index them.
+CELLS = list(itertools.product((1, -1), repeat=2))
+
+
+def conditioned(model, label, settings):
+    """P(a1, a2 | settings, label) by cell, from the model's one-point tabulation."""
+    return dict(zip(CELLS, model.tabulate([settings]).conditioned(label)[0]))
+
+
+def correlation(model, label, settings):
+    """E(a1 * a2 | settings, label)."""
+    return sum(a1 * a2 * p for (a1, a2), p in conditioned(model, label, settings).items())
+
+
+def wing_marginal(table, wing, outcome):
+    """P(a_wing = outcome) from a table by cell."""
+    return sum(p for cell, p in table.items() if cell[wing] == outcome)
 
 
 class TestBellModelConstruction:
@@ -68,27 +82,24 @@ class TestBellModelConstruction:
 
 
 class TestAssembleJoint:
+    """The joint ``T[point][cell][label]`` and label marginal ``M[point][label]``."""
+
     def test_entry_at_zero_angles(self, bell_model):
-        j = bell_model.assemble_joint((0.0, 0.0))
-        assert j.prob((1, 1, "lambda1")) == pytest.approx(0.125, abs=1e-15)
+        T, _ = bell_model.tabulate([(0.0, 0.0)]).joint
+        # cell (1, 1), label lambda1
+        assert T[0][0][0] == pytest.approx(0.125, abs=1e-15)
 
     def test_total_mass_one(self, bell_model):
-        assert bell_model.assemble_joint((0.4, 2.2)).total() == pytest.approx(
-            1.0, abs=1e-12
-        )
+        T, _ = bell_model.tabulate([(0.4, 2.2)]).joint
+        assert sum(p for row in T[0] for p in row) == pytest.approx(1.0, abs=1e-12)
 
     def test_lambda_marginal_is_prior(self, bell_model):
-        # brute-force summation over outcomes, independent of marginalize()
-        j = bell_model.assemble_joint((0.0, 0.0))
-        for label in bell_model.lam.labels:
-            mass = sum(
-                j.prob((a1, a2, label))
-                for a1, a2 in itertools.product((1, -1), repeat=2)
-            )
+        # brute-force summation over outcomes, independent of M
+        T, M = bell_model.tabulate([(0.0, 0.0)]).joint
+        for i in range(len(bell_model.lam.labels)):
+            mass = sum(row[i] for row in T[0])
             assert mass == pytest.approx(0.25, abs=1e-12)
-        marg = marginalize(j, ["lambda"])
-        for label in bell_model.lam.labels:
-            assert marg.prob((label,)) == pytest.approx(0.25, abs=1e-12)
+            assert M[0][i] == pytest.approx(0.25, abs=1e-12)
 
     def test_setting_arity_checked(self, bell_model):
         with pytest.raises(ConstructionError):
@@ -97,26 +108,24 @@ class TestAssembleJoint:
 
 class TestConditionOnLambda:
     def test_lambda1_at_pi_over_3(self, bell_model):
-        c = bell_model.condition_on_lambda("lambda1", (0.0, PI / 3))
-        assert c.prob((1, 1)) == pytest.approx(0.375, abs=1e-12)
-        assert c.prob((1, -1)) == pytest.approx(0.125, abs=1e-12)
-        assert c.prob((-1, 1)) == pytest.approx(0.125, abs=1e-12)
-        assert c.prob((-1, -1)) == pytest.approx(0.375, abs=1e-12)
+        c = conditioned(bell_model, "lambda1", (0.0, PI / 3))
+        assert c[(1, 1)] == pytest.approx(0.375, abs=1e-12)
+        assert c[(1, -1)] == pytest.approx(0.125, abs=1e-12)
+        assert c[(-1, 1)] == pytest.approx(0.125, abs=1e-12)
+        assert c[(-1, -1)] == pytest.approx(0.375, abs=1e-12)
 
     def test_lambda3_anticorrelated_at_equal_angles(self, bell_model):
-        c = bell_model.condition_on_lambda("lambda3", (0.0, 0.0))
-        assert c.prob((1, -1)) == pytest.approx(0.5, abs=1e-12)
-        assert c.prob((-1, 1)) == pytest.approx(0.5, abs=1e-12)
-        assert c.prob((1, 1)) == 0.0
+        c = conditioned(bell_model, "lambda3", (0.0, 0.0))
+        assert c[(1, -1)] == pytest.approx(0.5, abs=1e-12)
+        assert c[(-1, 1)] == pytest.approx(0.5, abs=1e-12)
+        assert c[(1, 1)] == 0.0
 
     def test_perfect_correlation_at_equal_angles(self, bell_model):
-        c = bell_model.condition_on_lambda("lambda1", (1.234, 1.234))
-        e = expectation(c, lambda x: x["a1"] * x["a2"])
+        e = correlation(bell_model, "lambda1", (1.234, 1.234))
         assert e == pytest.approx(1.0, abs=1e-12)
 
     def test_expectation_reproduces_cosine(self, bell_model):
-        c = bell_model.condition_on_lambda("lambda1", (0.0, PI / 3))
-        e = expectation(c, lambda x: x["a1"] * x["a2"])
+        e = correlation(bell_model, "lambda1", (0.0, PI / 3))
         assert e == pytest.approx(math.cos(PI / 3), abs=1e-12)
 
     def test_degenerate_outcome_slice_raises_null_evidence(self, bell_model):
@@ -170,9 +179,8 @@ class TestVerifyNoSignalling:
         assert rep.passed
         # and the conditionals really are 1/2
         for settings in grid:
-            c = bell_model.condition_on_lambda("lambda1", settings)
-            m = marginalize(c, ["a1"])
-            assert m.prob((1,)) == pytest.approx(0.5, abs=1e-12)
+            c = conditioned(bell_model, "lambda1", settings)
+            assert wing_marginal(c, 0, 1) == pytest.approx(0.5, abs=1e-12)
 
     def test_counterexample_fails_with_unit_deviation(self, counterexample_model):
         grid = default_grid(counterexample_model, 16)
@@ -306,15 +314,9 @@ class TestRecoveryAndKernelNorm:
         # Eq-by-eq: conditioned model equals the closed-form target
         settings = (0.0, PI / 3)
         for i, label in enumerate(bell_model.lam.labels):
-            c = bell_model.condition_on_lambda(label, settings)
-            target = make_joint(
-                bell_model.outcome_variables(),
-                {
-                    (a1, a2): bell_prob(i + 1, a1, a2, *settings)
-                    for a1, a2 in itertools.product((1, -1), repeat=2)
-                },
-            )
-            assert tv_distance(c, target) <= 1e-12
+            c = conditioned(bell_model, label, settings)
+            tv = sum(abs(c[a] - bell_prob(i + 1, *a, *settings)) for a in CELLS) / 2
+            assert tv <= 1e-12
 
     def test_kernel_norm_on_grid(self, bell_model, bell_grid):
         rep = bell_model.verify_kernel_normalization(bell_grid)
@@ -348,15 +350,14 @@ class TestBayesConsistency:
     def test_kernel_prior_identity_on_grid(self, bell_model):
         # P(lambda | a, s) * P(a | s) == P(a | lambda, s) * P(lambda | s)
         for settings in [(0.0, 0.0), (0.3, 1.1), (2.0, 5.5)]:
-            joint = bell_model.assemble_joint(settings)
-            lam_marg = marginalize(joint, ["lambda"])
-            for label in bell_model.lam.labels:
-                cond = bell_model.condition_on_lambda(label, settings)
-                for a1, a2 in itertools.product((1, -1), repeat=2):
+            _, M = bell_model.tabulate([settings]).joint
+            for i, label in enumerate(bell_model.lam.labels):
+                cond = conditioned(bell_model, label, settings)
+                for a1, a2 in CELLS:
                     lhs = bell_model.kernel.probability(
                         (a1, a2), settings, label
                     ) * 0.25  # P(a|s) = 1/2 * 1/2
-                    rhs = cond.prob((a1, a2)) * lam_marg.prob((label,))
+                    rhs = cond[(a1, a2)] * M[0][i]
                     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -364,18 +365,15 @@ class TestFineTuningSignature:
     def test_unconditional_outcomes_are_product_uniform(self, bell_model):
         # without conditioning on the label the outcomes are uncorrelated
         for settings in [(0.0, 0.0), (0.0, PI / 3), (1.0, 2.0)]:
-            j = marginalize(bell_model.assemble_joint(settings), ["a1", "a2"])
-            for combo in itertools.product((1, -1), repeat=2):
-                assert j.prob(combo) == pytest.approx(0.25, abs=1e-12)
+            T, _ = bell_model.tabulate([settings]).joint
+            for row in T[0]:  # each cell, summed over the labels
+                assert sum(row) == pytest.approx(0.25, abs=1e-12)
 
     def test_conditioning_induces_correlations(self, bell_model):
         settings = (0.0, PI / 3)
-        uniform = make_joint(
-            bell_model.outcome_variables(),
-            {c: 0.25 for c in itertools.product((1, -1), repeat=2)},
-        )
-        c = bell_model.condition_on_lambda("lambda1", settings)
-        assert tv_distance(c, uniform) > 0.2
+        c = conditioned(bell_model, "lambda1", settings)
+        # total-variation distance from the uniform outcome table
+        assert sum(abs(p - 0.25) for p in c.values()) / 2 > 0.2
 
 
 class TestCounterexampleModel:
@@ -393,16 +391,14 @@ class TestCounterexampleModel:
         ) == 1.0
 
     def test_remote_setting_steers_local_outcome(self, counterexample_model):
-        c_pos = counterexample_model.condition_on_lambda("lambda1", (0.0, 0.5))
-        c_neg = counterexample_model.condition_on_lambda("lambda1", (0.0, -0.5))
-        p_pos = marginalize(c_pos, ["a1"]).prob((1,))
-        p_neg = marginalize(c_neg, ["a1"]).prob((1,))
-        assert p_pos == 1.0
-        assert p_neg == 0.0
+        c_pos = conditioned(counterexample_model, "lambda1", (0.0, 0.5))
+        c_neg = conditioned(counterexample_model, "lambda1", (0.0, -0.5))
+        assert wing_marginal(c_pos, 0, 1) == 1.0
+        assert wing_marginal(c_neg, 0, 1) == 0.0
 
     def test_wing2_is_untouched(self, counterexample_model):
-        c = counterexample_model.condition_on_lambda("lambda1", (0.0, 0.5))
-        assert marginalize(c, ["a2"]).prob((1,)) == pytest.approx(0.5, abs=1e-12)
+        c = conditioned(counterexample_model, "lambda1", (0.0, 0.5))
+        assert wing_marginal(c, 1, 1) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestGrids:

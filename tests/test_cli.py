@@ -400,6 +400,12 @@ class TestSampleCommand:
         assert err.startswith("sampling failure: ")
         assert "accepted only" in err
 
+    def test_cap_factor_default_is_the_samplers(self):
+        from retrobell.sampling import DEFAULT_CAP_FACTOR
+
+        args = build_parser().parse_args(["sample", "--model", "bell", "--label", "1", "--n", "1"])
+        assert args.cap_factor == DEFAULT_CAP_FACTOR
+
     @pytest.mark.parametrize("argv, flag", [
         (("chsh", "--model", "bell", "--state", "1", "--angles", "1e308,1e308,1e308,1e308"),
          "--angles"),

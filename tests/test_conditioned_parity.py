@@ -1,10 +1,10 @@
-"""CHSH, the LC witness and the label marginal against the Joint composition.
+"""CHSH, the LC witness and the label marginal against per-point reductions.
 
 ``backward_model_chsh``, ``lc_violation_witness`` and ``lambda_marginal``
 read the label-conditioned tensor of one tabulation.  The oracles here are
-the compositions they replaced: ``condition_on_lambda`` reduced with
-``dist.expectation`` or ``dist.marginalize``, one setting tuple at a time,
-and ``marginalize`` of ``assemble_joint``.  Both must agree bit for bit:
+the reductions they replaced: the one-point conditioned table, one setting
+tuple at a time, reduced by left-to-right sums over its cells in canonical
+order, and ``marginalize`` of ``assemble_joint``.  Both must agree bit for bit:
 same types, ``float.hex`` for floats and equal Fractions, on the four stock
 models, every label, and angle grids holding 0.0, -0.0 and pi/4 multiples.
 """
@@ -28,7 +28,6 @@ from retrobell import (
     bell_backward_model,
     chsh_value,
     entry_table,
-    expectation,
     ghz_backward_model,
     marginalize,
     pr_backward_model,
@@ -89,23 +88,29 @@ def exact(x):
 # ---------------------------------------------------------------------------
 
 
-def oracle_chsh(model, label, c):
-    name1, name2 = (w.outcome_name for w in model.wings)
+def conditioned(model, label, settings):
+    """P(cell | settings, label) by cell, from the one-point tabulation."""
+    return dict(zip(model._cells(), model.tabulate([settings]).conditioned(label)[0]))
 
+
+def oracle_chsh(model, label, c):
     def correlation(s1, s2):
-        conditioned = model.condition_on_lambda(label, (s1, s2))
-        return expectation(conditioned, lambda a: a[name1] * a[name2])
+        total = 0  # E(a1 * a2) over the cells of nonzero probability
+        for (a1, a2), p in conditioned(model, label, (s1, s2)).items():
+            if p:
+                total = total + a1 * a2 * p
+        return total
 
     return chsh_value(correlation, c)
 
 
 def oracle_witness(model, label, settings, outcomes):
     settings = model.check_settings(settings)
-    cond = model.condition_on_lambda(label, settings)
-    joint_p = cond.prob(outcomes)
+    cond = conditioned(model, label, settings)
+    joint_p = cond[outcomes]
     product = 1
-    for wing, outcome in zip(model.wings, outcomes):
-        product = product * marginalize(cond, [wing.outcome_name]).prob((outcome,))
+    for i, outcome in enumerate(outcomes):
+        product = product * sum(p for cell, p in cond.items() if cell[i] == outcome)
     difference = abs(joint_p - product)
     return CheckReport("lc_witness", difference > model.tolerance, difference, {
         "label": label, "settings": settings, "outcomes": outcomes,
@@ -154,8 +159,7 @@ def test_lambda_marginal_matches_marginalized_joint(name):
         m = model.lambda_marginal(settings)
         o = oracle_lambda_marginal(model, settings)
         assert m.variables == o.variables
-        for label in model.lam.labels:
-            assert exact(m.prob((label,))) == exact(o.prob((label,))), (settings, label)
+        assert exact(tuple(m.items())) == exact(tuple(o.items())), settings
 
 
 def test_chsh_still_needs_two_wings():

@@ -7,7 +7,6 @@ from retrobell import (
     GHZ_CONSTRAINTS,
     classical_assignment_exhaustion,
     ghz_prob,
-    marginalize,
     settings_grid,
     verify_ghz_recovery,
     verify_no_signalling_all,
@@ -63,9 +62,9 @@ class TestGhzBackwardModel:
         assert isinstance(rep.max_deviation, Fraction)
 
     def test_lambda0_probability_is_half_everywhere(self, ghz_model):
-        for s in settings_grid(ghz_model):
-            marg = marginalize(ghz_model.assemble_joint(s), ["lambda"])
-            assert marg.prob(("lambda0",)) == Fraction(1, 2)
+        _, M = ghz_model.tabulate(settings_grid(ghz_model)).joint
+        for m in M:
+            assert m[0] == Fraction(1, 2)  # lambda0
 
     def test_no_signalling_exact(self, ghz_model):
         rep = verify_no_signalling_all(ghz_model, settings_grid(ghz_model))
@@ -73,11 +72,10 @@ class TestGhzBackwardModel:
         assert rep.max_deviation == 0
 
     def test_wing_conditionals_are_exactly_half(self, ghz_model):
-        for s in settings_grid(ghz_model):
-            c = ghz_model.condition_on_lambda("lambda0", s)
-            for w in ghz_model.wings:
-                m = marginalize(c, [w.outcome_name])
-                assert m.prob((1,)) == Fraction(1, 2)
+        for c in ghz_model.tabulate(settings_grid(ghz_model)).conditioned("lambda0"):
+            for w in range(3):
+                m = sum(p for a, p in zip(itertools.product(OUTCOMES, repeat=3), c) if a[w] == 1)
+                assert m == Fraction(1, 2)
 
 
 class TestGhzRecovery:
@@ -88,10 +86,10 @@ class TestGhzRecovery:
         assert rep.backend == "rational"
 
     def test_conditioned_equals_target_cell_by_cell(self, ghz_model):
-        for s in settings_grid(ghz_model):
-            c = ghz_model.condition_on_lambda("lambda0", s)
-            for a in itertools.product(OUTCOMES, repeat=3):
-                assert c.prob(a) == ghz_prob(*a, *s)
+        grid = settings_grid(ghz_model)
+        for s, c in zip(grid, ghz_model.tabulate(grid).conditioned("lambda0")):
+            for a, p in zip(itertools.product(OUTCOMES, repeat=3), c):
+                assert p == ghz_prob(*a, *s)
 
     def test_support_at_two_y_settings(self, ghz_model):
         c = ghz_model.condition_on_lambda("lambda0", (1, 1, 0))

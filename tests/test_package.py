@@ -19,18 +19,18 @@ PUBLIC = {
     "backward": [
         "ANGLE", "BINARY", "BackwardModel", "ColliderKernel", "LambdaSpace", "Wing",
         "bell_backward_model", "bell_table", "collider_model",
-        "default_grid", "entry_table", "settings_grid", "sign_of",
+        "default_grid", "entry_table", "pr_backward_model", "settings_grid", "sign_of",
         "signalling_counterexample_model", "verify_no_signalling_all",
     ],
     "chsh": [
         "LHV_BOUND", "PR_BOUND", "PR_BOX_CONFIG", "STANDARD_BELL_CONFIG",
         "TSIRELSON_BOUND", "ChshConfig", "ScanReport", "backward_model_chsh",
-        "chsh_value", "lhv_max_chsh", "pr_backward_model", "quantum_chsh_scan",
+        "chsh_value", "lhv_max_chsh", "quantum_chsh_scan",
     ],
     "dist": [
         "FLOAT", "FLOAT_TOL", "RATIONAL", "ConstructionError", "DistributionError",
         "Joint", "NullEvidenceError", "Variable", "VariableMismatchError", "condition",
-        "expectation", "make_joint", "marginalize", "tv_distance",
+        "make_joint", "marginalize", "tv_distance",
     ],
     "ghz": [
         "ExhaustionReport", "GHZ_CONSTRAINTS", "classical_assignment_exhaustion",
@@ -70,6 +70,15 @@ def test_dir_lists_every_public_name():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         retrobell.no_such_name  # noqa: B018
+
+
+def test_retired_engine_names_are_gone():
+    with pytest.raises(AttributeError, match="no attribute 'expectation'"):
+        retrobell.expectation  # noqa: B018
+    for name in ("prob", "total", "__eq__", "__repr__"):
+        assert name not in vars(retrobell.Joint), name
+    with pytest.raises(TypeError, match="backend"):
+        retrobell.make_joint((retrobell.Variable("a", (1, -1)),), {(1,): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +121,7 @@ FEW_POINT_VERIFY = [("verify", "--model", "bell", "--grid", "2"),
 VERIFY_GHZ = ("verify", "--model", "ghz", "--backend", "rational")
 SAMPLE_BELL = ("sample", "--model", "bell", "--label", "1", "--alpha1", "0.3", "--alpha2", "1.1",
                "--n", "100")
+SAMPLE_PRBOX = ("sample", "--model", "prbox", "--label", "pr", "--settings", "1,1", "--n", "100")
 
 #: The commands that build no model.
 NO_MODEL = [("chsh", "--lhv"), ("chsh", "--model", "bell", "--scan", "--resolution", "8"),
@@ -150,8 +160,7 @@ def test_model_commands_load_numpy():
     assert "numpy" in loaded("verify", "--model", "bell", "--grid", "4")
     # nine points, one more grid step than FEW_POINT_VERIFY: a float64 array
     assert "numpy" in loaded("verify", "--model", "bell", "--grid", "3")
-    assert "numpy" in loaded("sample", "--model", "prbox", "--label", "pr", "--settings", "1,1",
-                             "--n", "100")
+    assert "numpy" in loaded(*SAMPLE_PRBOX)
 
 
 @pytest.mark.parametrize("argv", [("import retrobell.cli",), *NO_MODEL], ids=" ".join)
@@ -166,8 +175,8 @@ def test_chsh_commands_leave_ghz_unloaded(argv):
     assert "retrobell.ghz" not in loaded(*argv)
 
 
-@pytest.mark.parametrize("argv", [*FEW_POINT_VERIFY, VERIFY_GHZ, ("ghz-exhaust",), SAMPLE_BELL],
-                         ids=" ".join)
+@pytest.mark.parametrize("argv", [*FEW_POINT_VERIFY, VERIFY_GHZ, ("verify", "--model", "prbox"),
+                                  ("ghz-exhaust",), SAMPLE_BELL, SAMPLE_PRBOX], ids=" ".join)
 def test_commands_outside_chsh_leave_chsh_unloaded(argv):
     assert "retrobell.chsh" not in loaded(*argv)
 

@@ -25,7 +25,7 @@ from retrobell import (
     sample_postselected,
     sample_run,
 )
-from retrobell.dist import FLOAT, expectation, make_joint, tv_distance
+from retrobell.dist import FLOAT, make_joint, tv_distance
 
 PI = math.pi
 SETTINGS = (0.0, PI / 3)
@@ -223,7 +223,7 @@ def zero_cell_model():
 
 
 #: (model, settings, label) where the report's exact numbers are compared
-#: with the public ``Joint`` API; -0.0 is the counterexample's sign boundary.
+#: with the model's one-point tables; -0.0 is the counterexample's sign boundary.
 EXACT_CASES = [
     ("bell", (0.0, PI / 3), "lambda1"),
     ("bell", (1.3, 4.9), "lambda2"),
@@ -249,20 +249,21 @@ def test_exact_reference_matches_joint_api(
              "counterexample": counterexample_model, "zero-cell": zero_cell_model()}[name]
     n = 3_001
     rep = sample_postselected(model, label, settings, n, 17)
-    exact = model.condition_on_lambda(label, settings)
+    tab = model.tabulate([settings])
+    exact = dict(zip(model._cells(), tab.conditioned(label)[0]))
     assert [c["exact_p"] for c in rep.cells] == [
-        float(exact.prob(c["assignment"])) for c in rep.cells]
-    assert rep.acceptance["expected_rate"] == float(
-        model.lambda_marginal(settings).prob((label,)))
+        float(exact[c["assignment"]]) for c in rep.cells]
+    _, M = tab.joint
+    assert rep.acceptance["expected_rate"] == float(M[0][model.lam.labels.index(label)])
     empirical = make_joint(
         model.outcome_variables(),
         {c["assignment"]: c["count"] / n for c in rep.cells if c["count"]},
         backend=FLOAT,
     )
-    assert rep.tv_distance == float(tv_distance(empirical, exact))
-    a1, a2 = (w.outcome_name for w in model.wings[:2])
+    assert rep.tv_distance == float(
+        tv_distance(empirical, model.condition_on_lambda(label, settings)))
     assert rep.conditioned_correlation["exact"] == float(
-        expectation(exact, lambda v: v[a1] * v[a2]))
+        sum(a[0] * a[1] * p for a, p in exact.items() if p))
 
 
 class TestShardWorkers:

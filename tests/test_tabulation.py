@@ -7,6 +7,7 @@ reports for the raw grid, and the grid check must raise what the per-point
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -26,6 +27,7 @@ from retrobell import (
     Wing,
     default_grid,
     entry_table,
+    settings_grid,
     sign_of,
     verify_no_signalling_all,
 )
@@ -331,3 +333,41 @@ def test_checked_binary_settings_are_ints(ghz_model):
     points = ghz_model.tabulate([(v, v, v) for v in values]).points
     assert [p[0] for p in points] == [0, 1, 0, 1, 0, 1, 1, 0, 0]
     assert all(type(x) is int for p in points for x in p)
+
+
+# ---------------------------------------------------------------------------
+# Wing marginals away from 1/2, with every expected value derived by hand
+# ---------------------------------------------------------------------------
+
+
+def _with_marginals(model, *p_plus):
+    """``model`` with its leading wings' P(outcome = +1) replaced by ``p_plus``."""
+    wings = tuple(dataclasses.replace(w, p_plus=p) for w, p in zip(model.wings, p_plus))
+    return dataclasses.replace(model, wings=wings + model.wings[len(p_plus):])
+
+
+def test_a_skewed_wing_weights_its_cells_by_its_marginal(ghz_model):
+    # one y axis: the kernel is 1/2 on every triple, so M = 1/2 and
+    # P(cell | lambda0) = P(cell) = (3/5 or 2/5) * 1/2 * 1/2
+    model = _with_marginals(ghz_model, Fraction(3, 5))
+    row = model.tabulate([(0, 0, 1)]).conditioned("lambda0")[0]
+    assert row == (Fraction(3, 20),) * 4 + (Fraction(1, 10),) * 4
+
+
+def test_a_wing_pinned_to_plus_one_keeps_its_zero_cells_out(pr_model):
+    # cells (-1, +/-1) weigh 0; at (0, 0) the box sends (1, 1) to lambda_pr
+    # and (1, -1) to lambda_bar, each with the other wing's 1/2
+    tab = _with_marginals(pr_model, Fraction(1)).tabulate([(0, 0)])
+    assert tab.conditioned("lambda_pr")[0] == (1, 0, 0, 0)
+    assert tab.joint[1][0] == (Fraction(1, 2), Fraction(1, 2))
+
+
+def test_si_reports_an_exact_nonzero_deviation_on_the_rational_backend(pr_model):
+    # the kernel gives lambda_pr the equal-outcome cells at (0, 0):
+    # P(lambda_pr | 0, 0) = 9/16 + 1/16 = 5/8, an exact 1/8 off the prior
+    model = _with_marginals(pr_model, Fraction(3, 4), Fraction(3, 4))
+    rep = model.verify_si(settings_grid(model))
+    assert not rep.passed
+    assert rep.max_deviation == Fraction(1, 8)
+    assert isinstance(rep.max_deviation, Fraction)
+    assert rep.worst_case == {"settings": (0, 0), "label": "lambda_pr"}
