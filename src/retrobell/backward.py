@@ -28,7 +28,7 @@ pins wing 1's outcome to the sign of wing 2's setting, so conditioning on
 its label lets a remote setting choose a local outcome.
 
 Each check reads one :class:`Tabulation`, which checks may share.  Its tables
-take the one form :func:`_form` picks, nested tuples or a float64 array, and
+take the one form ``dist._form`` picks, nested tuples or a float64 array, and
 each check and stock table is one formula over their rows (``dist._rows``).
 """
 
@@ -52,6 +52,7 @@ from .dist import (
     Prob,
     Variable,
     _all,
+    _form,
     _normalized,
     _point_major,
     _rows,
@@ -73,29 +74,6 @@ BINARY = "binary"
 LAMBDA = "lambda"
 
 BELL_LABELS = ("lambda1", "lambda2", "lambda3", "lambda4")
-
-#: The most points a float table holds as nested tuples (CHSH's four); read per call.
-TUPLE_POINTS = 4
-
-
-def _form(X, backend: str):
-    """``X[point]...`` in its one form: nested tuples of exact entries (rational
-    backend) or of floats (up to ``TUPLE_POINTS`` points), else a float64 array."""
-    if backend == FLOAT and len(X) > TUPLE_POINTS:
-        import numpy as np
-
-        return np.asarray(X, dtype=float)
-
-    def nested(x):
-        x = x.tolist() if hasattr(x, "tolist") else x
-        if isinstance(x, (list, tuple)):
-            return tuple(map(nested, x))
-        if backend == RATIONAL and not isinstance(x, numbers.Rational):
-            raise ConstructionError(f"rational tables take exact entries, got {x!r}")
-        return x if backend == RATIONAL else float(x)
-
-    return nested(X)
-
 
 def sign_of(x) -> int:
     """Sign with the convention sign(0) = +1."""
@@ -195,7 +173,7 @@ class ColliderKernel:
             raise ConstructionError(f"{len(outcomes)} outcomes for {len(settings)} settings")
         cell = list(itertools.product(OUTCOMES, repeat=len(outcomes))).index(tuple(outcomes))
         value = self.table([tuple(settings)])[0][cell][self.labels.index(label)]
-        return value.item() if hasattr(value, "item") else value  # a numpy scalar
+        return value.item() if hasattr(value, "item") else value  # an array scalar
 
 
 def entry_table(
@@ -374,7 +352,7 @@ class BackwardModel:
         if hasattr(X, "shape"):
             found = X.shape
         else:
-            found, level = (), [X]  # numpy's shape: levels of sequences of one length
+            found, level = (), [X]  # an array's shape: levels of sequences of one length
             while (len(found) <= len(shape) and all(hasattr(x, "__len__") for x in level)
                    and len({len(x) for x in level}) == 1):
                 found += (len(level[0]),)
@@ -633,7 +611,7 @@ _BELL_SIGNS = [[r * c for c in (1.0, -1.0, -1.0, 1.0)] for r in (1.0, -1.0, -1.0
 
 def bell_table(points: Iterable[Sequence[float]]) -> np.ndarray | tuple:
     """:func:`bell_prob` over many angle pairs: ``P[point][pair][state - 1]``, one formula
-    over the rows of the float :func:`_form` (tuples at up to ``TUPLE_POINTS`` points).
+    over the rows of the float ``dist._form`` (tuples at up to ``dist.TUPLE_POINTS`` points).
 
     Outcome pairs run (1, 1), (1, -1), (-1, 1), (-1, -1).  Every entry equals
     the scalar call bit for bit: the two cosines of a point are

@@ -25,7 +25,8 @@ and bounds), the scan, which is plain Python over a table of floats, and the
 backward-model CHSH value, whose four setting pairs tabulate as nested tuples
 (of Fractions for the PR box, of floats for the Bell pair), one row of numbers
 per pair, by the formula that reads a float64 table's row of columns alike.
-numpy loads only for a float grid of more than four points and for sampling.
+numpy loads only for a float grid of more than ``retrobell.dist.TUPLE_POINTS``
+(400) points and for sampling.
 """
 
 from __future__ import annotations

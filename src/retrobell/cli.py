@@ -65,8 +65,8 @@ sample_postselected = _on_call(".sampling", "sample_postselected")
 
 ENV_SEED = "RETROBELL_SEED"
 
-#: Largest ``verify --grid``: bell's float kernel tensor grows as grid**2 and
-#: stays within 8 MiB (65,536 points x 4 cells x 4 labels x 8 bytes).
+#: Largest ``verify --grid``: memory grows as grid**2, and ``verify --model bell
+#: --grid 256`` peaks at ~90 MiB RSS (x86-64), 8 MiB of it the kernel tensor.
 MAX_GRID = 256
 
 #: Largest ``emit-curve --points``: each row costs a few microseconds and

@@ -15,9 +15,9 @@ Every total -- a normalization, a marginal, the mass of a condition, a
 total-variation distance -- is a left-to-right sum in canonical assignment
 order, so the float results do not depend on how a table was built.  The
 model checks in :mod:`retrobell.backward` normalize through the same
-normalizer, over the rows (:func:`_rows`) of tables of settings points: a
-rational model's checks never load numpy, nor do a float model's on a few
-points.
+normalizer, over the rows (:func:`_rows`) of tables in the one form :func:`_form`
+picks, nested tuples or a float64 array: a rational model's checks never load
+numpy, nor do a float model's at up to ``TUPLE_POINTS`` points.
 
 Everything here is immutable after construction and every operation returns
 a fresh table, so values may be shared freely across threads.
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
@@ -146,6 +147,30 @@ def _normalized(W, backend: str):
     if not _all(t != 0 for t in total):  # no total is negative
         raise ConstructionError("weights sum to zero; nothing to normalize")
     return tuple(tuple(w / t for w in row) for row, t in zip(W, total))
+
+
+#: The most points a float table holds as nested tuples, read per call: up to 400
+#: (grid 20) a fresh ``verify`` of bell ran faster than loading numpy for arrays.
+TUPLE_POINTS = 400
+
+
+def _form(X, backend: str):
+    """``X[point]...`` in its one form: nested tuples of exact entries (rational
+    backend) or of floats (up to ``TUPLE_POINTS`` points), else a float64 array."""
+    if backend == FLOAT and len(X) > TUPLE_POINTS:
+        import numpy as np
+
+        return np.asarray(X, dtype=float)
+
+    def nested(x):
+        x = x.tolist() if hasattr(x, "tolist") else x
+        if isinstance(x, (list, tuple)):
+            return tuple(map(nested, x))
+        if backend == RATIONAL and not isinstance(x, numbers.Rational):
+            raise ConstructionError(f"rational tables take exact entries, got {x!r}")
+        return x if backend == RATIONAL else float(x)
+
+    return nested(X)
 
 
 def _rows(X):

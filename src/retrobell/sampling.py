@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -337,6 +336,8 @@ def sample_postselected(
     if workers == 1:
         shard_results = [shard(i) for i in range(len(quotas))]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # it loads logging: a pool only
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             shard_results = list(pool.map(shard, range(len(quotas))))
 

@@ -1,11 +1,11 @@
 """A float tabulation reads the same in both of its forms.
 
-At up to ``TUPLE_POINTS`` points a float tabulation is nested tuples, one row
-of Python floats per point; beyond, it is float64 arrays, one row of columns
-over every point, and the same formulas reduce both.  With the bound patched
-to 0 every grid takes the array form, so each model below is read twice on
-grids of one and four points; with it patched to 10**9 every grid takes the
-tuple form, so each is read twice on a grid of nine points too.  Every check
+At up to ``dist.TUPLE_POINTS`` points a float tabulation is nested tuples, one
+row of Python floats per point; beyond, it is float64 arrays, one row of
+columns over every point, and the same formulas reduce both.  With the bound
+patched to 0 every grid takes the array form, and with it patched to 10**9
+every grid takes the tuple form, so each model below is read in both forms on
+grids of one, four and nine points.  Every check
 report (with its worst case), the witness, and every entry of ``joint`` and
 ``conditioned`` must agree by ``float.hex``, and every error by class and
 message.
@@ -29,7 +29,7 @@ from retrobell import (
     signalling_counterexample_model,
     verify_no_signalling_all,
 )
-from retrobell import backward
+from retrobell import dist
 
 
 def _nan_model():
@@ -99,7 +99,7 @@ GRIDS = {
     "4-points": [(0.0, 0.0), (0.5, 1.0), (2.0, -0.0), (-0.0, 3.0)],
 }
 
-#: Nine points, beyond ``TUPLE_POINTS``: signed zeros, +/-pi, large angles.
+#: Nine points: signed zeros, +/-pi, large angles.
 NINE_POINTS = [(0.0, 0.0), (0.5, 1.0), (2.0, -0.0), (-0.0, 3.0), (math.pi, -math.pi),
                (-1.0, 0.25), (1e6, -1e6), (0.5, -0.5), (6.0, 1.5)]
 
@@ -149,7 +149,7 @@ def _readings(model, grid):
 def test_tuple_and_array_forms_read_the_same(monkeypatch, name, grid):
     model, points = MODELS[name](), GRIDS[grid]
     tuples = _readings(model, points)
-    monkeypatch.setattr(backward, "TUPLE_POINTS", 0)
+    monkeypatch.setattr(dist, "TUPLE_POINTS", 0)
     arrays = _readings(model, points)
     assert (tuples.pop("form"), arrays.pop("form")) == ("tuple", "ndarray")
     assert tuples == arrays
@@ -158,8 +158,9 @@ def test_tuple_and_array_forms_read_the_same(monkeypatch, name, grid):
 @pytest.mark.parametrize("name", MODELS)
 def test_nine_points_read_the_same_as_tuples(monkeypatch, name):
     model = MODELS[name]()
+    monkeypatch.setattr(dist, "TUPLE_POINTS", 0)
     arrays = _readings(model, NINE_POINTS)
-    monkeypatch.setattr(backward, "TUPLE_POINTS", 10**9)
+    monkeypatch.setattr(dist, "TUPLE_POINTS", 10**9)
     tuples = _readings(model, NINE_POINTS)
     assert (tuples.pop("form"), arrays.pop("form")) == ("tuple", "ndarray")
     assert tuples == arrays

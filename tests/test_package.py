@@ -3,6 +3,7 @@
 import contextlib
 import functools
 import io
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 import retrobell
 from retrobell.cli import main
+from retrobell.dist import TUPLE_POINTS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -83,13 +85,14 @@ def test_retired_engine_names_are_gone():
 
 # ---------------------------------------------------------------------------
 # Each command loads only the modules it runs: numpy only for a float grid of
-# more than four points or sampling, the model stack (``backward``, ``dist``,
-# ``dataclasses``, ``fractions``) only for a model, ``chsh`` and ``ghz`` only
-# for their own commands, and ``csv`` only for CSV output
+# more than ``TUPLE_POINTS`` points or sampling, the model stack (``backward``,
+# ``dist``, ``dataclasses``, ``fractions``) only for a model, ``chsh`` and ``ghz``
+# only for their own commands, ``csv`` only for CSV output, and the thread pool
+# (``concurrent.futures``) only for a sample on more than one worker
 # ---------------------------------------------------------------------------
 
 #: The modules whose loading the tests below pin.
-WATCHED = ("numpy", "dataclasses", "fractions", "decimal", "csv",
+WATCHED = ("numpy", "dataclasses", "fractions", "decimal", "csv", "concurrent.futures",
            "retrobell.backward", "retrobell.chsh", "retrobell.dist", "retrobell.ghz")
 
 MODULE_PROBE = """
@@ -117,6 +120,14 @@ BELL_SCAN = ("chsh", "--model", "bell", "--scan", "--resolution", "64")
 #: counterexample fails (exit 1).
 FEW_POINT_VERIFY = [("verify", "--model", "bell", "--grid", "2"),
                     ("verify", "--model", "counterexample", "--grid", "2")]
+
+#: ``verify`` on 9 points (grid 3) and at the default grid 16 (256 points), both
+#: at most ``TUPLE_POINTS``: tuples too.
+TUPLE_VERIFY = [("verify", "--model", m, "--grid", g)
+                for g in ("3", "16") for m in ("bell", "counterexample")]
+
+#: The smallest grid whose points outnumber ``TUPLE_POINTS``: a float64 array.
+FIRST_ARRAY_GRID = str(math.isqrt(TUPLE_POINTS) + 1)
 
 VERIFY_GHZ = ("verify", "--model", "ghz", "--backend", "rational")
 SAMPLE_BELL = ("sample", "--model", "bell", "--label", "1", "--alpha1", "0.3", "--alpha2", "1.1",
@@ -151,16 +162,21 @@ def loaded(*argv: str) -> frozenset[str]:
     BELL_ANGLES,
     BELL_SCAN,
     *FEW_POINT_VERIFY,
+    *TUPLE_VERIFY,
 ], ids=" ".join)
 def test_classical_commands_leave_numpy_unloaded(argv):
     assert "numpy" not in loaded(*argv)
 
 
 def test_model_commands_load_numpy():
-    assert "numpy" in loaded("verify", "--model", "bell", "--grid", "4")
-    # nine points, one more grid step than FEW_POINT_VERIFY: a float64 array
-    assert "numpy" in loaded("verify", "--model", "bell", "--grid", "3")
+    for model in ("bell", "counterexample"):
+        assert "numpy" in loaded("verify", "--model", model, "--grid", FIRST_ARRAY_GRID)
     assert "numpy" in loaded(*SAMPLE_PRBOX)
+
+
+@pytest.mark.parametrize("argv", [SAMPLE_BELL, SAMPLE_PRBOX], ids=" ".join)
+def test_one_shard_sample_leaves_the_thread_pool_unloaded(argv):
+    assert "concurrent.futures" not in loaded(*argv)
 
 
 @pytest.mark.parametrize("argv", [("import retrobell.cli",), *NO_MODEL], ids=" ".join)

@@ -1,5 +1,6 @@
 """Monte Carlo harness: determinism, postselection semantics, gates."""
 
+import concurrent.futures
 import json
 import math
 import sys
@@ -297,7 +298,7 @@ class TestShardWorkers:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(sampling, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(sampling, "_worker_count", lambda shards: min(shards, cpus))
         rep = sample_postselected(bell_model, "lambda1", SETTINGS, 9_000, 2, shards=6)
         assert started == pool_workers

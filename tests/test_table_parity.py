@@ -36,7 +36,8 @@ from retrobell import (
     signalling_counterexample_model,
     verify_no_signalling_all,
 )
-from retrobell.backward import TUPLE_POINTS
+from retrobell import dist
+from retrobell.dist import TUPLE_POINTS
 
 MODELS = {"bell": bell_backward_model, "counterexample": signalling_counterexample_model}
 
@@ -92,6 +93,14 @@ def test_kernel_table_matches_scalar_loop(name, res, centered):
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
+def test_tuple_points_is_the_last_tuple_table(name):
+    model = MODELS[name]()
+    grid = [(0.001 * i, 0.5 - 0.001 * i) for i in range(TUPLE_POINTS + 1)]
+    assert isinstance(model.tabulate(grid[:-1]).K, tuple)
+    assert isinstance(model.tabulate(grid).K, np.ndarray)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
 def test_kernel_table_matches_scalar_loop_on_edge_angles(name):
     model = MODELS[name]()
     K = model.tabulate(EDGE_GRID).K
@@ -113,7 +122,9 @@ def test_bell_target_table_on_edge_angles():
     _same_bits(model.target_table(points), _reference_targets(model, points))
 
 
-def test_bell_table_is_bell_prob_per_state():
+def test_bell_table_is_bell_prob_per_state(monkeypatch):
+    # the array form, forced; the tuple form meets bell_prob in the scalar-loop tests
+    monkeypatch.setattr(dist, "TUPLE_POINTS", 0)
     cells = list(itertools.product((1, -1), repeat=2))
     P = bell_table(EDGE_GRID)
     for g, (a1, a2) in enumerate(EDGE_GRID):
@@ -153,9 +164,11 @@ def test_batched_table_of_the_wrong_shape_is_rejected():
 
 
 @pytest.mark.parametrize("resolution, n", [(1, 1), (3, 9)])
-def test_ragged_float_table_is_rejected_on_both_forms(resolution, n):
-    # one short row: the tuple form (1 point) and the array form (9 points)
-    # name the same nested shape, where numpy would raise its own ValueError
+def test_ragged_float_table_is_rejected_on_both_forms(monkeypatch, resolution, n):
+    # one short row: the tuple form (1 point) and the array form (9 points,
+    # forced) name the same nested shape, where numpy would raise its own ValueError
+    if n == 9:
+        monkeypatch.setattr(dist, "TUPLE_POINTS", 0)
     model = bell_backward_model()
     ragged = replace(model, kernel=replace(
         model.kernel, table=lambda points: [[[0.25] * 4] * 3 + [[0.25]] for _ in points]))

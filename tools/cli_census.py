@@ -16,8 +16,9 @@ the CHSH scan of every Bell state at resolutions 64 and 33, ``sample`` on
 every model at 1-3 threads, bell ``sample`` at the 64-bit seed edge (2^63
 and 2^64 - 1) on 1 and 3 threads and just past it (2^64), ``verify --checks nosignal`` on every model
 (bell and counterexample at grids 1, 3 and 5), ``verify`` on bell and
-counterexample at grids 2 and 3 (4 points, tabulated as tuples, and 9, as
-arrays), a cap failure and the usage-error paths, finite bell angles whose
+counterexample at grids 2, 3 and 16 (4, 9 and 256 points, tabulated as
+tuples) and 21 (441 points, the first grid beyond ``retrobell.dist.TUPLE_POINTS``,
+as arrays), a cap failure and the usage-error paths, finite bell angles whose
 sum overflows among them.
 A full census takes a few seconds.
 """
@@ -122,6 +123,8 @@ def argvs() -> list[tuple[str, ...]]:
     commands += [("verify", "--model", m, "--checks", "nosignal", "--format", "human")
                  for m in ("ghz", "prbox")]
     commands += FAILING
+    commands += [("verify", "--model", m, "--grid", g)
+                 for m in ("bell", "counterexample") for g in ("16", "21")]
     return list(dict.fromkeys(commands))
 
 
