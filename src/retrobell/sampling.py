@@ -336,7 +336,7 @@ def sample_postselected(
     if workers == 1:
         shard_results = [shard(i) for i in range(len(quotas))]
     else:
-        from concurrent.futures import ThreadPoolExecutor  # it loads logging: a pool only
+        from concurrent.futures import ThreadPoolExecutor  # only for a pool: it loads logging
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             shard_results = list(pool.map(shard, range(len(quotas))))
