@@ -34,6 +34,7 @@ from retrobell import (
     tv_distance,
     verify_no_signalling_all,
 )
+from retrobell import dist
 
 PI = math.pi
 
@@ -230,6 +231,19 @@ def _grid(model, grid):
 def test_dense_checks_match_per_point_reference(request, model_name, grid):
     model = request.getfixturevalue(model_name)
     points = _grid(model, grid)
+    for name, dense, oracle in check_pairs(model):
+        assert _text(dense(points)) == _text(oracle(points)), name
+
+
+@pytest.mark.parametrize("grid", [4, 16, "custom"])
+@pytest.mark.parametrize("model_name", ["bell_model", "counterexample_model"])
+def test_array_form_checks_match_per_point_reference(request, monkeypatch, model_name, grid):
+    # these grids tabulate as tuples by default; with the bound at 0 the same
+    # checks read float64 arrays, the form ``verify-dense`` runs
+    monkeypatch.setattr(dist, "TUPLE_POINTS", 0)
+    model = request.getfixturevalue(model_name)
+    points = _grid(model, grid)
+    assert type(model.tabulate(points).K).__name__ == "ndarray"
     for name, dense, oracle in check_pairs(model):
         assert _text(dense(points)) == _text(oracle(points)), name
 

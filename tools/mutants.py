@@ -9,7 +9,6 @@ failing run kills the mutant; a passing one lets it survive.
 
     python3 tools/mutants.py                      # every module in TARGETS
     python3 tools/mutants.py --module dist        # one module
-    python3 tools/mutants.py --root /path/to/tree --module dist
 
 It prints one line per mutant (file, line, function, swap, killed or
 survived, seconds) and then the score.  Modules are rewritten through
@@ -33,6 +32,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: Seconds per test run; a slower mutant counts as killed.
+TIMEOUT = 600.0
 
 #: Each operator and the one it becomes.
 SWAPS = {
@@ -172,7 +174,7 @@ def _check_import(copy: Path, path: str) -> None:
         raise SystemExit(f"{module} does not import from the copy: {proc.stdout}{proc.stderr}")
 
 
-def run(root: Path, targets: list[Target], timeout: float = 600.0, out=None) -> tuple[int, int]:
+def run(root: Path, targets: list[Target], timeout: float = TIMEOUT, out=None) -> tuple[int, int]:
     """Mutate each target in a copy of ``root``; print a line per mutant and the
     score, and return ``(killed, total)``."""
     killed = total = 0
@@ -206,13 +208,10 @@ def run(root: Path, targets: list[Target], timeout: float = 600.0, out=None) -> 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--root", default=str(ROOT), help="the tree to copy and mutate")
     parser.add_argument("--module", action="append", choices=sorted(TARGETS),
                         help="a module of TARGETS (repeatable; default: all)")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds per test run; a slower mutant counts as killed")
     args = parser.parse_args(argv)
-    run(Path(args.root), [TARGETS[m] for m in args.module or sorted(TARGETS)], args.timeout)
+    run(ROOT, [TARGETS[m] for m in args.module or sorted(TARGETS)])
     return 0
 
 
