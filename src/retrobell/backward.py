@@ -52,10 +52,15 @@ from .dist import (
     Prob,
     Variable,
     _all,
+    _at,
+    _first_worst,
     _form,
     _normalized,
+    _per_point,
     _point_major,
     _rows,
+    _slots,
+    _spans,
     _table,
     _top,
     make_joint,  # bench/tracing.py counts make_joint calls through this name
@@ -172,8 +177,7 @@ class ColliderKernel:
         if len(outcomes) != len(settings):
             raise ConstructionError(f"{len(outcomes)} outcomes for {len(settings)} settings")
         cell = list(itertools.product(OUTCOMES, repeat=len(outcomes))).index(tuple(outcomes))
-        value = self.table([tuple(settings)])[0][cell][self.labels.index(label)]
-        return value.item() if hasattr(value, "item") else value  # an array scalar
+        return _at(self.table([tuple(settings)])[0][cell], self.labels.index(label))
 
 
 def entry_table(
@@ -361,18 +365,14 @@ class BackwardModel:
             raise ConstructionError(f"batched table has shape {found}, not {shape}")
         return _form(X, self.backend)
 
-    def _sweep(self, check: str, devs: list, cases: list, points=None) -> CheckReport:
-        """Report the first strict maximum of ``devs``, a flat list in sweep order, with worst
-        case ``cases[i]``, or with ``points``, ``points[i // n]`` and ``cases[i % n]`` (n cases);
-        none if no deviation exceeds zero, and the first NaN if any (which fails the check)."""
-        max_dev: Prob = Fraction(0) if self.backend == RATIONAL else 0.0
-        worst = None
-        for i, dev in enumerate(devs):
-            if dev != dev:
-                max_dev, worst = dev, i
-                break
-            if dev > max_dev:
-                max_dev, worst = dev, i
+    def _sweep(self, check: str, devs, cases: list, points=None) -> CheckReport:
+        """Report the first strict maximum of ``devs``, flat in sweep order (a list or a float64
+        array), with worst case ``cases[i]``, or with ``points``, ``points[i // n]`` and
+        ``cases[i % n]`` (n cases); none if no deviation exceeds zero, and the first NaN if
+        any (which fails the check)."""
+        worst = _first_worst(devs)
+        zero: Prob = Fraction(0) if self.backend == RATIONAL else 0.0
+        max_dev = zero if worst is None else _at(devs, worst)
         tol = self.tolerance
         worst_case = None if worst is None else cases[worst] if points is None else {
             "settings": points[worst // len(cases)], **cases[worst % len(cases)]}
@@ -410,37 +410,39 @@ class BackwardModel:
         sweep over (label, wing, local setting, outcome) in that order."""
         tab = self.tabulate(settings_grid)
         points = tab.points
-        # Grid points per (wing, local setting value), in the order the grid
-        # first reaches each; equal setting values share one entry.
-        slots: dict[tuple, list[int]] = {}
-        for g, settings in enumerate(points):
-            for i, local in enumerate(settings):
-                slots.setdefault((i, local), []).append(g)
-        devs, cases = [], []
+        # Grid points per (wing, local setting value): each wing's slots, and all of
+        # them in the order the grid first reaches each (wing order within a point).
+        slots = _slots(points, self.backend)
+        order = sorted((at[0], i, k) for i, wing in enumerate(slots) for k, at in enumerate(wing))
+        devs, found = [], []
         for label in labels:
             cond = tab.conditioned(label)
-            wing_marginals = {(i, outcome): self._wing_marginal(cond, i, outcome)
-                              for i in range(len(self.wings)) for outcome in OUTCOMES}
-            for (i, local), at in slots.items():
+            spans = {(i, outcome): _spans(self._wing_marginal(cond, i, outcome), wing)
+                     for i, wing in enumerate(slots) for outcome in OUTCOMES}
+            for first, i, k in order:
                 for outcome in OUTCOMES:
-                    p = wing_marginals[i, outcome]
-                    lo, hi = min(at, key=p.__getitem__), max(at, key=p.__getitem__)
-                    devs.append(p[hi] - p[lo])
-                    cases.append({
-                        "wing": self.wings[i].outcome_name,
-                        "local_setting": local,
-                        "outcome": outcome,
-                        "label": label,
-                        "min_probability": p[lo],
-                        "max_probability": p[hi],
-                        "min_at_settings": points[lo],
-                        "max_at_settings": points[hi],
-                    })
-        return self._sweep("no_signalling", devs, cases)
+                    lo, hi, p_lo, p_hi = spans[i, outcome][k]
+                    devs.append(p_hi - p_lo)
+                    found.append((label, i, first, outcome, lo, hi, p_lo, p_hi))
+        report = self._sweep("no_signalling", devs, found)
+        if report.worst_case is None:
+            return report
+        label, i, first, outcome, lo, hi, p_lo, p_hi = report.worst_case
+        return report._replace(worst_case={
+            "wing": self.wings[i].outcome_name,
+            "local_setting": points[first][i],
+            "outcome": outcome,
+            "label": label,
+            "min_probability": p_lo,
+            "max_probability": p_hi,
+            "min_at_settings": points[lo],
+            "max_at_settings": points[hi],
+        })
 
-    def _wing_marginal(self, cond, i: int, outcome: int) -> list[Prob]:
-        """P(a_i = outcome | settings, label) at every point of ``cond[point][cell]``:
-        a left-to-right sum over wing ``i``'s cells in canonical order."""
+    def _wing_marginal(self, cond, i: int, outcome: int):
+        """P(a_i = outcome | settings, label) at every point of ``cond[point][cell]``, flat
+        as :func:`_point_major` gives it: a left-to-right sum over wing ``i``'s cells in
+        canonical order."""
         mask = [c[i] == outcome for c in self._cells()]
         return _point_major([[sum(p for p, m in zip(row, mask) if m)] for row in _rows(cond)])
 
@@ -489,8 +491,8 @@ class BackwardModel:
         if outcomes not in cells:
             raise ConstructionError(f"outcomes {outcomes!r} are not a cell of {self.name}")
         cond = self.tabulate([settings]).conditioned(label)
-        joint_p = _point_major(_rows(cond))[cells.index(outcomes)]
-        product = math.prod(self._wing_marginal(cond, i, o)[0] for i, o in enumerate(outcomes))
+        joint_p = _at(_point_major(_rows(cond)), cells.index(outcomes))
+        product = math.prod(_at(self._wing_marginal(cond, i, o), 0) for i, o in enumerate(outcomes))
         difference = abs(joint_p - product)
         return CheckReport("lc_witness", difference > self.tolerance, difference, {
             "label": label, "settings": settings, "outcomes": outcomes,
@@ -609,6 +611,17 @@ def pr_backward_model() -> BackwardModel:
 _BELL_SIGNS = [[r * c for c in (1.0, -1.0, -1.0, 1.0)] for r in (1.0, -1.0, -1.0, 1.0)]
 
 
+def _bell_cosines(point: Sequence[float]) -> tuple[float, float]:
+    """cos(alpha1 - alpha2) and cos(alpha1 + alpha2), as :func:`bell_expectation` gives
+    them for states 1 and 4, which raises if an angle, the difference or the sum is not finite."""
+    alpha1, alpha2 = map(float, point)
+    diff, total = alpha1 - alpha2, alpha1 + alpha2
+    if not (math.isfinite(diff) and math.isfinite(total)):
+        bell_expectation(1, alpha1, alpha2)
+        bell_expectation(4, alpha1, alpha2)
+    return math.cos(diff), math.cos(total)
+
+
 def bell_table(points: Iterable[Sequence[float]]) -> np.ndarray | tuple:
     """:func:`bell_prob` over many angle pairs: ``P[point][pair][state - 1]``, one formula
     over the rows of the float ``dist._form`` (tuples at up to ``dist.TUPLE_POINTS`` points).
@@ -616,16 +629,13 @@ def bell_table(points: Iterable[Sequence[float]]) -> np.ndarray | tuple:
     Outcome pairs run (1, 1), (1, -1), (-1, 1), (-1, -1).  Every entry equals
     the scalar call bit for bit: the two cosines of a point are
     :func:`~retrobell.quantum.bell_expectation`'s (``math.cos``, which ``np.cos``
-    may differ from in the last ulp; an angle sum that overflows raises), and the
-    arithmetic after them is the scalar formula's, with ``a1 * a2`` times the
-    cosine's sign exactly +/-1.
+    may differ from in the last ulp; an angle sum that overflows raises), computed
+    once per point, and the arithmetic after them is the scalar formula's, with
+    ``a1 * a2`` times the cosine's sign exactly +/-1.
     """
-    cosines = []
-    for alpha1, alpha2 in points:
-        c_diff, c_sum = bell_expectation(1, alpha1, alpha2), bell_expectation(4, alpha1, alpha2)
-        cosines.append((c_diff, c_diff, c_sum, c_sum))
-    return _table([tuple(tuple(0.25 * (1.0 + s * c) for s, c in zip(signs, cs))
-                         for signs in _BELL_SIGNS) for cs in _rows(_form(cosines, FLOAT))])
+    cosines = _per_point(_bell_cosines, list(points), 2)
+    return _table([tuple(tuple(0.25 * (1.0 + s * c) for s, c in zip(signs, (d, d, t, t)))
+                         for signs in _BELL_SIGNS) for d, t in _rows(cosines)])
 
 
 def bell_backward_model() -> BackwardModel:

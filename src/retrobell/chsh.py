@@ -185,10 +185,11 @@ def backward_model_chsh(model: BackwardModel, label: str, c: ChshConfig):
     # the setting pairs in the order chsh_value asks for them
     pairs = [(c.alpha1, c.alpha2), (c.alpha1, c.alpha2_prime),
              (c.alpha1_prime, c.alpha2), (c.alpha1_prime, c.alpha2_prime)]
-    from .dist import _point_major, _rows
+    from .dist import _at, _point_major, _rows
 
     cond = model.tabulate(pairs).conditioned(label)
-    e = [[sum(a1 * a2 * p for (a1, a2), p in zip(model._cells(), row))] for row in _rows(cond)]
-    correlations = iter(_point_major(e))
+    e = _point_major([[sum(a1 * a2 * p for (a1, a2), p in zip(model._cells(), row))]
+                      for row in _rows(cond)])
+    correlations = (_at(e, k) for k in range(len(pairs)))
     return chsh_value(lambda s1, s2: next(correlations), c)
 

@@ -66,7 +66,7 @@ sample_postselected = _on_call(".sampling", "sample_postselected")
 ENV_SEED = "RETROBELL_SEED"
 
 #: Largest ``verify --grid``: memory grows as grid**2, and ``verify --model bell
-#: --grid 256`` peaks at ~90 MiB RSS (x86-64), 8 MiB of it the kernel tensor.
+#: --grid 256`` peaks at ~74 MiB RSS (x86-64), 8 MiB of it the kernel tensor.
 MAX_GRID = 256
 
 #: Largest ``emit-curve --points``: each row costs a few microseconds and

@@ -17,7 +17,9 @@ order, so the float results do not depend on how a table was built.  The
 model checks in :mod:`retrobell.backward` normalize through the same
 normalizer, over the rows (:func:`_rows`) of tables in the one form :func:`_form`
 picks, nested tuples or a float64 array: a rational model's checks never load
-numpy, nor do a float model's at up to ``TUPLE_POINTS`` points.
+numpy, nor do a float model's at up to ``TUPLE_POINTS`` points.  The reductions
+over a whole grid (a sweep's worst case, the no-signalling slots and their spans)
+live here too, so the array form makes no Python object per entry.
 
 Everything here is immutable after construction and every operation returns
 a fresh table, so values may be shared freely across threads.
@@ -154,10 +156,15 @@ def _normalized(W, backend: str):
 TUPLE_POINTS = 400
 
 
+def _arrays(points: int, backend: str) -> bool:
+    """Whether tables over ``points`` points on ``backend`` take the array form."""
+    return backend == FLOAT and points > TUPLE_POINTS
+
+
 def _form(X, backend: str):
     """``X[point]...`` in its one form: nested tuples of exact entries (rational
     backend) or of floats (up to ``TUPLE_POINTS`` points), else a float64 array."""
-    if backend == FLOAT and len(X) > TUPLE_POINTS:
+    if _arrays(len(X), backend):
         import numpy as np
 
         return np.asarray(X, dtype=float)
@@ -192,10 +199,94 @@ def _table(rows):
     return np.moveaxis(np.asarray(rows[0], dtype=float), -1, 0)
 
 
-def _point_major(rows) -> list:
-    """The entries of ``rows``, each row a flat sequence, as one list point by point."""
+def _point_major(rows):
+    """The entries of ``rows``, each row a flat sequence, point by point: one list, or
+    one flat float64 array.  Read an entry as a Python number with :func:`_at`."""
     X = _table(rows)
-    return [x for row in X for x in row] if isinstance(X, tuple) else X.ravel().tolist()
+    return [x for row in X for x in row] if isinstance(X, tuple) else X.ravel()
+
+
+def _at(xs, i):
+    """``xs[i]`` as a Python number, ``xs`` a sequence of numbers or an array."""
+    x = xs[i]
+    return x.item() if hasattr(x, "item") else x
+
+
+def _per_point(func, points: list, width: int):
+    """The float table ``X[point][k]`` of ``func(point)``, ``width`` numbers per point,
+    in its form; past ``TUPLE_POINTS`` points ``np.fromiter`` fills the array without
+    keeping a tuple per point."""
+    if not _arrays(len(points), FLOAT):
+        return _form([func(point) for point in points], FLOAT)
+    import numpy as np
+
+    return np.fromiter(map(func, points), np.dtype((float, width)), len(points))
+
+
+def _first_worst(devs) -> int | None:
+    """The index of the first NaN of ``devs`` (a list or a float64 array), else of its
+    first strict maximum above zero, else None: the worst case a check reports."""
+    if hasattr(devs, "ndim"):
+        worst = int(devs.argmax())  # the first NaN, else the first maximum
+        return None if devs[worst] <= 0 else worst
+    top, worst = 0, None
+    for i, dev in enumerate(devs):
+        if dev != dev:
+            return i
+        if dev > top:
+            top, worst = dev, i
+    return worst
+
+
+def _slots(points: list, backend: str) -> list[list]:
+    """For each place ``i`` of the setting tuples ``points``, the positions of the points
+    that share an ``i``th entry (by ``==``, so 0.0 and -0.0 share one), a sequence per
+    entry in the order the points first reach it, positions ascending: lists, or int
+    arrays past ``TUPLE_POINTS`` float points."""
+    if not _arrays(len(points), backend):
+        found = [{} for _ in points[0]]
+        for g, point in enumerate(points):
+            for by_value, x in zip(found, point):
+                by_value.setdefault(x, []).append(g)
+        return [list(by_value.values()) for by_value in found]
+    import numpy as np
+
+    found = []
+    for column in np.array(points, dtype=float).T:
+        order = np.argsort(column, kind="stable")  # equal entries keep their positions' order
+        x = column[order]
+        starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+        slots = np.split(order, starts[1:])
+        found.append([slots[k] for k in np.argsort(order[starts], kind="stable")])
+    return found
+
+
+def _spans(p, slots: list) -> list[tuple]:
+    """Per slot ``at`` (positions into ``p``, a list or a float64 array), ``(lo, hi, p[lo],
+    p[hi])`` as Python numbers, where ``lo`` and ``hi`` are ``min`` and ``max`` of ``at``
+    with ``key=p.__getitem__``: the first least and first greatest position, except that
+    a NaN at the slot's first position is both, and a later NaN neither."""
+    if not hasattr(p, "ndim"):
+        spans = []
+        for at in slots:
+            lo, hi = min(at, key=p.__getitem__), max(at, key=p.__getitem__)
+            spans.append((lo, hi, p[lo], p[hi]))
+        return spans
+    import numpy as np
+
+    at = np.concatenate(slots)
+    sizes = [len(s) for s in slots]
+    starts = np.cumsum([0] + sizes[:-1])
+    v = p[at]
+    n = np.arange(len(v))
+
+    def first(best):  # each slot's first position whose value is its best non-NaN one
+        hit = v == np.repeat(best.reduceat(v, starts), sizes)
+        return np.where(np.isnan(v[starts]), starts,
+                        np.minimum.reduceat(np.where(hit, n, len(v)), starts))
+
+    lo, hi = first(np.fmin), first(np.fmax)
+    return list(zip(at[lo].tolist(), at[hi].tolist(), v[lo].tolist(), v[hi].tolist()))
 
 
 def _all(tests) -> bool:

@@ -74,6 +74,13 @@ class TestMakeJoint:
         with pytest.raises(ConstructionError):
             make_joint((A,), {(1,): 1, (-1,): -0.5}, FLOAT)
 
+    @pytest.mark.parametrize("weight", [Fraction(-1, 2), 0.5])
+    def test_rational_weights_are_non_negative_and_exact(self, weight):
+        # either test alone rejects: -1/2 is exact but negative, 0.5 non-negative
+        # but a float; the other weight (3/2) makes the total positive
+        with pytest.raises(ConstructionError, match="rational weights must be non-negative and exact"):
+            make_joint((A,), {(1,): Fraction(3, 2), (-1,): weight}, RATIONAL)
+
     def test_out_of_domain_assignment_rejected(self):
         with pytest.raises(ConstructionError):
             make_joint((A,), {(2,): 1}, RATIONAL)

@@ -5,10 +5,15 @@ row of Python floats per point; beyond, it is float64 arrays, one row of
 columns over every point, and the same formulas reduce both.  With the bound
 patched to 0 every grid takes the array form, and with it patched to 10**9
 every grid takes the tuple form, so each model below is read in both forms on
-grids of one, four and nine points.  Every check
-report (with its worst case), the witness, and every entry of ``joint`` and
-``conditioned`` must agree by ``float.hex``, and every error by class and
-message.
+grids of one, four and nine points, and a few of them on a grid past the bound.
+Every check report (with its worst case), the witness, and every entry of
+``joint`` and ``conditioned`` must agree by ``float.hex``, and every error by
+class and message.
+
+The reductions ``dist`` runs on the array form (the worst of a sweep, a no-signalling
+slot's first minimum and maximum, and the slots themselves) are also run on their
+own, on cases the models cannot reach (a NaN in a wing marginal), against values
+derived by hand.
 """
 
 import math
@@ -97,11 +102,16 @@ GRIDS = {
     "1-point": [(0.5, 1.0)],
     "1-point-flipped": [(2.0, -0.0)],
     "4-points": [(0.0, 0.0), (0.5, 1.0), (2.0, -0.0), (-0.0, 3.0)],
+    # signed zeros, +/-pi, large angles
+    "9-points": [(0.0, 0.0), (0.5, 1.0), (2.0, -0.0), (-0.0, 3.0), (math.pi, -math.pi),
+                 (-1.0, 0.25), (1e6, -1e6), (0.5, -0.5), (6.0, 1.5)],
 }
 
-#: Nine points: signed zeros, +/-pi, large angles.
-NINE_POINTS = [(0.0, 0.0), (0.5, 1.0), (2.0, -0.0), (-0.0, 3.0), (math.pi, -math.pi),
-               (-1.0, 0.25), (1e6, -1e6), (0.5, -0.5), (6.0, 1.5)]
+#: 21 x 21 = 441 points, past ``dist.TUPLE_POINTS``: signed zeros in both wings (one
+#: slot each, reached first at -0.0 on wing 2 and at 0.0 on wing 1), +/-pi, 1e6.
+ANGLES = (0.0, -0.0, 0.5, -0.5, 1.0, 2.0, -2.0, 3.0, math.pi, -math.pi, 0.25, 1.5, 6.0,
+          -1.0, 1e6, -1e6, 0.75, 2.5, -3.0, 4.0, 0.45)
+LARGE_GRID = [(a, b) for a in ANGLES for b in ANGLES[1:] + ANGLES[:1]]
 
 
 def _hex(x):
@@ -155,12 +165,118 @@ def test_tuple_and_array_forms_read_the_same(monkeypatch, name, grid):
     assert tuples == arrays
 
 
-@pytest.mark.parametrize("name", MODELS)
-def test_nine_points_read_the_same_as_tuples(monkeypatch, name):
+@pytest.mark.parametrize("name", ["bell", "counterexample", "first-nan", "tied", "zero-mass"])
+def test_large_grid_reads_the_same_as_tuples(monkeypatch, name):
     model = MODELS[name]()
-    monkeypatch.setattr(dist, "TUPLE_POINTS", 0)
-    arrays = _readings(model, NINE_POINTS)
+    arrays = _readings(model, LARGE_GRID)
     monkeypatch.setattr(dist, "TUPLE_POINTS", 10**9)
-    tuples = _readings(model, NINE_POINTS)
+    tuples = _readings(model, LARGE_GRID)
     assert (tuples.pop("form"), arrays.pop("form")) == ("tuple", "ndarray")
     assert tuples == arrays
+
+
+# ---------------------------------------------------------------------------
+# The reductions on their own
+# ---------------------------------------------------------------------------
+
+#: Each case's points run in both forms: a few with ``TUPLE_POINTS`` patched to 0,
+#: and padded past ``TUPLE_POINTS`` unpatched.
+FORMS = ["patched", "past-the-bound"]
+
+
+def _array_form(monkeypatch, form, entries, pad):
+    """``entries`` (a list) padded with ``pad`` past ``TUPLE_POINTS`` points, or left as
+    they are with the bound patched to 0: the array form either way."""
+    if form == "patched":
+        monkeypatch.setattr(dist, "TUPLE_POINTS", 0)
+        return entries
+    return entries + [pad] * (dist.TUPLE_POINTS + 1 - len(entries))
+
+
+#: A wing marginal over one slot (wing 1 at 0.0), and the ``(lo, hi)`` that
+#: ``min``/``max(at, key=p.__getitem__)`` give: a NaN at the slot's first point is both,
+#: a later NaN neither (plain ``argmin``/``argmax`` would pick it), and ties go to the
+#: first point.
+SPANS = {
+    "nan-after-finite": ([0.5, math.nan, 0.25, 0.75, math.nan], (2, 3)),
+    "nan-first": ([math.nan, 0.25, 0.75, math.nan], (0, 0)),
+    "tied-min-and-max": ([0.5, 0.25, 0.75, 0.25, 0.75], (1, 2)),
+    "signed-zero-min": ([0.5, 0.0, -0.0, 1.0, 1.0], (1, 3)),
+    "flat": ([0.25, 0.25, 0.25], (0, 0)),
+}
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("case", SPANS)
+def test_slot_span_is_min_and_max_by_key(monkeypatch, case, form):
+    values, (lo, hi) = SPANS[case]
+    # the case's slot (wing 1 at 0.0) first; the padding is a second slot (wing 1 at 1.0)
+    points = [(0.0, float(g)) for g in range(len(values))]
+    points = _array_form(monkeypatch, form, points, (1.0, 0.0))
+    p = dist._form(values + [0.5] * (len(points) - len(values)), "float")
+    (slot, *rest), _ = dist._slots(points, "float")
+    assert type(p).__name__ == type(slot).__name__ == "ndarray"
+    assert slot.tolist() == list(range(len(values)))
+    assert (lo, hi) == (min(range(len(values)), key=values.__getitem__),
+                        max(range(len(values)), key=values.__getitem__))
+    span = dist._spans(p, [slot, *rest])[0]
+    assert _hex(span) == _hex((lo, hi, values[lo], values[hi]))
+    assert [type(x) for x in span] == [int, int, float, float]
+    # the tuple form, the reference, reads the same
+    assert _hex(dist._spans(values, [list(range(len(values)))])) == [_hex(span)]
+
+
+#: A flat sweep and the index ``_sweep`` reports: the first NaN, even after the
+#: maximum, else the first strict maximum above zero (a tie goes to the first).
+SWEEPS = {
+    "tie": ([0.0, 0.5, 0.25, 0.5], 1),
+    "nan-after-max": ([0.0, 0.75, 0.5, math.nan, 1.0, math.nan], 3),
+    "nothing-above-zero": ([0.0, -0.0, 0.0], None),
+}
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("case", SWEEPS)
+def test_sweep_reports_the_first_nan_else_first_maximum(monkeypatch, case, form):
+    devs, worst = SWEEPS[case]
+    array = dist._form(_array_form(monkeypatch, form, devs, 0.0), "float")
+    assert type(array).__name__ == "ndarray"
+    assert dist._first_worst(array) == dist._first_worst(devs) == worst
+    if worst is not None:
+        value = dist._at(array, worst)
+        assert type(value) is float and _hex(value) == _hex(devs[worst])
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_slots_follow_first_reach_and_merge_signed_zeros(monkeypatch, form):
+    # wing 1: -0.0 then 0.0 (one slot, reached first at point 0), then 2.0 and 1 / 1.0;
+    # wing 2 is binary: the int 1 and the float 1.0 share a slot
+    points = [(-0.0, 1), (2.0, 0), (0.0, 1.0), (1, 0), (1.0, 1), (2.0, 1)]
+    expected = [[[0, 2], [1, 5], [3, 4]], [[0, 2, 4, 5], [1, 3]]]
+    assert dist._slots(points, "float") == expected  # the tuple form
+    points = _array_form(monkeypatch, form, points, (7.0, 0))
+    slots = dist._slots(points, "float")
+    assert type(slots[0][0]).__name__ == "ndarray"
+    if form == "patched":
+        assert [[s.tolist() for s in wing] for wing in slots] == expected
+    else:  # the padding joins wing 2's slot at 0 and adds wing 1's at 7.0
+        pad = list(range(6, len(points)))
+        assert [[s.tolist() for s in wing] for wing in slots] == [
+            expected[0] + [pad], [expected[1][0], expected[1][1] + pad]]
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_signed_zero_slot_reports_its_first_reached_setting(monkeypatch, form):
+    # wing 1 reaches -0.0, then 0.0: one slot.  Given lambda1 the counterexample pins
+    # a1 to the sign of alpha2 (sign(0) = +1), so P(a1 = +1 | lambda1) is 0 at the first
+    # point and 1 at the second: the first slot of the sweep spans the full deviation 1.
+    model = signalling_counterexample_model()
+    points = [(-0.0, -1.0), (0.0, 1.0)]
+    grid = _array_form(monkeypatch, form, points, (0.5, 1.0))
+    assert type(model.tabulate(grid).K).__name__ == "ndarray"
+    report = model.verify_no_signalling("lambda1", grid)
+    assert _hex(report.worst_case) == _hex({
+        "wing": "a1", "local_setting": -0.0, "outcome": 1, "label": "lambda1",
+        "min_probability": 0.0, "max_probability": 1.0,
+        "min_at_settings": (-0.0, -1.0), "max_at_settings": (0.0, 1.0)})
+    assert _hex(report.max_deviation) == _hex(1.0)

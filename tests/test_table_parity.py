@@ -139,6 +139,20 @@ def test_bell_table_rejects_non_finite_angles():
         bell_table([(0.0, math.nan)])
 
 
+@pytest.mark.parametrize("points", [1, TUPLE_POINTS + 1])
+@pytest.mark.parametrize("last, message", [
+    ((1e308, 1e308), "alpha1 + alpha2 overflows at angles 1e+308, 1e+308"),
+    ((1e308, -1e308), "alpha1 - alpha2 overflows at angles 1e+308, -1e+308"),
+    ((0.5, math.inf), "angle must be finite, got inf"),
+])
+def test_bell_table_names_what_is_not_finite_in_both_forms(points, last, message):
+    # finite angles whose sum alone (or difference alone) overflows, and an infinite
+    # angle, at the last point: the message is bell_expectation's
+    grid = [(0.5, 1.0)] * (points - 1) + [last]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bell_table(grid)
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_checks_report_the_same_with_and_without_tables(name):
     model = MODELS[name]()

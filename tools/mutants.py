@@ -64,12 +64,15 @@ CHECK_TESTS = tuple(f"tests/{name}.py" for name in (
 
 TARGETS = {
     "dist": Target("src/retrobell/dist.py",
-                   ("_normalized", "_form", "_rows", "_table", "_top", "_all"), CHECK_TESTS),
+                   ("_normalized", "_arrays", "_form", "_rows", "_table", "_point_major", "_at",
+                    "_per_point", "_first_worst", "_slots", "_spans", "_all", "_top"),
+                   CHECK_TESTS),
     "backward": Target("src/retrobell/backward.py", (
         "Tabulation.joint", "Tabulation.conditioned", "BackwardModel._sweep",
         "BackwardModel.verify_si", "BackwardModel._no_signalling",
         "BackwardModel._wing_marginal", "BackwardModel.verify_kernel_normalization",
-        "BackwardModel.verify_recovery", "BackwardModel.lc_violation_witness"), CHECK_TESTS),
+        "BackwardModel.verify_recovery", "BackwardModel.lc_violation_witness",
+        "_bell_cosines"), CHECK_TESTS),
 }
 
 
