@@ -392,22 +392,16 @@ class BackwardModel:
                            tab.points)
 
     def verify_no_signalling(
-        self, label: str, settings_grid: Iterable[Sequence]
-    ) -> CheckReport:
-        """No-signalling at a fixed label value.
-
-        For each wing and each value of its local setting on the grid, the
-        wing's conditional outcome probabilities are collected across all
-        remote-setting variations; the deviation is the spread (max minus
-        min) of each such collection.
-        """
-        return self._no_signalling([label], settings_grid)
-
-    def _no_signalling(
         self, labels: Sequence[str], settings_grid: Iterable[Sequence]
     ) -> CheckReport:
-        """No-signalling at every label of ``labels``, from one tabulation: one
-        sweep over (label, wing, local setting, outcome) in that order."""
+        """No-signalling at every label of ``labels`` (one label is ``[label]``): for each
+        label, wing and value of the wing's local setting on the grid, the spread (max
+        minus min) of the wing's conditional outcome probabilities across all remote-
+        setting variations, in one sweep over (label, wing, local setting, outcome)."""
+        if isinstance(labels, str):
+            raise TypeError(f"labels is a sequence of labels: pass [{labels!r}]")
+        if not labels:
+            raise ConstructionError("no labels to check")
         tab = self.tabulate(settings_grid)
         points = tab.points
         # Grid points per (wing, local setting value): each wing's slots, and all of
@@ -504,7 +498,7 @@ def verify_no_signalling_all(
     model: BackwardModel, settings_grid: Sequence[Sequence]
 ) -> CheckReport:
     """No-signalling aggregated over every label of the model."""
-    return model._no_signalling(model.lam.labels, settings_grid)
+    return model.verify_no_signalling(model.lam.labels, settings_grid)
 
 
 # ---------------------------------------------------------------------------

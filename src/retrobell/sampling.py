@@ -53,8 +53,10 @@ RNG_ALGORITHM = "philox4x64"
 #: stream and sampling stops at the exact draw.
 BATCH_RUNS = 1 << 14
 
-#: Per-cell statistical gate: |z| <= 5 keeps the false-alarm probability per
-#: cell below 1e-6, stable for repeated automated runs.
+#: Statistical gate on every z-score, |z| <= 5: a normal approximation, so its
+#: false-alarm rate can be large where n * p is small.  Correct code fails it at
+#: ``sample --model bell --label lambda1 --alpha1 0 --alpha2 0.01 --n 1000 --seed
+#: 100``: one count in a cell of p = 1.25e-5 gives z = 8.83 (and the correlation -6.17).
 Z_GATE = 5.0
 
 DEFAULT_CAP_FACTOR = 100

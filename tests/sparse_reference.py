@@ -2,15 +2,17 @@
 
 This is the dict-based table engine and the per-cell ``assemble_joint`` loop
 that ``retrobell.dist`` and ``BackwardModel`` used before tables became
-dense arrays, kept verbatim as a test oracle.  A table maps full assignment
-tuples to probabilities and stores only nonzero entries.  Nothing in the
-package imports this module.
+dense arrays, kept as a test oracle.  A table maps full assignment tuples to
+probabilities and stores only nonzero entries.  The loop reads each point's
+kernel table once, through :func:`kernel_rows`, which applies the rational
+backend's exactness rule itself.  Nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -234,6 +236,20 @@ def tv_distance(j1: Joint, j2: Joint) -> Prob:
 # ---------------------------------------------------------------------------
 
 
+def kernel_rows(model, settings) -> list[list]:
+    """The kernel at one checked point, ``rows[cell][label]`` with cells in
+    canonical order: the model's table read once, as Python numbers.
+
+    On the rational backend every entry must be exact.
+    """
+    rows = [[k.item() if hasattr(k, "item") else k for k in row]
+            for row in model.kernel.table([tuple(settings)])[0]]
+    inexact = [k for row in rows for k in row if not isinstance(k, numbers.Rational)]
+    if model.backend == RATIONAL and inexact:
+        raise ConstructionError(f"rational tables take exact entries, got {inexact[0]!r}")
+    return rows
+
+
 def assemble_joint(model, settings) -> Joint:
     """The full joint over (outcomes..., lambda) at fixed settings.
 
@@ -243,11 +259,12 @@ def assemble_joint(model, settings) -> Joint:
     settings = model.check_settings(settings)
     variables = model.outcome_variables() + (model.lambda_variable(),)
     weights: dict[tuple, Prob] = {}
-    for combo, base in zip(model._cells(), model._outcome_weights()):
+    cells = zip(model._cells(), model._outcome_weights(), kernel_rows(model, settings),
+                strict=True)
+    for combo, base, row in cells:
         if not base:
             continue
-        for label in model.lam.labels:
-            k = model.kernel.probability(combo, settings, label)
+        for label, k in zip(model.lam.labels, row, strict=True):
             w = base * k
             if w:
                 weights[combo + (label,)] = w

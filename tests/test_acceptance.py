@@ -118,7 +118,7 @@ def test_criterion_3_no_signalling(bell, ghz, prbox, grid):
         )
     counterexample = rb.signalling_counterexample_model()
     ce_report = counterexample.verify_no_signalling(
-        "lambda1", rb.default_grid(counterexample, 16)
+        ["lambda1"], rb.default_grid(counterexample, 16)
     )
     elapsed = time.perf_counter() - start
     ok = (

@@ -175,7 +175,7 @@ class TestVerifySi:
 class TestVerifyNoSignalling:
     def test_bell_passes_with_remote_variation(self, bell_model):
         grid = [(0.0, 0.0), (0.0, PI / 4), (0.0, PI / 2)]
-        rep = bell_model.verify_no_signalling("lambda1", grid)
+        rep = bell_model.verify_no_signalling(["lambda1"], grid)
         assert rep.passed
         # and the conditionals really are 1/2
         for settings in grid:
@@ -184,10 +184,20 @@ class TestVerifyNoSignalling:
 
     def test_counterexample_fails_with_unit_deviation(self, counterexample_model):
         grid = default_grid(counterexample_model, 16)
-        rep = counterexample_model.verify_no_signalling("lambda1", grid)
+        rep = counterexample_model.verify_no_signalling(["lambda1"], grid)
         assert not rep.passed
         assert rep.max_deviation == pytest.approx(1.0, abs=1e-12)
         assert rep.worst_case["wing"] == "a1"
+
+    def test_bare_label_string_is_rejected(self, bell_model):
+        # a str is a sequence of one-letter labels; the error names the list form
+        with pytest.raises(TypeError, match=r"\['lambda1'\]"):
+            bell_model.verify_no_signalling("lambda1", [(0.0, 0.0)])
+
+    def test_no_labels_is_rejected(self, counterexample_model):
+        # a sweep over no labels would pass the signalling model
+        with pytest.raises(ConstructionError, match="no labels"):
+            counterexample_model.verify_no_signalling([], default_grid(counterexample_model, 4))
 
     def test_report_json_shape(self, bell_model, bell_grid):
         rep = verify_no_signalling_all(bell_model, bell_grid)

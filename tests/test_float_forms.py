@@ -148,7 +148,7 @@ def _readings(model, grid):
     for label in labels:
         reads[f"conditioned {label}"] = lambda label=label: tab.conditioned(label)
         reads[f"nosignal {label}"] = (
-            lambda label=label: model.verify_no_signalling(label, grid).to_json_dict())
+            lambda label=label: model.verify_no_signalling([label], grid).to_json_dict())
         reads[f"witness {label}"] = (
             lambda label=label: model.lc_violation_witness(label, grid[0], (1, -1)).to_json_dict())
     return {name: _outcome(read) for name, read in reads.items()}
@@ -274,7 +274,7 @@ def test_signed_zero_slot_reports_its_first_reached_setting(monkeypatch, form):
     points = [(-0.0, -1.0), (0.0, 1.0)]
     grid = _array_form(monkeypatch, form, points, (0.5, 1.0))
     assert type(model.tabulate(grid).K).__name__ == "ndarray"
-    report = model.verify_no_signalling("lambda1", grid)
+    report = model.verify_no_signalling(["lambda1"], grid)
     assert _hex(report.worst_case) == _hex({
         "wing": "a1", "local_setting": -0.0, "outcome": 1, "label": "lambda1",
         "min_probability": 0.0, "max_probability": 1.0,

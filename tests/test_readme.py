@@ -52,6 +52,6 @@ def test_readme_example_gives_the_stated_values():
         else:
             assert value == pytest.approx(expected, abs=1e-12), comment
     truths = [(c, v) for c, v in found if c.split(":")[0] == "True"]
-    assert len(truths) == 4
+    assert len(truths) == 5
     for comment, value in truths:
         assert value is True, comment

@@ -2,7 +2,7 @@
 
 The reference walks the grid one settings point at a time through the frozen
 sparse tables of ``sparse_reference`` (the per-cell ``assemble_joint`` loop,
-``lambda_marginal``, ``condition_on_lambda``, ``make_joint``,
+``kernel_rows``, ``lambda_marginal``, ``condition_on_lambda``, ``make_joint``,
 ``tv_distance``), which share no code with the dense tables.  The dense
 checks must report the same JSON, bit for bit: same deviations, same
 pass/fail and the same first-in-grid-order worst case.
@@ -122,11 +122,8 @@ def oracle_kernel_normalization(model, grid):
     for settings in grid:
         count += 1
         settings = model.check_settings(settings)
-        for combo in itertools.product(OUTCOMES, repeat=len(model.wings)):
-            values = [
-                model.kernel.probability(combo, settings, label)
-                for label in model.lam.labels
-            ]
+        cells = itertools.product(OUTCOMES, repeat=len(model.wings))
+        for combo, values in zip(cells, ref.kernel_rows(model, settings), strict=True):
             range_excess = max(max(-k, k - 1) for k in values)
             dev = max(abs(sum(values) - 1), range_excess)
             # the first NaN deviation wins and is never displaced
@@ -177,7 +174,7 @@ def check_pairs(model):
     for label in model.lam.labels:
         pairs.append((
             f"no_signalling[{label}]",
-            lambda g, label=label: model.verify_no_signalling(label, g),
+            lambda g, label=label: model.verify_no_signalling([label], g),
             lambda g, label=label: oracle_no_signalling(model, label, g),
         ))
     if model.quantum_targets:
@@ -265,7 +262,7 @@ def test_no_signalling_worst_case_is_first_in_grid_order():
     model, grid = _mutual_model(), [(5, 1), (1, 1), (-1, 1), (1, -1)]
     for name, dense, oracle in check_pairs(model):
         assert _text(dense(grid)) == _text(oracle(grid)), name
-    rep = model.verify_no_signalling("L1", grid)
+    rep = model.verify_no_signalling(["L1"], grid)
     assert rep.max_deviation == 1.0
     assert rep.worst_case["wing"] == "a2"
     assert rep.worst_case["max_at_settings"] == (5.0, 1.0)
@@ -286,7 +283,7 @@ def test_no_signalling_tie_across_labels_names_the_first_label():
     for name, dense, oracle in check_pairs(model):
         assert _text(dense(grid)) == _text(oracle(grid)), name
     rep = verify_no_signalling_all(model, grid)
-    assert rep.max_deviation == model.verify_no_signalling("L2", grid).max_deviation == 1.0
+    assert rep.max_deviation == model.verify_no_signalling(["L2"], grid).max_deviation == 1.0
     assert rep.worst_case["label"] == "L1"
 
 
@@ -410,7 +407,7 @@ def test_zero_mass_label_raises_null_evidence():
     grid = [(0.0, 0.0), (2.0, 0.0)]
     _assert_same_error(
         NullEvidenceError,
-        lambda g: model.verify_no_signalling("L1", g),
+        lambda g: model.verify_no_signalling(["L1"], g),
         lambda g: oracle_no_signalling(model, "L1", g),
         grid,
     )
@@ -441,18 +438,15 @@ def test_float_weight_on_rational_backend_raises():
 
     model = _two_label_model(kernel, backend="rational", p_plus=Fraction(1, 2), kind=BINARY)
     for name, dense, oracle in check_pairs(model):
-        if name == "kernel_norm":
-            # the reference reads entries unchecked; the dense table rejects the float
-            with pytest.raises(ConstructionError, match="exact entries"):
-                dense([(0, 1)])
-        else:
-            _assert_same_error(ConstructionError, dense, oracle, [(0, 1)])
+        for check in (dense, oracle):
+            with pytest.raises(ConstructionError, match="exact entries, got 0.5"):
+                check([(0, 1)])
 
 
 def test_unknown_label_raises(bell_model):
     _assert_same_error(
         ConstructionError,
-        lambda g: bell_model.verify_no_signalling("lambda9", g),
+        lambda g: bell_model.verify_no_signalling(["lambda9"], g),
         lambda g: oracle_no_signalling(bell_model, "lambda9", g),
         [(0.0, 0.0)],
     )

@@ -47,7 +47,7 @@ def _checks(model):
         checks["recovery"] = model.verify_recovery
     for label in model.lam.labels:
         checks[f"no_signalling[{label}]"] = (
-            lambda g, label=label: model.verify_no_signalling(label, g))
+            lambda g, label=label: model.verify_no_signalling([label], g))
     return checks
 
 

@@ -18,8 +18,11 @@ and 2^64 - 1) on 1 and 3 threads and just past it (2^64), ``verify --checks nosi
 (bell and counterexample at grids 1, 3 and 5), ``verify`` on bell and
 counterexample at grids 2, 3 and 16 (4, 9 and 256 points, tabulated as
 tuples) and 21 (441 points, the first grid beyond ``retrobell.dist.TUPLE_POINTS``,
-as arrays), a cap failure and the usage-error paths, finite bell angles whose
-sum overflows among them.
+as arrays), a cap failure and every usage-error path of ``retrobell.cli``,
+finite bell angles whose sum overflows among them, ``--output`` to a file and
+to a directory that does not exist, and the known statistical-gate failure on
+correct code.  What a config file holds and ``$RETROBELL_SEED`` need a file or
+an environment per command, so ``tests/test_cli.py`` covers them instead.
 A full census takes a few seconds.
 """
 
@@ -100,6 +103,39 @@ FAILING = [
      "--n", "10"),
 ]
 
+#: More bad input, one argv per usage error of ``retrobell.cli`` the lists above
+#: never reach: each exits 2.
+USAGE_ERRORS = [
+    ("chsh", "--model", "bell", "--angles", "0,,1,2"),
+    ("chsh", "--model", "bell", "--angles", "a,b,c,d"),
+    ("chsh", "--model", "bell", "--angles", "nan,0,0,0"),
+    ("sample", "--model", "ghz", "--label", "0", "--n", "10"),
+    ("verify", "--model", "bell", "--checks", ""),
+    ("verify", "--model", "bell", "--checks", "si,si"),
+    ("verify", "--model", "counterexample", "--checks", "recovery"),
+    ("chsh",),
+    ("chsh", "--model", "prbox", "--angles", "0,1,0,1"),
+    ("chsh", "--model", "bell", "--settings", "0,1,0,1"),
+    ("chsh", "--model", "bell", "--scan", "--angles", "0,1,2,3"),
+    ("chsh", "--model", "bell"),
+    ("--config=/nonexistent/census.cfg", "verify", "--model", "bell"),
+    ("--config", "/", "verify", "--model", "bell"),  # a directory: it cannot be read
+]
+
+#: ``--output``: written (exit 0), and a directory that does not exist (exit 3).
+OUTPUT = [
+    ("verify", "--model", "bell", "--grid", "4", "--output", "/dev/null"),
+    ("verify", "--model", "bell", "--grid", "4", "--output", "/nonexistent/dir/report.json"),
+]
+
+#: Correct code that fails a statistical gate: each |z| <= 5 gate is a normal
+#: approximation, which does not hold in a cell where n * p is small (here one
+#: count where p = 1.25e-5, z = 8.83).  It exits 1 until the gates account for it.
+GATE_COUNTEREXAMPLES = [
+    ("sample", "--model", "bell", "--label", "lambda1", "--alpha1", "0", "--alpha2", "0.01",
+     "--n", "1000", "--seed", "100"),
+]
+
 
 def argvs() -> list[tuple[str, ...]]:
     """The census commands, in a fixed order and without repeats."""
@@ -125,6 +161,7 @@ def argvs() -> list[tuple[str, ...]]:
     commands += FAILING
     commands += [("verify", "--model", m, "--grid", g)
                  for m in ("bell", "counterexample") for g in ("16", "21")]
+    commands += USAGE_ERRORS + OUTPUT + GATE_COUNTEREXAMPLES
     return list(dict.fromkeys(commands))
 
 

@@ -69,7 +69,7 @@ TARGETS = {
                    CHECK_TESTS),
     "backward": Target("src/retrobell/backward.py", (
         "Tabulation.joint", "Tabulation.conditioned", "BackwardModel._sweep",
-        "BackwardModel.verify_si", "BackwardModel._no_signalling",
+        "BackwardModel.verify_si", "BackwardModel.verify_no_signalling",
         "BackwardModel._wing_marginal", "BackwardModel.verify_kernel_normalization",
         "BackwardModel.verify_recovery", "BackwardModel.lc_violation_witness",
         "_bell_cosines"), CHECK_TESTS),
