@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 
 #: Each public name, by the module that defines it.  Names resolve on first
 #: use, so ``import retrobell`` loads no module, and numpy loads only for
-#: float tables of more than ``dist.TUPLE_POINTS`` (400) points, ``Joint``
-#: tables and the sampler (``sampling``).
+#: float tables of more than ``dist.TUPLE_POINTS`` (400) points and the
+#: sampler (``sampling``).
 _EXPORTS = {
     "backward": (
         "ANGLE", "BINARY", "BackwardModel", "ColliderKernel", "LambdaSpace", "Wing",

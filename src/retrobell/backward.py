@@ -308,7 +308,8 @@ class BackwardModel:
         :attr:`Tabulation.joint`.
         """
         T, _ = self.tabulate([settings]).joint
-        return self._one_point(T[0], self.outcome_variables() + (self.lambda_variable(),))
+        return self._one_point(itertools.chain(*T[0]),
+                               self.outcome_variables() + (self.lambda_variable(),))
 
     def lambda_marginal(self, settings: Sequence) -> Joint:
         """P(lambda | settings): outcomes summed out of the one-point joint."""
@@ -324,12 +325,9 @@ class BackwardModel:
         P = self.tabulate([settings]).conditioned(label)[0]
         return self._one_point(P, self.outcome_variables())
 
-    def _one_point(self, rows, variables: tuple[Variable, ...]) -> Joint:
-        """One point's table as a ``Joint``: an ``object`` array of Fractions if rational."""
-        import numpy as np
-
-        table = np.array(rows, dtype=object if self.backend == RATIONAL else float)
-        return Joint(variables, table.reshape([len(v.domain) for v in variables]), self.backend)
+    def _one_point(self, entries: Iterable[Prob], variables: tuple[Variable, ...]) -> Joint:
+        """One point's entries, in canonical order, as a ``Joint``."""
+        return Joint(variables, tuple(entries), self.backend)
 
     # -- checked properties --------------------------------------------------
 

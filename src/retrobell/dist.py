@@ -3,13 +3,12 @@
 Joint distributions over named variables with small finite domains: the
 one-point tables that ``BackwardModel.assemble_joint``, ``lambda_marginal``
 and ``condition_on_lambda`` return, and the operations on them.  A
-table is dense: an array with one axis per variable, indexed by domain
-position, so every assignment of the Cartesian product has an entry and a
-zero entry means probability zero.  Two numeric backends share one code
-path: exact rational arithmetic (an ``object`` array of
-``fractions.Fraction``) for models whose probabilities are rational, and
-float64 for models parameterized by continuous measurement angles.  A
-single table never mixes backends.
+table is dense: a flat tuple of Python numbers, one per assignment of the
+Cartesian product in canonical order, so a zero entry means probability
+zero.  Two numeric backends share one code path: exact rational arithmetic
+(``fractions.Fraction`` entries) for models whose probabilities are
+rational, and floats for models parameterized by continuous measurement
+angles.  A single table never mixes backends, and none needs numpy.
 
 Every total -- a normalization, a marginal, the mass of a condition, a
 total-variation distance -- is a left-to-right sum in canonical assignment
@@ -32,12 +31,9 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .reports import FLOAT_TOL  # noqa: F401 (a public name of this module)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -87,15 +83,14 @@ class Joint:
     """Normalized joint distribution over an ordered tuple of variables.
 
     Build tables with :func:`make_joint`, which validates and normalizes raw
-    weights; the constructor takes an already normalized array.  The array
-    has one axis per variable, in the order of ``variables``, indexed by
-    domain position: float64, or ``object`` holding Fractions on the
-    rational backend.  Read it through ``items()``.
+    weights; the constructor takes already normalized entries: a tuple with
+    one number per assignment, in canonical order, floats or (on the
+    rational backend) Fractions.  Read them through ``items()``.
     """
 
     __slots__ = ("variables", "backend", "_table")
 
-    def __init__(self, variables: tuple[Variable, ...], table: np.ndarray, backend: str):
+    def __init__(self, variables: tuple[Variable, ...], table: tuple[Prob, ...], backend: str):
         self.variables = variables
         self.backend = backend
         self._table = table
@@ -110,8 +105,7 @@ class Joint:
 
     def items(self) -> Iterator[tuple[tuple, Prob]]:
         """Nonzero (assignment, probability) pairs in canonical order."""
-        entries = zip(self.assignments(), self._table.ravel().tolist())
-        return ((a, p) for a, p in entries if p)
+        return ((a, p) for a, p in zip(self.assignments(), self._table) if p)
 
 
 def _check_variables(variables: Iterable[Variable]) -> tuple[Variable, ...]:
@@ -122,14 +116,6 @@ def _check_variables(variables: Iterable[Variable]) -> tuple[Variable, ...]:
     if len(set(names)) != len(names):
         raise ConstructionError(f"duplicate variable names: {names}")
     return vs
-
-
-def _running_sum(x: np.ndarray, axis: int | None = None):
-    """Sum left to right from 0 in canonical order (``np.sum`` adds pairwise):
-    along ``axis``, or over every entry when ``axis`` is None."""
-    if axis is None:
-        return sum(x.ravel().tolist())
-    return sum(x.take(i, axis) for i in range(x.shape[axis]))
 
 
 def _normalized(W, backend: str):
@@ -321,20 +307,18 @@ def make_joint(
     if backend not in (RATIONAL, FLOAT):
         raise ConstructionError(f"unknown backend {backend!r}")
 
-    import numpy as np
-
-    shape = tuple(len(v.domain) for v in vs)
-    W = np.zeros(shape) if backend == FLOAT else np.full(shape, 0, dtype=object)
+    W = [0.0 if backend == FLOAT else 0] * math.prod(len(v.domain) for v in vs)
     for key, w in weights.items():
         key = tuple(key)
         if len(key) != len(vs):
             raise ConstructionError(f"assignment {key} has wrong arity (want {len(vs)})")
+        at = 0  # the assignment's place in canonical order
         for value, v in zip(key, vs):
             if value not in v.domain:
                 raise ConstructionError(f"value {value!r} not in domain of {v.name!r}")
-        W[tuple(v.domain.index(value) for value, v in zip(key, vs))] = w
-    table = np.array(_normalized(W.reshape(1, -1), backend)[0], dtype=W.dtype)
-    return Joint(vs, table.reshape(shape), backend)
+            at = at * len(v.domain) + v.domain.index(value)
+        W[at] = float(w) if backend == FLOAT else w
+    return Joint(vs, _normalized([W], backend)[0], backend)
 
 
 def marginalize(j: Joint, keep: Iterable[str]) -> Joint:
@@ -348,12 +332,16 @@ def marginalize(j: Joint, keep: Iterable[str]) -> Joint:
     unknown = keep_set - known
     if unknown:
         raise VariableMismatchError(f"unknown variables in keep: {sorted(unknown)}")
-    idx = [i for i, v in enumerate(j.variables) if v.name in keep_set]
-    if not idx:
+    kept = tuple(v for v in j.variables if v.name in keep_set)
+    if not kept:
         raise VariableMismatchError("cannot marginalize away every variable")
-    kept = j._table.transpose(idx + [i for i in range(len(j.variables)) if i not in idx])
-    table = _running_sum(kept.reshape(kept.shape[:len(idx)] + (-1,)), axis=-1)
-    return Joint(tuple(j.variables[i] for i in idx), table, j.backend)
+    # each entry keyed by its kept values (None for a variable summed out): a key's
+    # entries are summed from 0 in canonical order, and keys first occur in theirs
+    values = [v.domain if v.name in keep_set else (None,) * len(v.domain) for v in j.variables]
+    total = {}
+    for key, p in zip(itertools.product(*values), j._table):
+        total[key] = total.get(key, 0) + p
+    return Joint(kept, tuple(total.values()), j.backend)
 
 
 def condition(j: Joint, evidence: Mapping[str, object]) -> Joint:
@@ -366,7 +354,7 @@ def condition(j: Joint, evidence: Mapping[str, object]) -> Joint:
     silent NaN).
     """
     name_to_pos = {v.name: i for i, v in enumerate(j.variables)}
-    at = [slice(None)] * len(j.variables)
+    at = {}  # each pinned variable's domain position
     for name, value in evidence.items():
         if name not in name_to_pos:
             raise VariableMismatchError(f"unknown evidence variable {name!r}")
@@ -375,15 +363,14 @@ def condition(j: Joint, evidence: Mapping[str, object]) -> Joint:
             raise VariableMismatchError(f"value {value!r} not in domain of {name!r}")
         at[name_to_pos[name]] = var.domain.index(value)
 
-    import numpy as np
-
-    sliced = j._table[tuple(at) + (...,)]
-    mass = _running_sum(sliced)
+    # per variable, whether each domain position agrees with the evidence
+    hits = [[at.get(i, k) == k for k in range(len(v.domain))] for i, v in enumerate(j.variables)]
+    sliced = [p for hit, p in zip(itertools.product(*hits), j._table) if all(hit)]
+    mass = sum(sliced)
     if mass == 0:
         raise NullEvidenceError(f"evidence {dict(evidence)} has probability zero")
     rest = tuple(v for v in j.variables if v.name not in evidence)
-    # a 0-d quotient is a scalar; the table stays an array
-    return Joint(rest, np.asarray(sliced / mass), j.backend)
+    return Joint(rest, tuple(p / mass for p in sliced), j.backend)
 
 
 def tv_distance(j1: Joint, j2: Joint) -> Prob:
@@ -396,5 +383,5 @@ def tv_distance(j1: Joint, j2: Joint) -> Prob:
         raise VariableMismatchError(
             f"variable spaces differ: {j1.names} vs {j2.names}"
         )
-    return _running_sum(abs(j1._table - j2._table)) / 2
+    return sum(abs(p - q) for p, q in zip(j1._table, j2._table)) / 2
 

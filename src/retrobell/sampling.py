@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .backward import BackwardModel
-from .dist import FLOAT, _normalized, _running_sum
+from .dist import FLOAT, _normalized
 from .dist import make_joint  # noqa: F401 (bench/tracing.py patches this name)
 from .reports import fields_json
 
@@ -410,8 +410,8 @@ def sample_postselected(
         rng_algorithm=RNG_ALGORITHM,
         backend=model.backend,
         cells=tuple(cells),
-        tv_distance=float(_running_sum(abs(
-            _normalized((counts / n)[None], FLOAT)[0] - np.asarray(exact, dtype=float))) / 2),
+        tv_distance=sum(abs(e - float(p)) for e, p in zip(
+            _normalized([(counts / n).tolist()], FLOAT)[0], exact)) / 2,
         max_abs_z=max_abs_z,
         z_gate=Z_GATE,
         acceptance=acceptance,

@@ -215,7 +215,8 @@ def condition(j: Joint, evidence: Mapping[str, object]) -> Joint:
 
 
 def tv_distance(j1: Joint, j2: Joint) -> Prob:
-    """Total-variation distance: half the sum of absolute entry differences.
+    """Total-variation distance: half the sum of absolute entry differences,
+    taken left to right over the canonical assignments.
 
     The joints must range over the same variables (names, domains, and
     order).  Backends may differ; a mixed comparison yields a float.
@@ -224,11 +225,7 @@ def tv_distance(j1: Joint, j2: Joint) -> Prob:
         raise VariableMismatchError(
             f"variable spaces differ: {j1.names} vs {j2.names}"
         )
-    keys = set(dict(j1.items())) | set(dict(j2.items()))
-    acc = 0
-    for k in keys:
-        acc = acc + abs(j1.prob(k) - j2.prob(k))
-    return acc / 2
+    return sum(abs(j1.prob(a) - j2.prob(a)) for a in j1.assignments()) / 2
 
 
 # ---------------------------------------------------------------------------

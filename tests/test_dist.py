@@ -279,10 +279,6 @@ def test_dense_ops_equal_sparse_reference(table, backend, data):
         other_weights = {k: w / 3 for k, w in other_weights.items()}
     dense2 = make_joint(variables, other_weights, backend)
     sparse2 = ref.make_joint(variables, other_weights, backend)
-    expected = sum(
-        abs(sparse.prob(a) - sparse2.prob(a)) for a in sparse.assignments()
-    ) / 2
+    expected = ref.tv_distance(sparse, sparse2)
     got = tv_distance(dense, dense2)
     assert got == expected and type(got) is type(expected)
-    if backend == RATIONAL:
-        assert got == ref.tv_distance(sparse, sparse2)

@@ -242,3 +242,34 @@ def test_exact_commands_run_with_numpy_blocked(argv, fmt):
         code = main(list(argv))
     assert code == (1 if "counterexample" in argv else 0)  # its checks fail, as they should
     assert proc.stdout == f"{code}\n{out.getvalue()}"
+
+
+#: The one-point tables of ghz, prbox and bell (at one point), and the table
+#: operations on a rational table: ``tables`` holds each ``list(j.items())``,
+#: then a ``tv_distance``.
+LIBRARY_CALLS = """
+from fractions import Fraction
+import retrobell as rb
+tables = []
+for model, settings, label in [(rb.ghz_backward_model(), (0, 1, 1), "lambda0"),
+                               (rb.pr_backward_model(), (1, 1), "lambda_pr"),
+                               (rb.bell_backward_model(), (0.3, 1.1), "lambda1")]:
+    tables += [model.assemble_joint(settings), model.lambda_marginal(settings),
+               model.condition_on_lambda(label, settings)]
+a, b = rb.Variable("a", (1, -1)), rb.Variable("b", (0, 1, 2))
+j = rb.make_joint((a, b), {(1, 0): 3, (1, 2): Fraction(1, 2), (-1, 1): 2}, rb.RATIONAL)
+tables += [j, rb.marginalize(j, ["b"]), rb.condition(j, {"a": 1})]
+tables = [list(t.items()) for t in tables]
+tables.append(rb.tv_distance(j, rb.make_joint((a, b), {(1, 0): 1}, rb.RATIONAL)))
+"""
+
+
+def test_joint_tables_build_with_numpy_blocked():
+    script = (f"import sys\nsys.path.insert(0, {str(SRC)!r})\nsys.modules['numpy'] = None\n"
+              f"{LIBRARY_CALLS}\nprint(repr(tables))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    namespace = {}
+    exec(LIBRARY_CALLS, namespace)
+    assert proc.stdout == f"{namespace['tables']!r}\n"

@@ -305,10 +305,10 @@ def _skewed_model():
 
 
 def test_failing_recovery_matches_reference_to_rounding():
-    # The dense recovery sums |P - Q| in canonical cell order; tv_distance
-    # sums in the iteration order of a set of keys.  When recovery fails by
-    # more than rounding the two can differ in the last bit, and a tie
-    # between two grid points can then resolve to either point.
+    # The dense recovery and the reference's tv_distance both sum |P - Q| in
+    # canonical cell order, but over tables each side builds its own way.  When
+    # recovery fails by more than rounding the two can differ in the last bit,
+    # and a tie between two grid points can then resolve to either point.
     model = _skewed_model()
     grid = default_grid(model, 16)
     dense, ref = model.verify_recovery(grid), oracle_recovery(model, grid)

@@ -65,7 +65,8 @@ CHECK_TESTS = tuple(f"tests/{name}.py" for name in (
 TARGETS = {
     "dist": Target("src/retrobell/dist.py",
                    ("_normalized", "_arrays", "_form", "_rows", "_table", "_point_major", "_at",
-                    "_per_point", "_first_worst", "_slots", "_spans", "_all", "_top"),
+                    "_per_point", "_first_worst", "_slots", "_spans", "_all", "_top",
+                    "make_joint", "marginalize", "condition", "tv_distance"),
                    CHECK_TESTS),
     "backward": Target("src/retrobell/backward.py", (
         "Tabulation.joint", "Tabulation.conditioned", "BackwardModel._sweep",
