@@ -34,12 +34,14 @@ each check and stock table is one formula over their rows (``dist._rows``).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .dist import (
@@ -56,7 +58,8 @@ from .dist import (
     _first_worst,
     _form,
     _normalized,
-    _per_point,
+    _overflow_quietly,
+    _per_value,
     _point_major,
     _rows,
     _slots,
@@ -197,7 +200,8 @@ def entry_table(
 
 @dataclass(frozen=True, eq=False)
 class Tabulation(Sequence):
-    """A model's grid checked (``points``) and kernel tabulated (``K``) by ``tabulate``,
+    """A model's grid checked (``points``) and kernel tabulated (``K``) by ``tabulate``, with
+    the target table ``Q`` a collider's kernel was built from (else None: recovery fills it),
     and the tables derived from them: ``joint``, built on first use, and ``conditioned``.
     A sequence of the checked points, it stands in for the grid anywhere.  Each table
     is in ``K``'s form (:func:`_form`) and computed by one formula over the rows of
@@ -206,6 +210,7 @@ class Tabulation(Sequence):
     model: BackwardModel
     points: list[tuple]
     K: np.ndarray | tuple
+    Q: np.ndarray | tuple | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -215,14 +220,17 @@ class Tabulation(Sequence):
 
     @cached_property
     def joint(self) -> tuple:
-        """``(T, M)``: the joint ``T[point][cell][label]`` and its marginal ``M[point][label]``."""
+        """``(T, M)``: the joint ``T[point][cell][label]`` and its marginal ``M[point][label]``,
+        with no more than two tables of ``K``'s size alive at once: the weights are released
+        once normalized, and the normalized rows once stacked."""
         base = self.model._outcome_weights()
-        # 0 + w turns -0.0 into 0.0; a zero-marginal cell weighs 0 (k ** 0 is 1, NaN too)
-        W = [[0 + k * b if b else k ** 0 * b for row, b in zip(cells, base) for k in row]
-             for cells in _rows(self.K)]
         n = len(self.model.lam.labels)  # each row of cells x labels, regrouped by cell
-        T = [tuple(zip(*[iter(t)] * n)) for t in _normalized(W, self.model.backend)]
-        return _table(T), _table([tuple(map(sum, zip(*t))) for t in T])
+        # 0 + w turns -0.0 into 0.0; a zero-marginal cell weighs 0 (k ** 0 is 1, NaN too)
+        T = [tuple(zip(*[iter(t)] * n)) for t in _normalized(
+            [[0 + k * b if b else k ** 0 * b for row, b in zip(cells, base) for k in row]
+             for cells in _rows(self.K)], self.model.backend)]
+        M = _table([tuple(map(sum, zip(*t))) for t in T])
+        return _table(T), M
 
     def conditioned(self, label: str):
         """P(cell | settings, label) at every point, the label-conditioned outcome
@@ -332,19 +340,35 @@ class BackwardModel:
     # -- checked properties --------------------------------------------------
 
     def tabulate(self, settings_grid: Iterable[Sequence]) -> Tabulation:
-        """The grid checked point by point and its kernel ``K[point][cell][label]`` filled
-        once for any number of checks; this model's own tabulation comes back as is.
+        """The grid checked and its kernel ``K[point][cell][label]`` filled once (a collider's
+        from its target table, filled once too) for any number of checks; this model's own
+        tabulation comes back as is.
 
         Cells are the outcome combos in canonical order; ``K`` is in the form of :func:`_form`.
         """
         if isinstance(settings_grid, Tabulation) and settings_grid.model is self:
             return settings_grid
-        # each point is read once and checked in grid order
-        points = [self.check_settings(s) for s in settings_grid]
+        points = self._checked(list(settings_grid))
         if not points:
             raise ConstructionError("empty settings grid")
-        K = self._fill(points, self.kernel.table, len(self.lam.labels))
-        return Tabulation(self, points, K)
+        table, Q = self.kernel.table, None
+        if getattr(table, "targets", 0) is self.target_table:  # a collider of the target table
+            Q = self._fill(points, self.target_table, len(self.quantum_targets))
+            table = partial(table, Q=Q)
+        return Tabulation(self, points, self._fill(points, table, len(self.lam.labels)), Q)
+
+    def _checked(self, grid: list) -> list[tuple]:
+        """``check_settings`` of each point of ``grid``: the grid's own tuples if each wing's
+        column is floats (angle) or ints (binary) whose distinct values check to themselves
+        (``is``), as every equal value of that type then does, 0.0 and -0.0 alike."""
+        kinds = [float if w.setting_kind == ANGLE else int for w in self.wings]
+        if set(map(type, grid)) == {tuple} and set(map(len, grid)) == {len(kinds)}:
+            with contextlib.suppress(ConstructionError):  # a bad value: found again in grid order
+                if all(set(map(type, map(itemgetter(i), grid))) == {kind} and all(
+                        w.check_setting(x) is x for x in set(map(itemgetter(i), grid)))
+                       for i, (w, kind) in enumerate(zip(self.wings, kinds))):
+                    return grid
+        return [self.check_settings(s) for s in grid]
 
     def _fill(self, points: list[tuple], table, width: int):
         """``table(points)`` as ``X[point][cell]`` of ``width`` values, its shape checked,
@@ -460,7 +484,8 @@ class BackwardModel:
             )
         tab = self.tabulate(settings_grid)
         labels = self.quantum_targets
-        W = _rows(self._fill(tab.points, self.target_table, len(labels)))
+        W = _rows(self._fill(tab.points, self.target_table, len(labels))
+                  if tab.Q is None else tab.Q)
         tv = []  # per label, its distance in every row
         for t, label in enumerate(labels):
             Q = _normalized([[row[t] for row in cells] for cells in W], self.backend)
@@ -561,12 +586,16 @@ def collider_model(name: str, wings: tuple[Wing, ...], lam: LambdaSpace, targets
     scale = [float(s) if backend == FLOAT else s for s in normalization.values()]
     rest = len(lam.labels) > len(targets)
 
-    def table(points):
+    def table(points, Q=None):  # Q: the target table at points, if tabulate filled it
+        Q = _form(target_table(points), backend) if Q is None else Q
+        if backend == FLOAT and not rest and all(s == 1 for s in scale):
+            return Q  # at scale 1 (bell's) the kernel is the target table itself
         K = [[tuple(x * s for x, s in zip(row, scale, strict=True)) for row in cells]
-             for cells in _rows(_form(target_table(points), backend))]
+             for cells in _rows(Q)]
         return _table([tuple(row + (1 - sum(row),) if rest else row for row in cells)
                        for cells in K])
 
+    table.targets = target_table  # on the table: a model given another table or targets reads both
     kernel = ColliderKernel(lam.labels, table, normalization)
     return BackwardModel(name, wings, lam, kernel, backend, targets, target_table)
 
@@ -603,31 +632,29 @@ def pr_backward_model() -> BackwardModel:
 _BELL_SIGNS = [[r * c for c in (1.0, -1.0, -1.0, 1.0)] for r in (1.0, -1.0, -1.0, 1.0)]
 
 
-def _bell_cosines(point: Sequence[float]) -> tuple[float, float]:
-    """cos(alpha1 - alpha2) and cos(alpha1 + alpha2), as :func:`bell_expectation` gives
-    them for states 1 and 4, which raises if an angle, the difference or the sum is not finite."""
-    alpha1, alpha2 = map(float, point)
-    diff, total = alpha1 - alpha2, alpha1 + alpha2
-    if not (math.isfinite(diff) and math.isfinite(total)):
-        bell_expectation(1, alpha1, alpha2)
-        bell_expectation(4, alpha1, alpha2)
-    return math.cos(diff), math.cos(total)
-
-
 def bell_table(points: Iterable[Sequence[float]]) -> np.ndarray | tuple:
     """:func:`bell_prob` over many angle pairs: ``P[point][pair][state - 1]``, one formula
     over the rows of the float ``dist._form`` (tuples at up to ``dist.TUPLE_POINTS`` points).
 
     Outcome pairs run (1, 1), (1, -1), (-1, 1), (-1, -1).  Every entry equals
-    the scalar call bit for bit: the two cosines of a point are
-    :func:`~retrobell.quantum.bell_expectation`'s (``math.cos``, which ``np.cos``
-    may differ from in the last ulp; an angle sum that overflows raises), computed
-    once per point, and the arithmetic after them is the scalar formula's, with
-    ``a1 * a2`` times the cosine's sign exactly +/-1.
+    the scalar call bit for bit: the two cosines, cos(alpha1 - alpha2) and
+    cos(alpha1 + alpha2), are :func:`~retrobell.quantum.bell_expectation`'s
+    (``math.cos``, which ``np.cos`` may differ from in the last ulp), taken once per
+    point of the tuple form and once per distinct argument of the array form
+    (``dist._per_value``), and the arithmetic after them is the scalar formula's, with
+    ``a1 * a2`` times the cosine's sign exactly +/-1.  An angle, difference or sum that
+    is not finite raises ``bell_expectation``'s error at the first such point.
     """
-    cosines = _per_point(_bell_cosines, list(points), 2)
+    points = list(points)
+    with _overflow_quietly():
+        rows = [(a1 - a2, a1 + a2) for a1, a2 in _rows(_form(points, FLOAT))]
+    if not _all((abs(d) < math.inf) & (abs(t) < math.inf) for d, t in rows):
+        for alpha1, alpha2 in points:
+            bell_expectation(1, float(alpha1), float(alpha2))
+            bell_expectation(4, float(alpha1), float(alpha2))
+    cosines = [(_per_value(math.cos, d), _per_value(math.cos, t)) for d, t in rows]
     return _table([tuple(tuple(0.25 * (1.0 + s * c) for s, c in zip(signs, (d, d, t, t)))
-                         for signs in _BELL_SIGNS) for d, t in _rows(cosines)])
+                         for signs in _BELL_SIGNS) for d, t in cosines])
 
 
 def bell_backward_model() -> BackwardModel:

@@ -66,7 +66,8 @@ sample_postselected = _on_call(".sampling", "sample_postselected")
 ENV_SEED = "RETROBELL_SEED"
 
 #: Largest ``verify --grid``: memory grows as grid**2, and ``verify --model bell
-#: --grid 256`` peaks at ~74 MiB RSS (x86-64), 8 MiB of it the kernel tensor.
+#: --grid 256`` peaks at ~68 MiB RSS (x86-64), 8 MiB of it the kernel tensor
+#: (bell's kernel is its target table, so recovery reads the same 8 MiB).
 MAX_GRID = 256
 
 #: Largest ``emit-curve --points``: each row costs a few microseconds and

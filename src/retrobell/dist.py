@@ -26,11 +26,14 @@ a fresh table, so values may be shared freely across threads.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .reports import FLOAT_TOL  # noqa: F401 (a public name of this module)
@@ -198,15 +201,24 @@ def _at(xs, i):
     return x.item() if hasattr(x, "item") else x
 
 
-def _per_point(func, points: list, width: int):
-    """The float table ``X[point][k]`` of ``func(point)``, ``width`` numbers per point,
-    in its form; past ``TUPLE_POINTS`` points ``np.fromiter`` fills the array without
-    keeping a tuple per point."""
-    if not _arrays(len(points), FLOAT):
-        return _form([func(point) for point in points], FLOAT)
+def _per_value(func, x):
+    """``func(x)`` of a number, or of each entry of a float64 column, called once per distinct
+    value (by ``==``: ``func`` must not tell 0.0 from -0.0) and gathered back."""
+    if not getattr(x, "ndim", 0):
+        return func(x)
     import numpy as np
 
-    return np.fromiter(map(func, points), np.dtype((float, width)), len(points))
+    order, starts = _runs(x)
+    values = np.fromiter(map(func, x[order[starts]].tolist()), float, len(starts))
+    out = np.empty_like(x)
+    out[order] = np.repeat(values, np.diff(starts, append=len(x)))
+    return out
+
+
+def _overflow_quietly():
+    """A context where float64 columns overflow to inf silently, as Python floats do."""
+    np = sys.modules.get("numpy")  # no column exists before numpy loads
+    return np.errstate(over="ignore") if np else contextlib.nullcontext()
 
 
 def _first_worst(devs) -> int | None:
@@ -238,13 +250,21 @@ def _slots(points: list, backend: str) -> list[list]:
     import numpy as np
 
     found = []
-    for column in np.array(points, dtype=float).T:
-        order = np.argsort(column, kind="stable")  # equal entries keep their positions' order
-        x = column[order]
-        starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    for i in range(len(points[0])):  # column by column: faster than an array of tuples
+        order, starts = _runs(np.fromiter(map(itemgetter(i), points), float, len(points)))
         slots = np.split(order, starts[1:])
         found.append([slots[k] for k in np.argsort(order[starts], kind="stable")])
     return found
+
+
+def _runs(column):
+    """``(order, starts)``: a float64 column's stable ``argsort`` (equal entries keep their
+    positions' order) and where each run of equal entries starts in it."""
+    import numpy as np
+
+    order = np.argsort(column, kind="stable")
+    x = column[order]
+    return order, np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
 
 
 def _spans(p, slots: list) -> list[tuple]:

@@ -25,6 +25,8 @@ from retrobell import (
     ConstructionError,
     LambdaSpace,
     Wing,
+    bell_table,
+    collider_model,
     default_grid,
     entry_table,
     settings_grid,
@@ -32,6 +34,7 @@ from retrobell import (
     verify_no_signalling_all,
 )
 from retrobell.backward import Tabulation
+from retrobell.dist import TUPLE_POINTS
 
 MODELS = ("bell_model", "counterexample_model", "ghz_model", "pr_model")
 
@@ -181,27 +184,60 @@ def test_another_models_tabulation_is_read_as_its_raw_grid(owner, reader):
 def test_verify_checks_and_tabulates_the_grid_once(monkeypatch):
     flags = ("bell", "counterexample", "ghz", "prbox")
     models = [cli.MODEL_BUILDERS[flag]() for flag in flags]
-    sizes = [len(default_grid(model, 8)) for model in models]
+    grids = [default_grid(model, 8) for model in models]
     checked, kernels = [], []
-    check_settings, fill = BackwardModel.check_settings, BackwardModel._fill
+    check_setting, fill = Wing.check_setting, BackwardModel._fill
 
-    def counted_check(self, settings):
-        checked.append(self.name)
-        return check_settings(self, settings)
+    def counted_check(self, value):
+        checked.append(self.setting_name)
+        return check_setting(self, value)
 
     def counted_fill(self, points, table, width):
-        if table is self.kernel.table:
+        if getattr(table, "func", table) is self.kernel.table:  # a collider's: given its targets
             kernels.append(self.name)
         return fill(self, points, table, width)
 
-    monkeypatch.setattr(BackwardModel, "check_settings", counted_check)
+    monkeypatch.setattr(Wing, "check_setting", counted_check)
     monkeypatch.setattr(BackwardModel, "_fill", counted_fill)
     with contextlib.redirect_stdout(io.StringIO()):
         for flag in flags:
             assert cli.main(["verify", "--model", flag, "--grid", "8"]) in (0, 1)
-    # one kernel tabulation per verify, one check per grid point
+    # one kernel tabulation per verify, and each wing's settings checked once per
+    # distinct value (a set of the grid's column, which holds one type)
     assert kernels == [model.name for model in models]
-    assert checked == [m.name for m, n in zip(models, sizes) for _ in range(n)]
+    assert checked == [w.setting_name for model, grid in zip(models, grids)
+                       for i, w in enumerate(model.wings) for _ in {p[i] for p in grid}]
+
+
+@pytest.mark.parametrize("targets", [4, 3], ids=["bell", "leftover-label"])
+@pytest.mark.parametrize("resolution", [20, 21], ids=["400-tuples", "441-arrays"])
+def test_target_table_is_tabulated_once(bell_model, targets, resolution):
+    # every check over one tabulation of a collider reads one target table: bell's
+    # own (the kernel is the target table) and three of its states with a leftover label
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return np.asarray(bell_table(points))[:, :, :targets]
+
+    model = collider_model("counted", bell_model.wings, bell_model.lam,
+                           bell_model.lam.labels[:targets], counted, "float")
+    tab = model.tabulate(default_grid(model, resolution))
+    assert isinstance(tab.K, tuple) == (resolution == 20)
+    for name, check in _checks(model).items():
+        assert check(tab).passed, name
+    assert calls == [resolution ** 2]
+
+
+def test_a_collider_kernel_at_scale_one_is_its_target_table(bell_model, pr_model):
+    # bell's scale is 0.25 / (0.5 * 0.5) = 1 with no leftover label: past TUPLE_POINTS the
+    # kernel is the target table itself, not a second table beside it
+    tab = bell_model.tabulate(default_grid(bell_model, 21))
+    assert tab.K is tab.Q
+    # prbox's is (1/2) / (1/4) = 2, and its leftover label takes 1 - 2 * target
+    tab = pr_model.tabulate(settings_grid(pr_model))
+    assert tab.K is not tab.Q
+    assert tab.K == tuple(tuple((2 * q, 1 - 2 * q) for (q,) in cells) for cells in tab.Q)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +272,11 @@ BAD_ANGLE_GRIDS = {
     "mid-grid-arity": GOOD + [(0.5,)] + GOOD,
     "first-bad-wins": GOOD + [(math.inf, 0.0), ("abc", 0.0), 5] + GOOD,
     "arity-before-value": GOOD + [(0.5, 0.5, 0.5), (math.nan, 0.0)],
+    # past TUPLE_POINTS, each wing's values otherwise good floats, signed zeros among them
+    "late-nan": GOOD * 150 + [(-0.0, 0.0), (0.5, math.nan)],
+    "late-nan-before-inf": GOOD * 150 + [(0.5, math.nan), (math.inf, 0.5)],
+    "late-inf-before-nan": GOOD * 150 + [(math.inf, 0.5), (0.5, math.nan)],
+    "late-list-value": GOOD * 150 + [(0.5, [0.5])],
 }
 
 BAD_BINARY_GRIDS = {
@@ -247,6 +288,8 @@ BAD_BINARY_GRIDS = {
     "three-settings": [(0, 1, 1)],
     "mid-grid": [(0, 0), (1, 1), (1, 2), (0, 1)],
     "first-bad-wins": [(0, 0), (1,), (2, 2), (0, 1)],
+    "late-two": [(0, 1), (1, 0)] * 201 + [(True, 1), (1, 2), (2, 0)],
+    "late-nan": [(0, 1), (1, 0)] * 201 + [(0, 0), (1, math.nan)],
 }
 
 
@@ -307,13 +350,41 @@ ODD_ANGLES = [0, -0.0, True, Fraction(1, 3), Decimal("0.1"), np.float32(0.1),
               np.array(0.25)]
 
 
+def _same_settings(points, reference):
+    """Type, value and sign of zero of every checked setting."""
+    assert len(points) == len(reference)
+    for point, ref in zip(points, reference):
+        assert type(point) is tuple and len(point) == len(ref)
+        for x, r in zip(point, ref):
+            assert type(x) is type(r) and x == r
+            assert math.copysign(1, x) == math.copysign(1, r)
+
+
+#: Grids of angles: each point's checked settings must be check_settings's.
+ANGLE_GRIDS = {
+    "odd": [(a, b) for a in ODD_ANGLES for b in ODD_ANGLES[:4]],
+    "zero-then-minus-zero": [(0.0, 0.5), (-0.0, -0.0), (0.5, 0.0), (1.0, -0.0)],
+    "minus-zero-then-zero": [(-0.0, 0.5), (0.0, 0.0), (0.5, -0.0), (1.0, 0.0)],
+    "true-beside-1": [(1, 0.5), (True, 1), (1.0, True), (0.5, 1)],
+    "float64": [(np.float64(-0.0), 0.0), (0.0, np.float64(0.0)), (np.float64(0.5), -0.0)],
+    "list-point": [(0.0, -0.0), [-0.0, 0.0], (0.5, 1.0)],
+}
+
+
 def test_checked_angles_equal_check_settings_value_for_value(bell_model):
-    grid = [(a, b) for a in ODD_ANGLES for b in ODD_ANGLES[:4]]
-    tab = bell_model.tabulate(grid)
-    reference = [bell_model.check_settings(s) for s in grid]
-    assert repr(tab.points) == repr(reference)
-    assert all(type(x) is float for p in tab.points for x in p)
-    assert list(tab) == tab.points
+    # each grid as it is (tuple tables) and repeated past TUPLE_POINTS (arrays)
+    for name, grid in ANGLE_GRIDS.items():
+        for grid in (grid, grid * (TUPLE_POINTS // len(grid) + 1)):
+            tab = bell_model.tabulate(grid)
+            reference = [bell_model.check_settings(s) for s in grid]
+            assert repr(tab.points) == repr(reference), name
+            _same_settings(tab.points, reference)
+            assert all(type(x) is float for p in tab.points for x in p), name
+            assert list(tab) == tab.points, name
+            assert isinstance(tab.K, tuple) == (len(grid) <= TUPLE_POINTS), name
+            # a grid of float tuples is its own checked points, each tuple as given
+            own = all(type(p) is tuple and all(type(x) is float for x in p) for p in grid)
+            assert all(p is s for p, s in zip(tab.points, grid)) == own, name
 
 
 def test_checked_binary_settings_keep_their_values(pr_model, ghz_model):
@@ -327,12 +398,31 @@ def test_checked_binary_settings_keep_their_values(pr_model, ghz_model):
         [ghz_model.check_settings(s) for s in grid])
 
 
+#: Grids of binary settings: each point's checked settings must be check_settings's.
+BINARY_GRIDS = {
+    "ints": [(0, 1, 1), (1, 0, 1), (1, 1, 0)],
+    "zero-then-minus-zero": [(0, 0.0, 1), (-0.0, 0, 1), (0.0, -0.0, 0)],
+    "minus-zero-then-zero": [(-0.0, 0, 1), (0, 0.0, 1), (0.0, -0.0, 0)],
+    "true-beside-1": [(1, True, 0), (True, 1, 1), (1, 1, True)],
+    "float64": [(np.float64(1.0), 0, 1), (np.float64(-0.0), 1, 1)],
+    "list-point": [(0, 1, 1), [1, 0, 1], (1, 1, 0)],
+}
+
+
 def test_checked_binary_settings_are_ints(ghz_model):
     assert repr(ghz_model.tabulate([(True, 0, 1.0)]).points) == "[(1, 0, 1)]"
     values = [0, 1, False, True, 0.0, 1.0, np.int64(1), Fraction(0), np.array(0)]
     points = ghz_model.tabulate([(v, v, v) for v in values]).points
     assert [p[0] for p in points] == [0, 1, 0, 1, 0, 1, 1, 0, 0]
     assert all(type(x) is int for p in points for x in p)
+    # rational tables are tuples at any size: each grid as it is and past TUPLE_POINTS
+    for name, grid in BINARY_GRIDS.items():
+        for grid in (grid, grid * (TUPLE_POINTS // len(grid) + 1)):
+            tab = ghz_model.tabulate(grid)
+            _same_settings(tab.points, [ghz_model.check_settings(s) for s in grid])
+            assert all(type(x) is int for p in tab.points for x in p), name
+            own = all(type(p) is tuple and all(type(x) is int for x in p) for p in grid)
+            assert all(p is s for p, s in zip(tab.points, grid)) == own, name
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,19 @@ agree, so checking a change against its parent is a ``diff``:
 command of the benchmark's three workloads at seeds 1-3, each output format,
 the CHSH scan of every Bell state at resolutions 64 and 33, ``sample`` on
 every model at 1-3 threads, bell ``sample`` at the 64-bit seed edge (2^63
-and 2^64 - 1) on 1 and 3 threads and just past it (2^64), ``verify --checks nosignal`` on every model
-(bell and counterexample at grids 1, 3 and 5), ``verify`` on bell and
-counterexample at grids 2, 3 and 16 (4, 9 and 256 points, tabulated as
-tuples) and 21 (441 points, the first grid beyond ``retrobell.dist.TUPLE_POINTS``,
-as arrays), a cap failure and every usage-error path of ``retrobell.cli``,
-finite bell angles whose sum overflows among them, ``--output`` to a file and
-to a directory that does not exist, and the known statistical-gate failure on
-correct code.  What a config file holds and ``$RETROBELL_SEED`` need a file or
-an environment per command, so ``tests/test_cli.py`` covers them instead.
-A full census takes a few seconds.
+and 2^64 - 1) on 1 and 3 threads and just past it (2^64), ``verify --checks
+nosignal`` on every model (bell and counterexample at grids 1, 3 and 5),
+``verify`` on bell and counterexample at grids 2, 3 and 16 (4, 9 and 256
+points, tabulated as tuples) and 21 (441 points, the first grid beyond
+``retrobell.dist.TUPLE_POINTS``, as arrays), a cap failure and every
+usage-error path of ``retrobell.cli``, finite bell angles whose sum overflows
+among them, ``--output`` to a file and to a directory that does not exist, the
+known statistical-gate failure on correct code, and, last, ``verify`` on bell
+and counterexample at grid 256 (``retrobell.cli.MAX_GRID``, 65,536 points),
+where settings are checked and cosines taken once per distinct value.  What a
+config file holds and ``$RETROBELL_SEED`` need a file or an environment per
+command, so ``tests/test_cli.py`` covers them instead.  A full census takes a
+few seconds.
 """
 
 from __future__ import annotations
@@ -162,6 +165,7 @@ def argvs() -> list[tuple[str, ...]]:
     commands += [("verify", "--model", m, "--grid", g)
                  for m in ("bell", "counterexample") for g in ("16", "21")]
     commands += USAGE_ERRORS + OUTPUT + GATE_COUNTEREXAMPLES
+    commands += [("verify", "--model", m, "--grid", "256") for m in ("bell", "counterexample")]
     return list(dict.fromkeys(commands))
 
 

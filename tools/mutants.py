@@ -65,7 +65,7 @@ CHECK_TESTS = tuple(f"tests/{name}.py" for name in (
 TARGETS = {
     "dist": Target("src/retrobell/dist.py",
                    ("_normalized", "_arrays", "_form", "_rows", "_table", "_point_major", "_at",
-                    "_per_point", "_first_worst", "_slots", "_spans", "_all", "_top",
+                    "_per_value", "_first_worst", "_slots", "_runs", "_spans", "_all", "_top",
                     "make_joint", "marginalize", "condition", "tv_distance"),
                    CHECK_TESTS),
     "backward": Target("src/retrobell/backward.py", (
@@ -73,7 +73,8 @@ TARGETS = {
         "BackwardModel.verify_si", "BackwardModel.verify_no_signalling",
         "BackwardModel._wing_marginal", "BackwardModel.verify_kernel_normalization",
         "BackwardModel.verify_recovery", "BackwardModel.lc_violation_witness",
-        "_bell_cosines"), CHECK_TESTS),
+        "BackwardModel.tabulate", "BackwardModel._checked", "BackwardModel.check_settings",
+        "collider_model", "bell_table"), CHECK_TESTS),
 }
 
 
