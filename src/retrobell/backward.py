@@ -202,10 +202,10 @@ def entry_table(
 class Tabulation(Sequence):
     """A model's grid checked (``points``) and kernel tabulated (``K``) by ``tabulate``, with
     the target table ``Q`` a collider's kernel was built from (else None: recovery fills it),
-    and the tables derived from them: ``joint``, built on first use, and ``conditioned``.
-    A sequence of the checked points, it stands in for the grid anywhere.  Each table
-    is in ``K``'s form (:func:`_form`) and computed by one formula over the rows of
-    the tables it reads, nested tuples or a float64 array."""
+    and the tables derived from them: ``marginal``, kept once built, and ``conditioned`` and
+    ``joint``, built from ``K`` on each request, so it keeps no other table of ``K``'s size.
+    A sequence of the checked points, it stands in for the grid anywhere.  Each table is in
+    ``K``'s form (:func:`_form`), one formula over the rows of the tables it reads."""
 
     model: BackwardModel
     points: list[tuple]
@@ -218,32 +218,45 @@ class Tabulation(Sequence):
     def __getitem__(self, i):
         return self.points[i]
 
-    @cached_property
-    def joint(self) -> tuple:
-        """``(T, M)``: the joint ``T[point][cell][label]`` and its marginal ``M[point][label]``,
-        with no more than two tables of ``K``'s size alive at once: the weights are released
-        once normalized, and the normalized rows once stacked."""
+    def _weights(self, labels: slice = slice(None)):
+        """The joint's weights of ``labels``, per row (:func:`_rows`) flat, cell by cell: kernel
+        entry k times its cell's weight b as ``0 + k * b`` (0 + w turns -0.0 into 0.0), and 0 in
+        a zero-marginal cell (k ** 0 is 1, NaN too)."""
         base = self.model._outcome_weights()
-        n = len(self.model.lam.labels)  # each row of cells x labels, regrouped by cell
-        # 0 + w turns -0.0 into 0.0; a zero-marginal cell weighs 0 (k ** 0 is 1, NaN too)
-        T = [tuple(zip(*[iter(t)] * n)) for t in _normalized(
-            [[0 + k * b if b else k ** 0 * b for row, b in zip(cells, base) for k in row]
-             for cells in _rows(self.K)], self.model.backend)]
-        M = _table([tuple(map(sum, zip(*t))) for t in T])
-        return _table(T), M
+        return [[0 + k * b if b else k ** 0 * b for row, b in zip(cells, base) for k in row[labels]]
+                for cells in _rows(self.K)]
+
+    @cached_property
+    def marginal(self) -> tuple:
+        """``(M, total)``: the joint's label marginal ``M[point][label]``, each label's joint
+        entries ``w / total`` summed over cells, and per row (:func:`_rows`) the weight total
+        the joint divides by.  The joint itself is never built whole."""
+        W, n = self._weights(), len(self.model.lam.labels)
+        _, total = _normalized(W, self.model.backend)  # its rows are lazy: none is read
+        M = [tuple(sum(w / t for w in row[at::n]) for at in range(n)) for row, t in zip(W, total)]
+        return _table(M), total
+
+    @property
+    def joint(self) -> tuple:
+        """``(T, M)``: the joint ``T[point][cell][label]``, built anew on each request, and
+        :attr:`marginal`'s ``M``."""
+        n = len(self.model.lam.labels)
+        rows, _ = _normalized(self._weights(), self.model.backend)
+        return _table([tuple(zip(*[iter(t)] * n)) for t in rows]), self.marginal[0]
 
     def conditioned(self, label: str):
         """P(cell | settings, label) at every point, the label-conditioned outcome
-        table ``[point][cell]``."""
-        T, M = self.joint
+        table ``[point][cell]``: the label's joint entries over its marginal, each
+        built from ``K`` as :attr:`joint` builds it."""
+        M, total = self.marginal
         labels = self.model.lam.labels
         if label not in labels:
             raise ConstructionError(f"unknown lambda label {label!r}")
         at = labels.index(label)
-        rows = list(zip(_rows(T), _rows(M)))
-        if not _all(m[at] != 0 for _, m in rows):
+        rows = list(zip(self._weights(slice(at, at + 1)), total, _rows(M)))
+        if not _all(m[at] != 0 for _, _, m in rows):
             raise NullEvidenceError(f"label {label!r} has probability zero on the grid")
-        return _table([tuple(row[at] / m[at] for row in t) for t, m in rows])
+        return _table([tuple(w / t / m[at] for w in row) for row, t, m in rows])
 
 
 @dataclass(frozen=True)
@@ -321,7 +334,7 @@ class BackwardModel:
 
     def lambda_marginal(self, settings: Sequence) -> Joint:
         """P(lambda | settings): outcomes summed out of the one-point joint."""
-        _, M = self.tabulate([settings]).joint
+        M, _ = self.tabulate([settings]).marginal
         return self._one_point(M[0], (self.lambda_variable(),))
 
     def condition_on_lambda(self, label: str, settings: Sequence) -> Joint:
@@ -407,7 +420,7 @@ class BackwardModel:
         passes when the worst deviation is within the backend tolerance.
         """
         tab = self.tabulate(settings_grid)
-        _, M = tab.joint
+        M, _ = tab.marginal
         priors = [float(p) for p in self.lam.priors] if self.backend == FLOAT else self.lam.priors
         devs = _point_major([[abs(m - p) for m, p in zip(row, priors)] for row in _rows(M)])
         return self._sweep("si", devs, [{"label": label} for label in self.lam.labels],
@@ -488,7 +501,7 @@ class BackwardModel:
                   if tab.Q is None else tab.Q)
         tv = []  # per label, its distance in every row
         for t, label in enumerate(labels):
-            Q = _normalized([[row[t] for row in cells] for cells in W], self.backend)
+            Q, _ = _normalized([[row[t] for row in cells] for cells in W], self.backend)
             tv.append([sum(abs(p - q) for p, q in zip(*rows)) / 2
                        for rows in zip(_rows(tab.conditioned(label)), Q)])
         return self._sweep("recovery", _point_major(list(zip(*tv))),
@@ -653,8 +666,11 @@ def bell_table(points: Iterable[Sequence[float]]) -> np.ndarray | tuple:
             bell_expectation(1, float(alpha1), float(alpha2))
             bell_expectation(4, float(alpha1), float(alpha2))
     cosines = [(_per_value(math.cos, d), _per_value(math.cos, t)) for d, t in rows]
-    return _table([tuple(tuple(0.25 * (1.0 + s * c) for s, c in zip(signs, (d, d, t, t)))
-                         for signs in _BELL_SIGNS) for d, t in cosines])
+    # each distinct entry once, 0.25 * (1.0 + s * c) for s = +/-1 and c = d or t, then placed
+    entries = [{(s, j): 0.25 * (1.0 + s * c) for j, c in enumerate(dt) for s in (1.0, -1.0)}
+               for dt in cosines]
+    return _table([tuple(tuple(e[s, j // 2] for j, s in enumerate(signs)) for signs in _BELL_SIGNS)
+                   for e in entries])
 
 
 def bell_backward_model() -> BackwardModel:

@@ -33,7 +33,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, truediv
 from typing import Iterable, Iterator, Mapping
 
 from .reports import FLOAT_TOL  # noqa: F401 (a public name of this module)
@@ -122,11 +122,14 @@ def _check_variables(variables: Iterable[Variable]) -> tuple[Variable, ...]:
 
 
 def _normalized(W, backend: str):
-    """Each row of ``W`` divided by its total: the one normalizer.
+    """``(rows, total)``: each row of ``W`` divided by its total, the one normalizer, and
+    the totals, each a left-to-right sum.
 
     ``W`` is rows (:func:`_rows`) of weights, finite and non-negative, and exact
-    (never float) on the rational backend; each comes back as a tuple (of Fractions
-    if rational).  A row whose weights sum to zero anywhere cannot be normalized.
+    (never float) on the rational backend, where each total is a Fraction.  Each row
+    comes back as an iterator that divides as it is read, so a caller that reads only
+    the totals builds no row.  A row whose weights sum to zero anywhere cannot be
+    normalized.
     """
     if backend == RATIONAL:
         if any(isinstance(w, float) or w < 0 for row in W for w in row):
@@ -137,7 +140,7 @@ def _normalized(W, backend: str):
     total = [sum(row) for row in W]
     if not _all(t != 0 for t in total):  # no total is negative
         raise ConstructionError("weights sum to zero; nothing to normalize")
-    return tuple(tuple(w / t for w in row) for row, t in zip(W, total))
+    return [map(truediv, row, itertools.repeat(t)) for row, t in zip(W, total)], total
 
 
 #: The most points a float table holds as nested tuples, read per call: up to 400
@@ -338,7 +341,7 @@ def make_joint(
                 raise ConstructionError(f"value {value!r} not in domain of {v.name!r}")
             at = at * len(v.domain) + v.domain.index(value)
         W[at] = float(w) if backend == FLOAT else w
-    return Joint(vs, _normalized([W], backend)[0], backend)
+    return Joint(vs, tuple(_normalized([W], backend)[0][0]), backend)
 
 
 def marginalize(j: Joint, keep: Iterable[str]) -> Joint:

@@ -321,9 +321,10 @@ def sample_postselected(
     quotas = [n // shards + (i < n % shards) for i in range(min(shards, n))]
     caps = [cap_factor * q for q in quotas]
 
-    # The exact reference is one row of the joint of the sampled tensor, built
-    # before any draw; a label of probability zero stops at 0 draws.
-    _, M = tab.joint
+    # The exact reference is one row of the label marginal and of the conditioned
+    # table of the sampled tensor, built before any draw; a label of probability
+    # zero stops at 0 draws.
+    M, _ = tab.marginal
     if M[0][target_idx] == 0:
         raise AcceptanceCapError(label, 0, n, 0, sum(caps))
     p_label = float(M[0][target_idx])
@@ -411,7 +412,7 @@ def sample_postselected(
         backend=model.backend,
         cells=tuple(cells),
         tv_distance=sum(abs(e - float(p)) for e, p in zip(
-            _normalized([(counts / n).tolist()], FLOAT)[0], exact)) / 2,
+            _normalized([(counts / n).tolist()], FLOAT)[0][0], exact)) / 2,
         max_abs_z=max_abs_z,
         z_gate=Z_GATE,
         acceptance=acceptance,

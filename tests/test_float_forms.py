@@ -8,7 +8,8 @@ every grid takes the tuple form, so each model below is read in both forms on
 grids of one, four and nine points, and a few of them on a grid past the bound.
 Every check report (with its worst case), the witness, and every entry of
 ``joint`` and ``conditioned`` must agree by ``float.hex``, and every error by
-class and message.
+class and message.  In each form, and on the rational models, ``conditioned``
+must also equal the joint's ``T / M`` entry for entry, bit for bit.
 
 The reductions ``dist`` runs on the array form (the worst of a sweep, a no-signalling
 slot's first minimum and maximum, and the slots themselves) are also run on their
@@ -30,6 +31,9 @@ from retrobell import (
     Wing,
     bell_backward_model,
     entry_table,
+    ghz_backward_model,
+    pr_backward_model,
+    settings_grid,
     sign_of,
     signalling_counterexample_model,
     verify_no_signalling_all,
@@ -134,6 +138,21 @@ def _outcome(read):
         return type(error), str(error)
 
 
+def _joint_over_marginal(tab, label):
+    """``T[..., at] / M[..., at]`` of ``tab.joint``, entry by entry as Python numbers: what
+    ``conditioned(label)`` must give bit for bit wherever it gives a table."""
+    T, M = tab.joint
+    at = tab.model.lam.labels.index(label)
+    return [[dist._at(cell, at) / dist._at(m, at) for cell in t] for t, m in zip(T, M)]
+
+
+def _assert_conditioned_is_joint_over_marginal(model, readings):
+    for label in model.lam.labels:
+        conditioned = readings[f"conditioned {label}"]
+        if isinstance(conditioned, list):  # not an error's (class, message)
+            assert conditioned == readings[f"joint over marginal {label}"], label
+
+
 def _readings(model, grid):
     labels = model.lam.labels
     tab = model.tabulate(grid)
@@ -147,6 +166,7 @@ def _readings(model, grid):
     }
     for label in labels:
         reads[f"conditioned {label}"] = lambda label=label: tab.conditioned(label)
+        reads[f"joint over marginal {label}"] = lambda label=label: _joint_over_marginal(tab, label)
         reads[f"nosignal {label}"] = (
             lambda label=label: model.verify_no_signalling([label], grid).to_json_dict())
         reads[f"witness {label}"] = (
@@ -163,6 +183,7 @@ def test_tuple_and_array_forms_read_the_same(monkeypatch, name, grid):
     arrays = _readings(model, points)
     assert (tuples.pop("form"), arrays.pop("form")) == ("tuple", "ndarray")
     assert tuples == arrays
+    _assert_conditioned_is_joint_over_marginal(model, tuples)
 
 
 @pytest.mark.parametrize("name", ["bell", "counterexample", "first-nan", "tied", "zero-mass"])
@@ -173,6 +194,17 @@ def test_large_grid_reads_the_same_as_tuples(monkeypatch, name):
     tuples = _readings(model, LARGE_GRID)
     assert (tuples.pop("form"), arrays.pop("form")) == ("tuple", "ndarray")
     assert tuples == arrays
+    _assert_conditioned_is_joint_over_marginal(model, tuples)
+
+
+@pytest.mark.parametrize("name", ["ghz", "prbox"])
+def test_rational_conditioned_is_joint_over_marginal(name):
+    model = (ghz_backward_model if name == "ghz" else pr_backward_model)()
+    tab = model.tabulate(settings_grid(model))
+    for label in model.lam.labels:
+        conditioned = tab.conditioned(label)
+        assert [list(row) for row in conditioned] == _joint_over_marginal(tab, label)
+        assert {type(p) for row in conditioned for p in row} == {Fraction}
 
 
 # ---------------------------------------------------------------------------

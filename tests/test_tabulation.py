@@ -8,9 +8,11 @@ reports for the raw grid, and the grid check must raise what the per-point
 
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -227,6 +229,29 @@ def test_target_table_is_tabulated_once(bell_model, targets, resolution):
     for name, check in _checks(model).items():
         assert check(tab).passed, name
     assert calls == [resolution ** 2]
+
+
+@pytest.mark.parametrize("model_name", ["bell_model", "counterexample_model"])
+def test_a_checked_tabulation_holds_one_kernel_size_table(request, model_name):
+    # after every check, the tabulation keeps K (bell's is also Q), the label marginal
+    # (a quarter of bell's K, half the counterexample's, whose rows hold two labels)
+    # and a column of totals, never the joint T, a second table of K's size
+    model = request.getfixturevalue(model_name)
+    grid = default_grid(model, 64)  # 4,096 points: arrays
+    tracemalloc.start()
+    try:
+        tab = model.tabulate(grid)
+        for check in _checks(model).values():
+            check(tab)
+        gc.collect()
+        with_tab = tracemalloc.get_traced_memory()[0]
+        K = tab.K.nbytes
+        del tab
+        gc.collect()
+        held = with_tab - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert K <= held < 1.6 * K
 
 
 def test_a_collider_kernel_at_scale_one_is_its_target_table(bell_model, pr_model):

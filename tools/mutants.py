@@ -69,7 +69,8 @@ TARGETS = {
                     "make_joint", "marginalize", "condition", "tv_distance"),
                    CHECK_TESTS),
     "backward": Target("src/retrobell/backward.py", (
-        "Tabulation.joint", "Tabulation.conditioned", "BackwardModel._sweep",
+        "Tabulation._weights", "Tabulation.marginal", "Tabulation.joint",
+        "Tabulation.conditioned", "BackwardModel._sweep",
         "BackwardModel.verify_si", "BackwardModel.verify_no_signalling",
         "BackwardModel._wing_marginal", "BackwardModel.verify_kernel_normalization",
         "BackwardModel.verify_recovery", "BackwardModel.lc_violation_witness",
