@@ -63,7 +63,7 @@ from .dist import (
     _point_major,
     _rows,
     _slots,
-    _spans,
+    _spreads,
     _table,
     _top,
     make_joint,  # bench/tracing.py counts make_joint calls through this name
@@ -259,6 +259,12 @@ class Tabulation(Sequence):
         return _table([tuple(w / t / m[at] for w in row) for row, t, m in rows])
 
 
+def _point_case(points: list[tuple], cases: list[dict]) -> Callable[[int], dict]:
+    """The worst case of flat index ``i`` in a sweep over ``points`` with ``cases`` at each
+    point: ``points[i // n]`` as its settings and ``cases[i % n]`` (n cases)."""
+    return lambda i: {"settings": points[i // len(cases)], **cases[i % len(cases)]}
+
+
 @dataclass(frozen=True)
 class BackwardModel:
     """An immutable backward-conditional model over two or three wings.
@@ -400,17 +406,15 @@ class BackwardModel:
             raise ConstructionError(f"batched table has shape {found}, not {shape}")
         return _form(X, self.backend)
 
-    def _sweep(self, check: str, devs, cases: list, points=None) -> CheckReport:
+    def _sweep(self, check: str, devs, case: Callable[[int], dict]) -> CheckReport:
         """Report the first strict maximum of ``devs``, flat in sweep order (a list or a float64
-        array), with worst case ``cases[i]``, or with ``points``, ``points[i // n]`` and
-        ``cases[i % n]`` (n cases); none if no deviation exceeds zero, and the first NaN if
-        any (which fails the check)."""
+        array), with worst case ``case(i)``, built for that one index ``i``; none if no
+        deviation exceeds zero, and the first NaN if any (which fails the check)."""
         worst = _first_worst(devs)
         zero: Prob = Fraction(0) if self.backend == RATIONAL else 0.0
         max_dev = zero if worst is None else _at(devs, worst)
         tol = self.tolerance
-        worst_case = None if worst is None else cases[worst] if points is None else {
-            "settings": points[worst // len(cases)], **cases[worst % len(cases)]}
+        worst_case = None if worst is None else case(worst)
         return CheckReport(check, max_dev <= tol, max_dev, worst_case, tol, self.backend)
 
     def verify_si(self, settings_grid: Iterable[Sequence]) -> CheckReport:
@@ -423,18 +427,21 @@ class BackwardModel:
         M, _ = tab.marginal
         priors = [float(p) for p in self.lam.priors] if self.backend == FLOAT else self.lam.priors
         devs = _point_major([[abs(m - p) for m, p in zip(row, priors)] for row in _rows(M)])
-        return self._sweep("si", devs, [{"label": label} for label in self.lam.labels],
-                           tab.points)
+        return self._sweep("si", devs, _point_case(
+            tab.points, [{"label": label} for label in self.lam.labels]))
 
     def verify_no_signalling(
-        self, labels: Sequence[str], settings_grid: Iterable[Sequence]
+        self, labels: Iterable[str], settings_grid: Iterable[Sequence]
     ) -> CheckReport:
         """No-signalling at every label of ``labels`` (one label is ``[label]``): for each
         label, wing and value of the wing's local setting on the grid, the spread (max
         minus min) of the wing's conditional outcome probabilities across all remote-
-        setting variations, in one sweep over (label, wing, local setting, outcome)."""
+        setting variations.  One sweep runs over labels, then the (wing, local setting)
+        slots in the order the grid first reaches them (wing order within a point), then
+        outcomes; its worst case names the slot's first least and first greatest point."""
         if isinstance(labels, str):
             raise TypeError(f"labels is a sequence of labels: pass [{labels!r}]")
+        labels = tuple(labels)
         if not labels:
             raise ConstructionError("no labels to check")
         tab = self.tabulate(settings_grid)
@@ -443,30 +450,24 @@ class BackwardModel:
         # them in the order the grid first reaches each (wing order within a point).
         slots = _slots(points, self.backend)
         order = sorted((at[0], i, k) for i, wing in enumerate(slots) for k, at in enumerate(wing))
-        devs, found = [], []
+        devs = []
         for label in labels:
             cond = tab.conditioned(label)
-            spans = {(i, outcome): _spans(self._wing_marginal(cond, i, outcome), wing)
-                     for i, wing in enumerate(slots) for outcome in OUTCOMES}
-            for first, i, k in order:
-                for outcome in OUTCOMES:
-                    lo, hi, p_lo, p_hi = spans[i, outcome][k]
-                    devs.append(p_hi - p_lo)
-                    found.append((label, i, first, outcome, lo, hi, p_lo, p_hi))
-        report = self._sweep("no_signalling", devs, found)
-        if report.worst_case is None:
-            return report
-        label, i, first, outcome, lo, hi, p_lo, p_hi = report.worst_case
-        return report._replace(worst_case={
-            "wing": self.wings[i].outcome_name,
-            "local_setting": points[first][i],
-            "outcome": outcome,
-            "label": label,
-            "min_probability": p_lo,
-            "max_probability": p_hi,
-            "min_at_settings": points[lo],
-            "max_at_settings": points[hi],
-        })
+            spreads = {(i, outcome): _spreads(self._wing_marginal(cond, i, outcome), wing)
+                       for i, wing in enumerate(slots) for outcome in OUTCOMES}
+            devs += [spreads[i, outcome][k] for _, i, k in order for outcome in OUTCOMES]
+
+        def case(n: int) -> dict:
+            at, n = divmod(n, len(order) * len(OUTCOMES))
+            (first, i, k), outcome = order[n // len(OUTCOMES)], OUTCOMES[n % len(OUTCOMES)]
+            p = self._wing_marginal(tab.conditioned(labels[at]), i, outcome)
+            lo, hi = min(slots[i][k], key=p.__getitem__), max(slots[i][k], key=p.__getitem__)
+            return {"wing": self.wings[i].outcome_name, "local_setting": points[first][i],
+                    "outcome": outcome, "label": labels[at],
+                    "min_probability": _at(p, lo), "max_probability": _at(p, hi),
+                    "min_at_settings": points[lo], "max_at_settings": points[hi]}
+
+        return self._sweep("no_signalling", devs, case)
 
     def _wing_marginal(self, cond, i: int, outcome: int):
         """P(a_i = outcome | settings, label) at every point of ``cond[point][cell]``, flat
@@ -482,8 +483,8 @@ class BackwardModel:
         tab = self.tabulate(settings_grid)
         devs = _point_major([[_top(abs(sum(row) - 1), reduce(_top, [_top(-k, k - 1) for k in row]))
                               for row in cells] for cells in _rows(tab.K)])
-        return self._sweep("kernel_norm", devs, [{"outcomes": c} for c in self._cells()],
-                           tab.points)
+        return self._sweep("kernel_norm", devs, _point_case(
+            tab.points, [{"outcomes": c} for c in self._cells()]))
 
     def verify_recovery(self, settings_grid: Iterable[Sequence]) -> CheckReport:
         """Label-conditioned model equals its closed-form target distribution.
@@ -505,7 +506,7 @@ class BackwardModel:
             tv.append([sum(abs(p - q) for p, q in zip(*rows)) / 2
                        for rows in zip(_rows(tab.conditioned(label)), Q)])
         return self._sweep("recovery", _point_major(list(zip(*tv))),
-                           [{"label": label} for label in labels], tab.points)
+                           _point_case(tab.points, [{"label": label} for label in labels]))
 
     def lc_violation_witness(self, label: str, settings: Sequence,
                              outcomes: Sequence) -> CheckReport:

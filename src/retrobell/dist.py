@@ -17,7 +17,7 @@ model checks in :mod:`retrobell.backward` normalize through the same
 normalizer, over the rows (:func:`_rows`) of tables in the one form :func:`_form`
 picks, nested tuples or a float64 array: a rational model's checks never load
 numpy, nor do a float model's at up to ``TUPLE_POINTS`` points.  The reductions
-over a whole grid (a sweep's worst case, the no-signalling slots and their spans)
+over a whole grid (a sweep's worst case, the no-signalling slots and their spreads)
 live here too, so the array form makes no Python object per entry.
 
 Everything here is immutable after construction and every operation returns
@@ -270,32 +270,18 @@ def _runs(column):
     return order, np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
 
 
-def _spans(p, slots: list) -> list[tuple]:
-    """Per slot ``at`` (positions into ``p``, a list or a float64 array), ``(lo, hi, p[lo],
-    p[hi])`` as Python numbers, where ``lo`` and ``hi`` are ``min`` and ``max`` of ``at``
-    with ``key=p.__getitem__``: the first least and first greatest position, except that
-    a NaN at the slot's first position is both, and a later NaN neither."""
+def _spreads(p, slots: list) -> list:
+    """Per slot ``at`` (positions into ``p``, a list or a float64 array), ``max`` minus
+    ``min`` of its values as a Python number: NaN if the slot's first value is NaN, and a
+    later NaN skipped, as ``min`` and ``max`` of ``at`` with ``key=p.__getitem__`` find them."""
     if not hasattr(p, "ndim"):
-        spans = []
-        for at in slots:
-            lo, hi = min(at, key=p.__getitem__), max(at, key=p.__getitem__)
-            spans.append((lo, hi, p[lo], p[hi]))
-        return spans
+        return [max(v) - min(v) for v in ([p[g] for g in at] for at in slots)]
     import numpy as np
 
-    at = np.concatenate(slots)
-    sizes = [len(s) for s in slots]
-    starts = np.cumsum([0] + sizes[:-1])
-    v = p[at]
-    n = np.arange(len(v))
-
-    def first(best):  # each slot's first position whose value is its best non-NaN one
-        hit = v == np.repeat(best.reduceat(v, starts), sizes)
-        return np.where(np.isnan(v[starts]), starts,
-                        np.minimum.reduceat(np.where(hit, n, len(v)), starts))
-
-    lo, hi = first(np.fmin), first(np.fmax)
-    return list(zip(at[lo].tolist(), at[hi].tolist(), v[lo].tolist(), v[hi].tolist()))
+    starts = np.cumsum([0] + [len(at) for at in slots[:-1]])
+    v = p[np.concatenate(slots)]
+    spread = np.fmax.reduceat(v, starts) - np.fmin.reduceat(v, starts)
+    return np.where(np.isnan(v[starts]), np.nan, spread).tolist()
 
 
 def _all(tests) -> bool:

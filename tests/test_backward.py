@@ -199,6 +199,16 @@ class TestVerifyNoSignalling:
         with pytest.raises(ConstructionError, match="no labels"):
             counterexample_model.verify_no_signalling([], default_grid(counterexample_model, 4))
 
+    def test_labels_may_be_any_iterable(self, counterexample_model):
+        # an empty generator is no labels too, and an iterator reads as its list
+        grid = default_grid(counterexample_model, 4)
+        with pytest.raises(ConstructionError, match="no labels"):
+            counterexample_model.verify_no_signalling((label for label in []), grid)
+        rep = counterexample_model.verify_no_signalling(iter(["lambda1"]), grid)
+        assert not rep.passed
+        assert rep.to_json_dict() == counterexample_model.verify_no_signalling(
+            ["lambda1"], grid).to_json_dict()
+
     def test_report_json_shape(self, bell_model, bell_grid):
         rep = verify_no_signalling_all(bell_model, bell_grid)
         d = rep.to_json_dict()

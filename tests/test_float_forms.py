@@ -226,9 +226,10 @@ def _array_form(monkeypatch, form, entries, pad):
 
 
 #: A wing marginal over one slot (wing 1 at 0.0), and the ``(lo, hi)`` that
-#: ``min``/``max(at, key=p.__getitem__)`` give: a NaN at the slot's first point is both,
-#: a later NaN neither (plain ``argmin``/``argmax`` would pick it), and ties go to the
-#: first point.
+#: ``min``/``max(at, key=p.__getitem__)`` give, whose values' difference is the slot's
+#: spread: a NaN at the slot's first point is both, a later NaN neither (plain
+#: ``argmin``/``argmax`` would pick it), and ties go to the first point.  A model never
+#: reaches the NaN rows (``_normalized`` rejects a NaN weight), so they stay here.
 SPANS = {
     "nan-after-finite": ([0.5, math.nan, 0.25, 0.75, math.nan], (2, 3)),
     "nan-first": ([math.nan, 0.25, 0.75, math.nan], (0, 0)),
@@ -251,11 +252,11 @@ def test_slot_span_is_min_and_max_by_key(monkeypatch, case, form):
     assert slot.tolist() == list(range(len(values)))
     assert (lo, hi) == (min(range(len(values)), key=values.__getitem__),
                         max(range(len(values)), key=values.__getitem__))
-    span = dist._spans(p, [slot, *rest])[0]
-    assert _hex(span) == _hex((lo, hi, values[lo], values[hi]))
-    assert [type(x) for x in span] == [int, int, float, float]
+    spreads = dist._spreads(p, [slot, *rest])
+    assert [type(x) for x in spreads] == [float] * (1 + len(rest))
+    assert _hex(spreads) == _hex([values[hi] - values[lo]] + [0.0] * len(rest))
     # the tuple form, the reference, reads the same
-    assert _hex(dist._spans(values, [list(range(len(values)))])) == [_hex(span)]
+    assert _hex(dist._spreads(values, [list(range(len(values)))])) == _hex(spreads[:1])
 
 
 #: A flat sweep and the index ``_sweep`` reports: the first NaN, even after the

@@ -73,3 +73,31 @@ def test_every_target_function_exists():
         assert tool.sites(source, target)
         for test in target.tests:
             assert (root / test).is_file(), test
+
+
+OPERATOR_FIXTURE = '''\
+from operator import add, itemgetter, truediv
+
+
+def scale(xs, t):
+    return list(map(truediv, xs, [t for _ in xs]))
+
+
+def shift(xs, sub):
+    return [add(x, sub) for x in xs]
+'''
+
+
+def test_operator_functions_passed_as_values_are_swapped_inline():
+    tool = load_tool()
+    target = tool.Target("src/ops_mod.py", ("scale", "shift"), ())
+    found = tool.sites(OPERATOR_FIXTURE, target)
+    # ``sub`` is a parameter here, not the imported function, and ``itemgetter`` has no swap
+    assert [(site.function, site.line, site.before) for site in found] == [
+        ("scale", 5, "truediv"), ("shift", 9, "add")]
+    results = []
+    for site in found:
+        namespace = {}
+        exec(tool.mutant(OPERATOR_FIXTURE, target, site), namespace)
+        results.append((namespace["scale"]([2.0, 6.0], 2.0), namespace["shift"]([1, 2], 1)))
+    assert results == [([4.0, 12.0], [2, 3]), ([1.0, 3.0], [0, 1])]

@@ -3,9 +3,12 @@
 
 Each mutant swaps one operator in one target function, from a fixed set:
 ``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``+``/``-``, ``*``/``/`` and
-``and``/``or``.  The mutant module is written into a copy of the tree (never
-the tree itself), and the target's test files run against it with ``-x``.  A
-failing run kills the mutant; a passing one lets it survive.
+``and``/``or``, and, passed as a value (``map(truediv, ...)``), a function the
+module imports from ``operator``: ``truediv``/``mul`` and ``add``/``sub``, each
+written as an inline ``lambda`` so that the mutant imports nothing new.  The
+mutant module is written into a copy of the tree (never the tree itself), and
+the target's test files run against it with ``-x``.  A failing run kills the
+mutant; a passing one lets it survive.
 
     python3 tools/mutants.py                      # every module in TARGETS
     python3 tools/mutants.py --module dist        # one module
@@ -36,15 +39,20 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Seconds per test run; a slower mutant counts as killed.
 TIMEOUT = 600.0
 
-#: Each operator and the one it becomes.
+#: Each operator, or ``operator`` function by name, and the one it becomes.
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Add: ast.Sub, ast.Sub: ast.Add,
     ast.Mult: ast.Div, ast.Div: ast.Mult, ast.And: ast.Or, ast.Or: ast.And,
+    "truediv": "mul", "mul": "truediv", "add": "sub", "sub": "add",
 }
 SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
            ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
            ast.And: "and", ast.Or: "or"}
+
+#: Each ``operator`` function of ``SWAPS`` as the inline ``lambda`` that replaces it.
+INLINE = {"truediv": "lambda a, b: a / b", "mul": "lambda a, b: a * b",
+          "add": "lambda a, b: a + b", "sub": "lambda a, b: a - b"}
 
 
 class Target(NamedTuple):
@@ -65,7 +73,7 @@ CHECK_TESTS = tuple(f"tests/{name}.py" for name in (
 TARGETS = {
     "dist": Target("src/retrobell/dist.py",
                    ("_normalized", "_arrays", "_form", "_rows", "_table", "_point_major", "_at",
-                    "_per_value", "_first_worst", "_slots", "_runs", "_spans", "_all", "_top",
+                    "_per_value", "_first_worst", "_slots", "_runs", "_spreads", "_all", "_top",
                     "make_joint", "marginalize", "condition", "tv_distance"),
                    CHECK_TESTS),
     "backward": Target("src/retrobell/backward.py", (
@@ -82,7 +90,7 @@ TARGETS = {
 class Site(NamedTuple):
     function: str
     line: int
-    before: type
+    before: type | str  # an operator's node type, or an ``operator`` function's name
     index: int  # the site's place among the function's sites, in walk order
 
 
@@ -102,9 +110,22 @@ def _functions(tree: ast.Module) -> dict[str, ast.AST]:
     return found
 
 
-def _operators(function: ast.AST):
+def _imported(tree: ast.Module) -> set[str]:
+    """The functions of ``INLINE`` that ``tree`` imports from ``operator`` by name."""
+    return {alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.module == "operator"
+            for alias in node.names if alias.name in INLINE and alias.asname is None}
+
+
+def _kind(op: ast.AST) -> type | str:
+    """A site's key in ``SWAPS``: an operator's node type, or a function's name."""
+    return op.id if isinstance(op, ast.Name) else type(op)
+
+
+def _operators(function: ast.AST, names: set[str]):
     """``(node, attribute, position, operator)`` for each swappable operator in
-    ``function``, nested functions included, in ``ast.walk`` order."""
+    ``function``, nested functions included, in ``ast.walk`` order: an operator of
+    ``node``, or a ``Name`` of ``names`` read as a value, a child of ``node``."""
     for node in ast.walk(function):
         if isinstance(node, ast.Compare):
             for k, op in enumerate(node.ops):
@@ -112,6 +133,12 @@ def _operators(function: ast.AST):
                     yield node, "ops", k, op
         elif isinstance(node, (ast.BinOp, ast.BoolOp)) and type(node.op) in SWAPS:
             yield node, "op", None, node.op
+        for attribute, value in ast.iter_fields(node):
+            children = enumerate(value) if isinstance(value, list) else [(None, value)]
+            for k, child in children:
+                if (isinstance(child, ast.Name) and child.id in names
+                        and isinstance(child.ctx, ast.Load)):
+                    yield node, attribute, k, child
 
 
 def _function(tree: ast.Module, name: str, path: str) -> ast.AST:
@@ -126,18 +153,20 @@ def sites(source: str, target: Target) -> list[Site]:
     tree = ast.parse(source)
     found = []
     for name in target.functions:
-        operators = _operators(_function(tree, name, target.path))
-        found += sorted((Site(name, node.lineno, type(op), i) for i, (node, _, _, op)
-                         in enumerate(operators)), key=lambda site: (site.line, site.index))
+        operators = _operators(_function(tree, name, target.path), _imported(tree))
+        found += sorted((Site(name, getattr(op, "lineno", node.lineno), _kind(op), i)
+                         for i, (node, _, _, op) in enumerate(operators)),
+                        key=lambda site: (site.line, site.index))
     return found
 
 
 def mutant(source: str, target: Target, site: Site) -> str:
     """``source`` rewritten with the operator at ``site`` swapped."""
     tree = ast.parse(source)
-    operators = list(_operators(_function(tree, site.function, target.path)))
+    operators = list(_operators(_function(tree, site.function, target.path), _imported(tree)))
     node, attribute, position, op = operators[site.index]
-    swapped = SWAPS[type(op)]()
+    after = SWAPS[_kind(op)]
+    swapped = ast.parse(INLINE[after], mode="eval").body if isinstance(after, str) else after()
     if position is None:
         setattr(node, attribute, swapped)
     else:
@@ -201,8 +230,8 @@ def run(root: Path, targets: list[Target], timeout: float = TIMEOUT, out=None) -
                 start = time.perf_counter()
                 survived, _ = _tests(copy, target.tests, timeout)
                 seconds = time.perf_counter() - start
-                before = SYMBOLS[site.before]
-                after = SYMBOLS[SWAPS[site.before]]
+                before = SYMBOLS.get(site.before, site.before)  # a function by its name
+                after = SYMBOLS.get(SWAPS[site.before], SWAPS[site.before])
                 print(f"{target.path}:{site.line} {site.function} {before} -> {after} "
                       f"{'survived' if survived else 'killed'} {seconds:.1f}s", file=out, flush=True)
                 killed += not survived
