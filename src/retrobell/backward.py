@@ -640,10 +640,11 @@ def pr_backward_model() -> BackwardModel:
     return _binary_collider("prbox", 2, PR_LABELS, pr_prob)
 
 
-#: ``a1 * a2`` times the sign ``quantum.bell_expectation`` puts on the cosine, per
-#: (outcome pair, state): rows are the pairs (1, 1), (1, -1), (-1, 1),
+#: Each entry of :func:`bell_table` among a point's four distinct entries
+#: [1/4 (1 + d), 1/4 (1 - d), 1/4 (1 + t), 1/4 (1 - t)], d = cos(alpha1 - alpha2) and
+#: t = cos(alpha1 + alpha2): rows are the outcome pairs (1, 1), (1, -1), (-1, 1),
 #: (-1, -1), columns the states 1 to 4.
-_BELL_SIGNS = [[r * c for c in (1.0, -1.0, -1.0, 1.0)] for r in (1.0, -1.0, -1.0, 1.0)]
+_BELL_ENTRY = ((0, 1, 3, 2), (1, 0, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2))
 
 
 def bell_table(points: Iterable[Sequence[float]]) -> np.ndarray | tuple:
@@ -667,11 +668,8 @@ def bell_table(points: Iterable[Sequence[float]]) -> np.ndarray | tuple:
             bell_expectation(1, float(alpha1), float(alpha2))
             bell_expectation(4, float(alpha1), float(alpha2))
     cosines = [(_per_value(math.cos, d), _per_value(math.cos, t)) for d, t in rows]
-    # each distinct entry once, 0.25 * (1.0 + s * c) for s = +/-1 and c = d or t, then placed
-    entries = [{(s, j): 0.25 * (1.0 + s * c) for j, c in enumerate(dt) for s in (1.0, -1.0)}
-               for dt in cosines]
-    return _table([tuple(tuple(e[s, j // 2] for j, s in enumerate(signs)) for signs in _BELL_SIGNS)
-                   for e in entries])
+    entries = [[0.25 * (1.0 + s * c) for c in dt for s in (1.0, -1.0)] for dt in cosines]
+    return _table([tuple(tuple(e[k] for k in pair) for pair in _BELL_ENTRY) for e in entries])
 
 
 def bell_backward_model() -> BackwardModel:

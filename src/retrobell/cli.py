@@ -585,8 +585,8 @@ def _expand_config_tokens(argv: list[str]) -> list[str]:
                     tokens.append(flag)
                 elif value.lower() == "false":
                     continue
-                else:
-                    tokens.extend([flag, value])
+                else:  # one token, so a value such as -1e-3 is not read as a flag
+                    tokens.append(f"{flag}={value}")
     except (OSError, UnicodeDecodeError) as e:
         reason = getattr(e, "strerror", None) or e
         raise UsageError(f"cannot read config file {path}: {reason}") from None

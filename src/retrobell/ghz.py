@@ -19,6 +19,7 @@ called.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .quantum import OUTCOMES, ghz_prob
@@ -100,33 +101,18 @@ def classical_assignment_exhaustion(
     exactly half the assignments.  A near miss satisfies exactly three
     constraints; there are eight per choice of which constraint fails.
     """
-    satisfying_all = 0
-    per_constraint = [0] * len(GHZ_CONSTRAINTS)
-    exactly_three = 0
-    near_misses: list[dict] = []
+    # per assignment, which of the four constraints it meets
+    rows = []
     for values in itertools.product(OUTCOMES, repeat=len(ASSIGNMENT_VARS)):
         assignment = dict(zip(ASSIGNMENT_VARS, values))
-        sat = []
-        for idx, (_, factors, required) in enumerate(GHZ_CONSTRAINTS):
-            product = 1
-            for f in factors:
-                product *= assignment[f]
-            ok = product == required
-            sat.append(ok)
-            per_constraint[idx] += ok
-        if all(sat):
-            satisfying_all += 1
-        if sum(sat) == 3:
-            exactly_three += 1
-            if include_near_misses:
-                failed = GHZ_CONSTRAINTS[sat.index(False)][0]
-                near_misses.append(
-                    {"assignment": assignment, "violated": failed}
-                )
+        rows.append((assignment, [math.prod(assignment[f] for f in factors) == required
+                                  for _, factors, required in GHZ_CONSTRAINTS]))
+    near_misses = tuple({"assignment": assignment, "violated": GHZ_CONSTRAINTS[met.index(False)][0]}
+                        for assignment, met in rows if sum(met) == 3)
     return ExhaustionReport(
-        total=2 ** len(ASSIGNMENT_VARS),
-        satisfying_all=satisfying_all,
-        per_constraint=tuple(per_constraint),
-        satisfying_exactly_three=exactly_three,
-        near_misses=tuple(near_misses) if include_near_misses else None,
+        total=len(rows),
+        satisfying_all=sum(all(met) for _, met in rows),
+        per_constraint=tuple(map(sum, zip(*(met for _, met in rows)))),
+        satisfying_exactly_three=len(near_misses),
+        near_misses=near_misses if include_near_misses else None,
     )

@@ -625,6 +625,19 @@ class TestFormatsAndConfig:
         assert code == 0
         assert doc["config"] == {"list_near_misses": False}
 
+    @pytest.mark.parametrize("argv, line", [
+        (["sample", "--model", "bell", "--label", "1", "--alpha1", "0", "--n", "50",
+          "--seed", "1"], "alpha2 = -1e-3"),
+        (["chsh", "--model", "bell"], "angles = -1,2,3,4"),
+    ])
+    def test_config_value_starting_with_a_minus_is_a_value(self, capsys, tmp_path, argv, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        key, value = (part.strip() for part in line.split("="))
+        expected = run(capsys, *argv, f"--{key}={value}")
+        assert expected[0] == 0
+        assert run(capsys, *argv, "--config", str(cfg)) == expected
+
     def test_bad_config_line_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("grid 8\n")

@@ -171,6 +171,22 @@ class TestExhaustion:
         # eight near misses per constraint that fails
         assert by_violated == {name: 8 for name, _, _ in GHZ_CONSTRAINTS}
 
+    def test_each_near_miss_names_the_constraint_it_breaks(self):
+        misses = classical_assignment_exhaustion(include_near_misses=True).near_misses
+        # by hand: x1x2x3 = +1, x1y2y3 = -1 and y1x2y3 = -1 hold, y1y2x3 = +1 does not
+        by_hand = dict(zip(("x1", "y1", "x2", "y2", "x3", "y3"), (1, 1, 1, 1, 1, -1)))
+        assert {"assignment": by_hand, "violated": "y1y2x3=-1"} in misses
+        for m in misses:
+            a = m["assignment"]
+            broken = []
+            for name, factors, target in GHZ_CONSTRAINTS:
+                prod = 1
+                for f in factors:
+                    prod *= a[f]
+                if prod != target:
+                    broken.append(name)
+            assert broken == [m["violated"]], m
+
     def test_contradiction_by_multiplication(self):
         # every variable appears an even number of times across the four
         # products, so the product of left-hand sides is +1 for any

@@ -101,3 +101,23 @@ def test_operator_functions_passed_as_values_are_swapped_inline():
         exec(tool.mutant(OPERATOR_FIXTURE, target, site), namespace)
         results.append((namespace["scale"]([2.0, 6.0], 2.0), namespace["shift"]([1, 2], 1)))
     assert results == [([4.0, 12.0], [2, 3]), ([1.0, 3.0], [0, 1])]
+
+
+DIVMOD_FIXTURE = '''\
+def split(i, n):
+    return i // n, i % n
+'''
+
+
+def test_floor_division_and_remainder_swap_with_each_other():
+    tool = load_tool()
+    target = tool.Target("src/divmod_mod.py", ("split",), ())
+    found = tool.sites(DIVMOD_FIXTURE, target)
+    assert [(site.line, tool.SYMBOLS[site.before]) for site in found] == [(2, "//"), (2, "%")]
+    results = []
+    for site in found:
+        namespace = {}
+        exec(tool.mutant(DIVMOD_FIXTURE, target, site), namespace)
+        results.append(namespace["split"](7, 3))
+    # 7 // 3 == 2 and 7 % 3 == 1, each swapped for the other
+    assert results == [(1, 1), (2, 2)]

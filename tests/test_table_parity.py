@@ -134,6 +134,23 @@ def test_bell_table_is_bell_prob_per_state(monkeypatch):
                     bell_prob(state, o1, o2, a1, a2)).tobytes()
 
 
+def test_bell_table_takes_one_cosine_per_distinct_argument(monkeypatch):
+    points = default_grid(bell_backward_model(), 64)
+    assert len(points) > TUPLE_POINTS  # the array form
+    calls, real_cos = [], math.cos
+
+    def cos(x):
+        calls.append(x)
+        return real_cos(x)
+
+    monkeypatch.setattr(math, "cos", cos)
+    P = bell_table(points)
+    assert isinstance(P, np.ndarray)
+    # a set merges 0.0 and -0.0, as one cosine serves both
+    distinct = {a1 - a2 for a1, a2 in points}, {a1 + a2 for a1, a2 in points}
+    assert len(calls) == len(distinct[0]) + len(distinct[1])
+
+
 def test_bell_table_rejects_non_finite_angles():
     with pytest.raises(ValueError):
         bell_table([(0.0, math.nan)])

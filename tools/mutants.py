@@ -2,10 +2,11 @@
 """Mutation score of named functions: would the tests notice a wrong operator?
 
 Each mutant swaps one operator in one target function, from a fixed set:
-``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``+``/``-``, ``*``/``/`` and
-``and``/``or``, and, passed as a value (``map(truediv, ...)``), a function the
-module imports from ``operator``: ``truediv``/``mul`` and ``add``/``sub``, each
-written as an inline ``lambda`` so that the mutant imports nothing new.  The
+``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``+``/``-``, ``*``/``/``,
+``//``/``%`` and ``and``/``or``, and, passed as a value (``map(truediv, ...)``),
+a function the module imports from ``operator``: ``truediv``/``mul`` and
+``add``/``sub``, each written as an inline ``lambda`` so that the mutant imports
+nothing new.  The
 mutant module is written into a copy of the tree (never the tree itself), and
 the target's test files run against it with ``-x``.  A failing run kills the
 mutant; a passing one lets it survive.
@@ -43,12 +44,13 @@ TIMEOUT = 600.0
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Add: ast.Sub, ast.Sub: ast.Add,
-    ast.Mult: ast.Div, ast.Div: ast.Mult, ast.And: ast.Or, ast.Or: ast.And,
+    ast.Mult: ast.Div, ast.Div: ast.Mult, ast.FloorDiv: ast.Mod, ast.Mod: ast.FloorDiv,
+    ast.And: ast.Or, ast.Or: ast.And,
     "truediv": "mul", "mul": "truediv", "add": "sub", "sub": "add",
 }
 SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
            ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
-           ast.And: "and", ast.Or: "or"}
+           ast.FloorDiv: "//", ast.Mod: "%", ast.And: "and", ast.Or: "or"}
 
 #: Each ``operator`` function of ``SWAPS`` as the inline ``lambda`` that replaces it.
 INLINE = {"truediv": "lambda a, b: a / b", "mul": "lambda a, b: a * b",
@@ -83,7 +85,14 @@ TARGETS = {
         "BackwardModel._wing_marginal", "BackwardModel.verify_kernel_normalization",
         "BackwardModel.verify_recovery", "BackwardModel.lc_violation_witness",
         "BackwardModel.tabulate", "BackwardModel._checked", "BackwardModel.check_settings",
-        "collider_model", "bell_table"), CHECK_TESTS),
+        "collider_model", "bell_table", "_point_case"), CHECK_TESTS),
+    "chsh": Target("src/retrobell/chsh.py",
+                   ("chsh_value", "lhv_max_chsh", "_max_chsh", "quantum_chsh_scan",
+                    "backward_model_chsh"),
+                   ("tests/test_chsh.py", "tests/test_conditioned_parity.py",
+                    "tests/test_acceptance.py")),
+    "ghz": Target("src/retrobell/ghz.py", ("classical_assignment_exhaustion",),
+                  ("tests/test_ghz.py", "tests/test_acceptance.py", "tests/test_cli.py")),
 }
 
 
