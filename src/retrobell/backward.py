@@ -191,9 +191,9 @@ def entry_table(
     in nested tuples."""
 
     def table(points: list[tuple]) -> tuple:
-        cells = list(itertools.product(OUTCOMES, repeat=len(points[0])))
         return tuple(tuple(tuple(func(cell, settings, column) for column in columns)
-                           for cell in cells) for settings in points)
+                           for cell in itertools.product(OUTCOMES, repeat=len(settings)))
+                     for settings in points)
 
     return table
 
@@ -202,9 +202,9 @@ def entry_table(
 class Tabulation(Sequence):
     """A model's grid checked (``points``) and kernel tabulated (``K``) by ``tabulate``, with
     the target table ``Q`` a collider's kernel was built from (else None: recovery fills it),
-    and the tables derived from them: ``marginal``, kept once built, and ``conditioned`` and
-    ``joint``, built from ``K`` on each request, so it keeps no other table of ``K``'s size.
-    A sequence of the checked points, it stands in for the grid anywhere.  Each table is in
+    and the two tables the checks read: ``marginal``, kept once built, and ``conditioned``,
+    built from ``K`` on each request, so it keeps no other table of ``K``'s size.  A
+    sequence of the checked points, it stands in for the grid anywhere.  Each table is in
     ``K``'s form (:func:`_form`), one formula over the rows of the tables it reads."""
 
     model: BackwardModel
@@ -236,18 +236,10 @@ class Tabulation(Sequence):
         M = [tuple(sum(w / t for w in row[at::n]) for at in range(n)) for row, t in zip(W, total)]
         return _table(M), total
 
-    @property
-    def joint(self) -> tuple:
-        """``(T, M)``: the joint ``T[point][cell][label]``, built anew on each request, and
-        :attr:`marginal`'s ``M``."""
-        n = len(self.model.lam.labels)
-        rows, _ = _normalized(self._weights(), self.model.backend)
-        return _table([tuple(zip(*[iter(t)] * n)) for t in rows]), self.marginal[0]
-
     def conditioned(self, label: str):
         """P(cell | settings, label) at every point, the label-conditioned outcome
-        table ``[point][cell]``: the label's joint entries over its marginal, each
-        built from ``K`` as :attr:`joint` builds it."""
+        table ``[point][cell]``: the label's joint entries (:meth:`_weights` over their
+        total) over its marginal."""
         M, total = self.marginal
         labels = self.model.lam.labels
         if label not in labels:
@@ -331,17 +323,17 @@ class BackwardModel:
         """The full joint over (outcomes..., lambda) at fixed settings.
 
         Entry weights are the product of the wing marginals and the collider
-        kernel, per the model factorization: the one-point
-        :attr:`Tabulation.joint`.
+        kernel, per the model factorization: the one point's
+        :meth:`Tabulation._weights` over their total, cell by cell.
         """
-        T, _ = self.tabulate([settings]).joint
-        return self._one_point(itertools.chain(*T[0]),
-                               self.outcome_variables() + (self.lambda_variable(),))
+        rows, _ = _normalized(self.tabulate([settings])._weights(), self.backend)
+        return Joint(self.outcome_variables() + (self.lambda_variable(),),
+                     tuple(_point_major([list(rows[0])])), self.backend)
 
     def lambda_marginal(self, settings: Sequence) -> Joint:
         """P(lambda | settings): outcomes summed out of the one-point joint."""
         M, _ = self.tabulate([settings]).marginal
-        return self._one_point(M[0], (self.lambda_variable(),))
+        return Joint((self.lambda_variable(),), tuple(M[0]), self.backend)
 
     def condition_on_lambda(self, label: str, settings: Sequence) -> Joint:
         """P(outcomes | settings, label): the postselected outcome table.
@@ -350,11 +342,7 @@ class BackwardModel:
         probability at these settings.
         """
         P = self.tabulate([settings]).conditioned(label)[0]
-        return self._one_point(P, self.outcome_variables())
-
-    def _one_point(self, entries: Iterable[Prob], variables: tuple[Variable, ...]) -> Joint:
-        """One point's entries, in canonical order, as a ``Joint``."""
-        return Joint(variables, tuple(entries), self.backend)
+        return Joint(self.outcome_variables(), tuple(P), self.backend)
 
     # -- checked properties --------------------------------------------------
 

@@ -181,8 +181,8 @@ def _rows(X):
 
 def _table(rows):
     """Rows back as a table with points first: a tuple of rows of numbers, or an array."""
-    x = rows[0]
-    while isinstance(x, (list, tuple)):
+    x = rows
+    while isinstance(x, (list, tuple)) and x:
         x = x[0]
     if not getattr(x, "ndim", 0):
         return tuple(rows)

@@ -77,7 +77,7 @@ def test_criterion_2_statistical_independence(bell, ghz, grid):
     bell_si = bell.verify_si(grid)
     ghz_si = ghz.verify_si(rb.settings_grid(ghz))
     elapsed = time.perf_counter() - start
-    _, ghz_marginals = ghz.tabulate(rb.settings_grid(ghz)).joint
+    ghz_marginals, _ = ghz.tabulate(rb.settings_grid(ghz)).marginal
     ghz_marginals_exact = all(m[0] == Fraction(1, 2) for m in ghz_marginals)  # lambda0
     ok = (
         bell_si.passed

@@ -81,23 +81,26 @@ class TestBellModelConstruction:
         assert all(w.p_plus == 0.5 for w in bell_model.wings)
 
 
+def joint(model, settings):
+    """P(a1, a2, lambda | settings) by (a1, a2, label), from ``assemble_joint``."""
+    return dict(model.assemble_joint(settings).items())
+
+
 class TestAssembleJoint:
-    """The joint ``T[point][cell][label]`` and label marginal ``M[point][label]``."""
+    """The one-point joint and the label marginal ``M[point][label]``."""
 
     def test_entry_at_zero_angles(self, bell_model):
-        T, _ = bell_model.tabulate([(0.0, 0.0)]).joint
-        # cell (1, 1), label lambda1
-        assert T[0][0][0] == pytest.approx(0.125, abs=1e-15)
+        assert joint(bell_model, (0.0, 0.0))[1, 1, "lambda1"] == pytest.approx(0.125, abs=1e-15)
 
     def test_total_mass_one(self, bell_model):
-        T, _ = bell_model.tabulate([(0.4, 2.2)]).joint
-        assert sum(p for row in T[0] for p in row) == pytest.approx(1.0, abs=1e-12)
+        assert sum(joint(bell_model, (0.4, 2.2)).values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_lambda_marginal_is_prior(self, bell_model):
         # brute-force summation over outcomes, independent of M
-        T, M = bell_model.tabulate([(0.0, 0.0)]).joint
-        for i in range(len(bell_model.lam.labels)):
-            mass = sum(row[i] for row in T[0])
+        T = joint(bell_model, (0.0, 0.0))
+        M, _ = bell_model.tabulate([(0.0, 0.0)]).marginal
+        for i, label in enumerate(bell_model.lam.labels):
+            mass = sum(p for (a1, a2, at), p in T.items() if at == label)
             assert mass == pytest.approx(0.25, abs=1e-12)
             assert M[0][i] == pytest.approx(0.25, abs=1e-12)
 
@@ -370,7 +373,7 @@ class TestBayesConsistency:
     def test_kernel_prior_identity_on_grid(self, bell_model):
         # P(lambda | a, s) * P(a | s) == P(a | lambda, s) * P(lambda | s)
         for settings in [(0.0, 0.0), (0.3, 1.1), (2.0, 5.5)]:
-            _, M = bell_model.tabulate([settings]).joint
+            M, _ = bell_model.tabulate([settings]).marginal
             for i, label in enumerate(bell_model.lam.labels):
                 cond = conditioned(bell_model, label, settings)
                 for a1, a2 in CELLS:
@@ -385,9 +388,10 @@ class TestFineTuningSignature:
     def test_unconditional_outcomes_are_product_uniform(self, bell_model):
         # without conditioning on the label the outcomes are uncorrelated
         for settings in [(0.0, 0.0), (0.0, PI / 3), (1.0, 2.0)]:
-            T, _ = bell_model.tabulate([settings]).joint
-            for row in T[0]:  # each cell, summed over the labels
-                assert sum(row) == pytest.approx(0.25, abs=1e-12)
+            T = joint(bell_model, settings)
+            for cell in CELLS:  # each cell, summed over the labels
+                mass = sum(p for (a1, a2, _), p in T.items() if (a1, a2) == cell)
+                assert mass == pytest.approx(0.25, abs=1e-12)
 
     def test_conditioning_induces_correlations(self, bell_model):
         settings = (0.0, PI / 3)

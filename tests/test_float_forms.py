@@ -6,10 +6,12 @@ columns over every point, and the same formulas reduce both.  With the bound
 patched to 0 every grid takes the array form, and with it patched to 10**9
 every grid takes the tuple form, so each model below is read in both forms on
 grids of one, four and nine points, and a few of them on a grid past the bound.
-Every check report (with its worst case), the witness, and every entry of
-``joint`` and ``conditioned`` must agree by ``float.hex``, and every error by
-class and message.  In each form, and on the rational models, ``conditioned``
-must also equal the joint's ``T / M`` entry for entry, bit for bit.
+Every check report (with its worst case), the witness, the one-point joint of
+``assemble_joint`` at the grid's first point, and every entry of ``conditioned``
+must agree by ``float.hex``, and every error by class and message.  In each
+form, and on the rational models, ``conditioned`` must also equal, entry for
+entry and bit for bit, the label's entries of ``assemble_joint`` over its
+``lambda_marginal``, at each point.
 
 The reductions ``dist`` runs on the array form (the worst of a sweep, a no-signalling
 slot's first minimum and maximum, and the slots themselves) are also run on their
@@ -17,6 +19,7 @@ own, on cases the models cannot reach (a NaN in a wing marginal), against values
 derived by hand.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -138,12 +141,19 @@ def _outcome(read):
         return type(error), str(error)
 
 
-def _joint_over_marginal(tab, label):
-    """``T[..., at] / M[..., at]`` of ``tab.joint``, entry by entry as Python numbers: what
-    ``conditioned(label)`` must give bit for bit wherever it gives a table."""
-    T, M = tab.joint
-    at = tab.model.lam.labels.index(label)
-    return [[dist._at(cell, at) / dist._at(m, at) for cell in t] for t, m in zip(T, M)]
+def _one_point_tables(tab):
+    """The entries of ``assemble_joint`` and of ``lambda_marginal`` at each point of ``tab``."""
+    model = tab.model
+    return [(model.assemble_joint(s)._table, model.lambda_marginal(s)._table) for s in tab]
+
+
+def _joint_over_marginal(model, tables, label):
+    """The label's joint entries over its marginal at each point of ``tables``
+    (:func:`_one_point_tables`), entry by entry as Python numbers (so 0 / 0 raises in
+    both forms): what ``conditioned(label)`` must give bit for bit wherever it gives a
+    table."""
+    at, n = model.lam.labels.index(label), len(model.lam.labels)
+    return [[dist._at(T, i) / dist._at(M, at) for i in range(at, len(T), n)] for T, M in tables]
 
 
 def _assert_conditioned_is_joint_over_marginal(model, readings):
@@ -156,9 +166,10 @@ def _assert_conditioned_is_joint_over_marginal(model, readings):
 def _readings(model, grid):
     labels = model.lam.labels
     tab = model.tabulate(grid)
+    one_point = functools.cache(lambda: _one_point_tables(tab))  # read by every label
     reads = {
         "form": lambda: type(tab.K).__name__,
-        "joint": lambda: tab.joint,
+        "joint": lambda: list(model.assemble_joint(grid[0]).items()),
         "si": lambda: model.verify_si(grid).to_json_dict(),
         "nosignal": lambda: verify_no_signalling_all(model, grid).to_json_dict(),
         "kernel_norm": lambda: model.verify_kernel_normalization(grid).to_json_dict(),
@@ -166,7 +177,8 @@ def _readings(model, grid):
     }
     for label in labels:
         reads[f"conditioned {label}"] = lambda label=label: tab.conditioned(label)
-        reads[f"joint over marginal {label}"] = lambda label=label: _joint_over_marginal(tab, label)
+        reads[f"joint over marginal {label}"] = (
+            lambda label=label: _joint_over_marginal(model, one_point(), label))
         reads[f"nosignal {label}"] = (
             lambda label=label: model.verify_no_signalling([label], grid).to_json_dict())
         reads[f"witness {label}"] = (
@@ -203,7 +215,8 @@ def test_rational_conditioned_is_joint_over_marginal(name):
     tab = model.tabulate(settings_grid(model))
     for label in model.lam.labels:
         conditioned = tab.conditioned(label)
-        assert [list(row) for row in conditioned] == _joint_over_marginal(tab, label)
+        assert [list(row) for row in conditioned] == _joint_over_marginal(
+            model, _one_point_tables(tab), label)
         assert {type(p) for row in conditioned for p in row} == {Fraction}
 
 

@@ -62,7 +62,7 @@ class TestGhzBackwardModel:
         assert isinstance(rep.max_deviation, Fraction)
 
     def test_lambda0_probability_is_half_everywhere(self, ghz_model):
-        _, M = ghz_model.tabulate(settings_grid(ghz_model)).joint
+        M, _ = ghz_model.tabulate(settings_grid(ghz_model)).marginal
         for m in M:
             assert m[0] == Fraction(1, 2)  # lambda0
 

@@ -151,6 +151,17 @@ def test_bell_table_takes_one_cosine_per_distinct_argument(monkeypatch):
     assert len(calls) == len(distinct[0]) + len(distinct[1])
 
 
+def test_a_table_over_no_points_is_empty():
+    # the empty table, as dist._form([]) gives it; tabulate still rejects an empty grid
+    models = [build() for build in (bell_backward_model, signalling_counterexample_model,
+                                    ghz_backward_model, pr_backward_model)]
+    tables = [bell_table, entry_table(lambda cell, settings, column: 0.5, ("L1", "L2"))]
+    assert [table([]) for table in tables + [m.kernel.table for m in models]] == [()] * 6
+    for model in models:
+        with pytest.raises(ConstructionError, match="empty settings grid"):
+            model.tabulate([])
+
+
 def test_bell_table_rejects_non_finite_angles():
     with pytest.raises(ValueError):
         bell_table([(0.0, math.nan)])
@@ -273,9 +284,12 @@ def test_exact_collider_kernels_equal_their_scalar_rule(build, target, label, no
 def test_exact_tables_hold_fractions(build):
     model = build()
     tab = model.tabulate(settings_grid(model))
-    T, M = tab.joint
+    M, _ = tab.marginal
     cells = list(itertools.product((1, -1), repeat=len(model.wings)))
-    assert all(type(p) is Fraction for point in T for row in point for p in row)
+    # every entry, zeros included: items() would skip the deterministic kernels' zeros
+    joints = [model.assemble_joint(settings)._table for settings in tab]
+    assert [len(t) for t in joints] == [len(cells) * len(model.lam.labels)] * len(tab)
+    assert all(type(p) is Fraction for t in joints for p in t)
     assert all(type(p) is Fraction for row in M for p in row)
     for label in model.lam.labels:
         cond = tab.conditioned(label)

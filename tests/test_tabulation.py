@@ -474,7 +474,7 @@ def test_a_wing_pinned_to_plus_one_keeps_its_zero_cells_out(pr_model):
     # and (1, -1) to lambda_bar, each with the other wing's 1/2
     tab = _with_marginals(pr_model, Fraction(1)).tabulate([(0, 0)])
     assert tab.conditioned("lambda_pr")[0] == (1, 0, 0, 0)
-    assert tab.joint[1][0] == (Fraction(1, 2), Fraction(1, 2))
+    assert tab.marginal[0][0] == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_si_reports_an_exact_nonzero_deviation_on_the_rational_backend(pr_model):

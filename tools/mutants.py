@@ -79,8 +79,8 @@ TARGETS = {
                     "make_joint", "marginalize", "condition", "tv_distance"),
                    CHECK_TESTS),
     "backward": Target("src/retrobell/backward.py", (
-        "Tabulation._weights", "Tabulation.marginal", "Tabulation.joint",
-        "Tabulation.conditioned", "BackwardModel._sweep",
+        "Tabulation._weights", "Tabulation.marginal", "Tabulation.conditioned",
+        "BackwardModel._sweep",
         "BackwardModel.verify_si", "BackwardModel.verify_no_signalling",
         "BackwardModel._wing_marginal", "BackwardModel.verify_kernel_normalization",
         "BackwardModel.verify_recovery", "BackwardModel.lc_violation_witness",
@@ -93,6 +93,9 @@ TARGETS = {
                     "tests/test_acceptance.py")),
     "ghz": Target("src/retrobell/ghz.py", ("classical_assignment_exhaustion",),
                   ("tests/test_ghz.py", "tests/test_acceptance.py", "tests/test_cli.py")),
+    "sampling": Target("src/retrobell/sampling.py",
+                       ("_cell_z", "_correlation_z", "_label_bounds", "sample_postselected"),
+                       ("tests/test_sampling.py", "tests/test_sampler_parity.py")),
 }
 
 
