@@ -17,7 +17,10 @@ seed, shards).  With several shards, shard ``k`` draws from the root seed's
 ``k``-th spawned child, numpy's ``SeedSequence(seed).spawn(k + 1)[k]``, and
 counts merge in shard order, making parallel and serial execution
 indistinguishable; ``shards=1`` draws from the root stream itself.
-Shards run on at most one thread per usable CPU.
+Shards run on ``w = min(shards, usable CPUs)`` workers: the calling thread
+runs shards 0, w, 2w, ... and each of ``w - 1`` started threads runs its own
+residue class, so one worker starts no thread.  A failing run raises the
+failure of its lowest-numbered failing shard.
 
 A shard refills one buffer set for every batch of ``BATCH_RUNS`` runs, so
 its memory does not grow with ``n``: a ``(runs, wings + 1)`` block of
@@ -36,6 +39,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import threading
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -221,10 +225,11 @@ def _shard_postselect(model, tables, target_idx, quota, cap, rng):
 
 
 def _worker_count(shards: int) -> int:
-    """Threads for ``shards`` sampling shards: at most one per usable CPU.
+    """Workers for ``shards`` sampling shards: at most one per usable CPU.
 
-    Shards beyond the worker count queue for a free thread; each keeps its
-    own substream, so the count changes timing only, never a report.
+    The calling thread is one of them.  Shards beyond the worker count run one
+    after another on their worker; each keeps its own substream, so the count
+    changes timing only, never a report.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -243,10 +248,16 @@ def _correlation_z(observed: float, exact: float, runs: int) -> float:
 
 
 def _cell_z(count: int, n: int, p: float) -> float:
-    """Binomial z-score of a cell count against its exact probability."""
-    if p <= 0.0 or p >= 1.0:
-        expected = n * p
-        return 0.0 if count == expected else math.inf
+    """Binomial z-score of a cell count against its exact probability.
+
+    An impossible cell (p <= 0) scores 0 at count 0, a certain one (p >= 1,
+    which a float one ulp above 1 also is) at count ``n``; any other count
+    scores infinity.
+    """
+    if p <= 0.0:
+        return 0.0 if count == 0 else math.inf
+    if p >= 1.0:
+        return 0.0 if count == n else math.inf
     return (count - n * p) / math.sqrt(n * p * (1.0 - p))
 
 
@@ -330,19 +341,34 @@ def sample_postselected(
     p_label = float(M[0][target_idx])
     exact = tab.conditioned(label)[0]
 
-    def shard(i):
-        # a single shard draws from the root stream, several from its children
-        rng = make_rng(seed, None if len(quotas) == 1 else i)
-        return _shard_postselect(model, tables, target_idx, quotas[i], caps[i], rng)
-
+    # worker k runs shards k, k + w, ..., the calling thread being worker 0; a
+    # worker stops at its first failure, which takes that shard's slot, so the
+    # lowest failing shard's failure is recorded whatever the timing
     workers = _worker_count(len(quotas))
-    if workers == 1:
-        shard_results = [shard(i) for i in range(len(quotas))]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only for a pool: it loads logging
+    shard_results: list = [None] * len(quotas)
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            shard_results = list(pool.map(shard, range(len(quotas))))
+    def work(k):
+        for i in range(k, len(quotas), workers):
+            try:
+                # a single shard draws from the root stream, several from its children
+                rng = make_rng(seed, None if len(quotas) == 1 else i)
+                shard_results[i] = _shard_postselect(
+                    model, tables, target_idx, quotas[i], caps[i], rng)
+            except BaseException as exc:
+                shard_results[i] = exc
+                return
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for result in shard_results:
+        if isinstance(result, BaseException):
+            raise result
 
     counts, _, total, uncond_sum = map(sum, zip(*shard_results))
 
@@ -360,11 +386,12 @@ def sample_postselected(
     max_abs_z = max(abs(cell["z"]) for cell in cells)
 
     # Acceptance rate: total draws to reach n acceptances is negative
-    # binomial, so gate (p*total - n) / sqrt(n*(1-p)).
-    if 0.0 < p_label < 1.0:
+    # binomial, so gate (p*total - n) / sqrt(n*(1-p)).  p > 0 here, and a
+    # label of p >= 1 (one ulp above 1 too) is certain: every draw is accepted.
+    if p_label < 1.0:
         z_acc = (p_label * total - n) / math.sqrt(n * (1.0 - p_label))
     else:
-        z_acc = 0.0 if total * p_label == n else math.inf
+        z_acc = 0.0 if total == n else math.inf
     acceptance = {
         "observed_rate": n / total,
         "expected_rate": p_label,

@@ -88,7 +88,7 @@ def test_retired_engine_names_are_gone():
 # more than ``TUPLE_POINTS`` points or sampling, the model stack (``backward``,
 # ``dist``, ``dataclasses``, ``fractions``) only for a model, ``chsh`` and ``ghz``
 # only for their own commands, ``csv`` only for CSV output, and the thread pool
-# (``concurrent.futures``) only for a sample on more than one worker
+# (``concurrent.futures``) never: a sample on several workers starts plain threads
 # ---------------------------------------------------------------------------
 
 #: The modules whose loading the tests below pin.
@@ -174,7 +174,8 @@ def test_model_commands_load_numpy():
     assert "numpy" in loaded(*SAMPLE_PRBOX)
 
 
-@pytest.mark.parametrize("argv", [SAMPLE_BELL, SAMPLE_PRBOX], ids=" ".join)
+@pytest.mark.parametrize("argv", [SAMPLE_BELL, SAMPLE_PRBOX, (*SAMPLE_BELL, "--threads", "2")],
+                         ids=" ".join)
 def test_one_shard_sample_leaves_the_thread_pool_unloaded(argv):
     assert "concurrent.futures" not in loaded(*argv)
 

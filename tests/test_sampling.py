@@ -1,10 +1,10 @@
 """Monte Carlo harness: determinism, postselection semantics, gates."""
 
-import concurrent.futures
 import json
 import math
 import sys
 import tracemalloc
+import types
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -285,6 +285,28 @@ def test_exact_reference_matches_joint_api(
         sum(a[0] * a[1] * p for a, p in exact.items() if p))
 
 
+@pytest.fixture
+def inline_threads(monkeypatch):
+    """Make the sampler start stand-ins for ``threading.Thread`` that run their
+    target inline on ``start``, so no real thread starts; returns the list of
+    each start's arguments."""
+    started = []
+
+    class InlineThread:
+        def __init__(self, target, args=()):
+            self._target, self._args = target, args
+
+        def start(self):
+            started.append(self._args)
+            self._target(*self._args)
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(sampling, "threading", types.SimpleNamespace(Thread=InlineThread))
+    return started
+
+
 class TestShardWorkers:
     def test_worker_count_is_bounded_by_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
@@ -297,31 +319,70 @@ class TestShardWorkers:
         monkeypatch.setattr(sampling.os, "cpu_count", lambda: None)
         assert sampling._worker_count(10**9) == 1
 
-    @pytest.mark.parametrize("cpus, pool_workers", [(1, []), (3, [3])])
-    def test_many_shards_share_few_workers(self, bell_model, monkeypatch, cpus, pool_workers):
-        # a serial stand-in records the pool size without starting threads
+    @pytest.mark.parametrize("cpus, threads", [(1, []), (3, [(1,), (2,)])])
+    def test_many_shards_share_few_workers(self, bell_model, monkeypatch, inline_threads,
+                                           cpus, threads):
+        # the calling thread is worker 0, so w workers start w - 1 threads, each
+        # given its residue class of shards
+        monkeypatch.setattr(sampling, "_worker_count", lambda shards: 1)
         expected = sample_postselected(bell_model, "lambda1", SETTINGS, 9_000, 2, shards=6)
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(sampling, "_worker_count", lambda shards: min(shards, cpus))
         rep = sample_postselected(bell_model, "lambda1", SETTINGS, 9_000, 2, shards=6)
-        assert started == pool_workers
+        assert inline_threads == threads
         assert rep.shards == 6
         assert report_json(rep) == report_json(expected)
+
+    @pytest.mark.parametrize("shards", [1, 2, 6])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_reports_match_the_one_worker_run(self, bell_model, monkeypatch, cpus, shards):
+        # real threads, as many as the pinned CPUs allow
+        monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        expected = sample_postselected(bell_model, "lambda1", SETTINGS, 9_000, 2, shards=shards)
+        monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        rep = sample_postselected(bell_model, "lambda1", SETTINGS, 9_000, 2, shards=shards)
+        assert report_json(rep) == report_json(expected)
+
+    @pytest.mark.parametrize("n, shards", [(9_000, 1), (9_000, 2), (9_000, 6), (2, 10**9)])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_at_most_one_thread_fewer_than_workers_starts(
+            self, bell_model, monkeypatch, inline_threads, cpus, n, shards):
+        # and every shard runs once
+        monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        runs = []
+        shard_postselect = sampling._shard_postselect
+
+        def counted(*args):
+            runs.append(args[3])
+            return shard_postselect(*args)
+
+        monkeypatch.setattr(sampling, "_shard_postselect", counted)
+        rep = sample_postselected(bell_model, "lambda1", SETTINGS, n, 2, shards=shards)
+        assert inline_threads == [(k,) for k in range(1, min(shards, n, cpus))]
+        assert len(runs) == rep.shards == min(shards, n)
+        assert sum(runs) == n
+
+    @pytest.mark.parametrize("threads", ["real", "inline"])
+    def test_a_cap_failure_raises_the_lowest_failing_shard(self, bell_model, monkeypatch,
+                                                           request, threads):
+        # at cap_factor 1 a shard must accept every draw, which a label of
+        # probability 1/4 never does: all six shards fail, and shard 0's failure
+        # is raised even when the started threads' shards fail first (inline)
+        if threads == "inline":
+            request.getfixturevalue("inline_threads")
+        monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        with pytest.raises(AcceptanceCapError) as exc:
+            sample_postselected(bell_model, "lambda1", SETTINGS, 9_000, 2, cap_factor=1,
+                                shards=6)
+        tables = sampling._sampling_tables(bell_model, bell_model.tabulate([SETTINGS]).K)
+        with pytest.raises(AcceptanceCapError) as alone:
+            sampling._shard_postselect(bell_model, tables, bell_model.lam.labels.index("lambda1"),
+                                       1_500, 1_500, make_rng(2, 0))
+        got, want = exc.value, alone.value
+        assert (got.accepted, got.requested, got.total_draws, got.cap) == (
+            want.accepted, want.requested, want.total_draws, want.cap)
 
     def test_shards_beyond_n_allocate_nothing(self, bell_model, monkeypatch):
         # only min(shards, n) quotas are built, so a huge shard count costs
@@ -533,9 +594,11 @@ class TestGateFormulas:
         assert sampling._cell_z(3, 10, 0.2) == pytest.approx(1 / math.sqrt(1.6), rel=1e-12)
 
     @pytest.mark.parametrize("count, p, z", [
-        (10, 1.0, 0.0), (9, 1.0, math.inf), (0, 0.0, 0.0), (1, 0.0, math.inf)])
+        (10, 1.0, 0.0), (9, 1.0, math.inf), (0, 0.0, 0.0), (1, 0.0, math.inf),
+        (10, 1.0 + 2.0 ** -52, 0.0), (9, 1.0 + 2.0 ** -52, math.inf)])
     def test_cell_z_at_a_certain_or_impossible_cell(self, count, p, z):
-        # the count either is n * p exactly or the cell is impossible: no division
+        # a certain cell (p >= 1, one ulp above too) must hold all n = 10 runs and
+        # an impossible one none, else the score is infinite: no division
         assert sampling._cell_z(count, 10, p) == z
 
     def test_correlation_z_is_the_mean_score(self):
@@ -568,8 +631,6 @@ class TestGateFormulas:
         assert rep.acceptance == {"observed_rate": 1.0, "expected_rate": 1.0, "z": 0.0}
         assert rep.passed
 
-    @pytest.mark.xfail(strict=True, reason="a label marginal rounding one ulp above 1 "
-                       "fails the acceptance gate (CHANGES.md FOUND, sample_postselected)")
     def test_a_label_marginal_one_ulp_above_one_accepts_every_draw(self):
         # the same certain label with wing marginals 0.3 and 0.5: M rounds to 1 + 2**-52
         wings = (Wing("a1", "s1", ANGLE, 0.3), Wing("a2", "s2", ANGLE, 0.5))
